@@ -73,8 +73,9 @@ struct DumperPipeline {
     TrafficDumper& dumper_;
   };
 
-  /// Trim + store: copies the trimmed headers into the capture store (or
-  /// moves small frames whole) along with the embedded mirror metadata.
+  /// Trim + store: copies the trimmed headers straight into a new capture
+  /// store entry (or moves small frames whole) along with the embedded
+  /// mirror metadata.
   class Capture : public pipeline::Stage {
    public:
     explicit Capture(TrafficDumper& dumper) : dumper_(dumper) {}
@@ -87,7 +88,7 @@ struct DumperPipeline {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (!batch.live(i)) continue;
         Packet& pkt = batch.pkt(i);
-        DumpedPacket dumped;
+        DumpedPacket& dumped = d.packets_.emplace_back();
         dumped.orig_len = pkt.size();
         dumped.captured_at = batch.meta(i).ingress_ts;
         dumped.meta = extract_mirror_meta(pkt);
@@ -101,7 +102,6 @@ struct DumperPipeline {
         } else {
           dumped.pkt = std::move(pkt);
         }
-        d.packets_.push_back(std::move(dumped));
         ++d.counters_.captured;
         batch.consume(i);
       }

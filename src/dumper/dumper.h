@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "injector/mirror.h"
@@ -68,7 +69,14 @@ class TrafficDumper : public Node {
   /// TERM from the orchestrator: restores UDP ports on captured packets.
   void terminate();
 
+  /// Captured packets in arrival order, which is mirror order: mirror
+  /// copies leave the switch in sequence order through FIFO ports.
   const std::vector<DumpedPacket>& packets() const { return packets_; }
+  /// Hands the capture store to the caller (trace reconstruction); the
+  /// dumper holds no packets afterwards.
+  std::vector<DumpedPacket> take_packets() {
+    return std::exchange(packets_, {});
+  }
   const DumperCounters& counters() const { return counters_; }
 
   /// Writes captured (trimmed) packets to a pcap file.

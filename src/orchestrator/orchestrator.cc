@@ -1,20 +1,8 @@
 #include "orchestrator/orchestrator.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "util/logging.h"
 
 namespace lumina {
-
-std::string IntegrityReport::to_string() const {
-  std::ostringstream out;
-  out << (ok() ? "OK" : "FAILED") << " (trace=" << trace_packets
-      << ", mirrored=" << injector_mirrored << ", roce_rx=" << injector_roce_rx
-      << ", consecutive=" << (seqnums_consecutive ? "yes" : "no")
-      << ", missing=" << missing_seqnums << ")";
-  return out.str();
-}
 
 Orchestrator::Orchestrator(TestConfig config)
     : Orchestrator(std::move(config), Options{}) {}
@@ -38,7 +26,6 @@ void Orchestrator::build_testbed() {
   spec.link_propagation = options_.link_propagation;
   spec.trim_mirrors = options_.trim_mirrors;
   spec.enable_telemetry = options_.enable_telemetry;
-  spec.trace_capacity = options_.trace_capacity;
   spec.shards = options_.shards;
   testbed_ = std::make_unique<Testbed>(std::move(spec));
 
@@ -141,30 +128,20 @@ const TestResult& Orchestrator::run() {
 
 void Orchestrator::collect_results() {
   EventInjectorSwitch& injector = testbed_->injector();
-  // TERM all dumpers, then merge and sort by mirror sequence number.
-  std::vector<TracePacket> packets;
+  // TERM all dumpers, then merge their stores by mirror sequence number.
+  std::vector<std::vector<DumpedPacket>> captures;
   for (auto& dumper : testbed_->dumpers()) {
     dumper->terminate();
-    for (const auto& dumped : dumper->packets()) {
-      TracePacket tp;
-      tp.pkt = dumped.pkt;
-      tp.meta = dumped.meta;
-      tp.orig_len = dumped.orig_len;
-      const auto view = parse_roce(tp.pkt, /*allow_trimmed=*/true);
-      if (!view) continue;
-      tp.view = *view;
-      packets.push_back(std::move(tp));
-    }
+    captures.push_back(dumper->take_packets());
   }
-  std::sort(packets.begin(), packets.end(),
-            [](const TracePacket& a, const TracePacket& b) {
-              return a.meta.mirror_seq < b.meta.mirror_seq;
-            });
+  result_.integrity = reconstruct_trace(
+      std::move(captures), injector.mirror_engine().mirrored_count(),
+      injector.roce_counters().roce_rx, result_.trace);
   // Join the injector's delay-release log: analyzers that replay the trace
   // in receiver order (gbn_fsm) need to know when a delay-held packet
   // actually left the switch.
   if (const auto& releases = injector.delay_releases(); !releases.empty()) {
-    for (auto& tp : packets) {
+    for (auto& tp : result_.trace.packets) {
       if (const auto it = releases.find(tp.meta.mirror_seq);
           it != releases.end()) {
         tp.released_at = it->second;
@@ -172,26 +149,6 @@ void Orchestrator::collect_results() {
     }
   }
 
-  IntegrityReport& integrity = result_.integrity;
-  integrity.trace_packets = packets.size();
-  integrity.injector_mirrored = injector.mirror_engine().mirrored_count();
-  integrity.injector_roce_rx = injector.roce_counters().roce_rx;
-  integrity.seqnums_consecutive = true;
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (packets[i].meta.mirror_seq != i) {
-      integrity.seqnums_consecutive = false;
-      break;
-    }
-  }
-  if (integrity.injector_mirrored >= packets.size()) {
-    integrity.missing_seqnums = integrity.injector_mirrored - packets.size();
-  }
-  integrity.matches_mirrored_count =
-      integrity.injector_mirrored == packets.size();
-  integrity.matches_roce_rx_count =
-      integrity.injector_roce_rx == packets.size();
-
-  result_.trace.packets = std::move(packets);
   result_.host_counters.clear();
   for (int i = 0; i < testbed_->num_hosts(); ++i) {
     result_.host_counters.push_back(testbed_->nic(i).counters());

@@ -69,9 +69,6 @@ class Orchestrator {
     /// TestResult::telemetry and exported by results_io as report.json.
     /// Off only for overhead ablations (bench/telemetry_overhead).
     bool enable_telemetry = true;
-    /// Event-trace ring capacity; the oldest events are overwritten (and
-    /// counted as sim.trace_dropped) once the ring is full.
-    std::size_t trace_capacity = telemetry::TraceSink::kDefaultCapacity;
     /// Event-kernel shards (docs/simulator.md, "Sharded execution"):
     /// validated against the topology's domain count and recorded in the
     /// report as the deterministic ShardPlan. Results are contractually

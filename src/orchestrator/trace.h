@@ -1,9 +1,13 @@
 // Reconstructed packet trace (§3.5).
 //
-// The orchestrator merges the packets captured by every traffic dumper and
-// sorts them by the mirror sequence number the event injector embedded —
-// no clock synchronization is needed because every timestamp comes from
-// the single switch clock.
+// The orchestrator orders the packets captured by every traffic dumper by
+// the mirror sequence number the event injector embedded — no clock
+// synchronization is needed because every timestamp comes from the single
+// switch clock. Mirror copies leave the switch in sequence order through
+// FIFO ports, so each dumper's capture is already one sorted run, and
+// reconstruct_trace() builds the trace as a one-pass merge of those runs,
+// moving every frame out of the dumpers' stores (which are empty
+// afterwards) and running the integrity check in the same pass.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +63,7 @@ struct IntegrityReport {
            matches_roce_rx_count;
   }
   std::string to_string() const;
+  bool operator==(const IntegrityReport&) const = default;
 };
 
 struct PacketTrace {
@@ -69,5 +74,18 @@ struct PacketTrace {
   auto begin() const { return packets.begin(); }
   auto end() const { return packets.end(); }
 };
+
+struct DumpedPacket;  // dumper/dumper.h
+
+/// Builds `trace` from the dumpers' capture stores, one store per dumper,
+/// and returns the §3.5 integrity report against the injector's mirrored
+/// and RoCE-received counts. Frames the trimmed parser rejects are left
+/// out. The order equals a stable sort of the concatenated stores by
+/// mirror_seq: a store that is not already in mirror order is stably
+/// sorted first, and equal sequence numbers keep dumper order.
+IntegrityReport reconstruct_trace(
+    std::vector<std::vector<DumpedPacket>> captures,
+    std::uint64_t injector_mirrored, std::uint64_t injector_roce_rx,
+    PacketTrace& trace);
 
 }  // namespace lumina

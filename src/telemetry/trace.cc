@@ -41,62 +41,55 @@ void append_json_string(std::string* out, const char* s) {
 }  // namespace
 
 TraceSink::TraceSink(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      ring_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceSink::enable_domain_lanes(int num_domains) {
   lanes_.assign(static_cast<std::size_t>(num_domains < 1 ? 1 : num_domains),
                 Lane{});
-  ring_.clear();
-  ring_.shrink_to_fit();  // the shared ring is dead in lanes mode
-  total_ = 0;
 }
 
 void TraceSink::record(const TraceEvent& ev) {
-  if (lanes_.empty()) {
-    ring_[static_cast<std::size_t>(total_ % capacity_)] = ev;
-    ++total_;
-    return;
+  Lane* lane = &ring_;
+  if (!lanes_.empty()) {
+    // Outside any lane the tag is -1, which wraps past size() to lane 0.
+    const auto d = static_cast<std::size_t>(exec_domain::current());
+    lane = &lanes_[d < lanes_.size() ? d : 0];
   }
-  const int d = exec_domain::current();
-  Lane& lane =
-      lanes_[d > 0 && static_cast<std::size_t>(d) < lanes_.size()
-                 ? static_cast<std::size_t>(d)
-                 : 0];
-  if (lane.events.size() < capacity_) {
-    lane.events.push_back(ev);
+  if (lane->events.size() < capacity_) {
+    lane->events.push_back(ev);
   } else {
-    lane.events[static_cast<std::size_t>(lane.total % capacity_)] = ev;
+    lane->events[static_cast<std::size_t>(lane->total % capacity_)] = ev;
   }
-  ++lane.total;
+  ++lane->total;
 }
 
 std::uint64_t TraceSink::recorded() const {
-  if (lanes_.empty()) return total_;
+  if (lanes_.empty()) return ring_.total;
   std::uint64_t n = 0;
   for (const Lane& lane : lanes_) n += lane.total;
   return n;
 }
 
+void TraceSink::append_retained(const Lane& lane,
+                                std::vector<TraceEvent>& out) const {
+  // Until the lane wraps its events are in record order; after, the oldest
+  // sits in the slot the next record would overwrite.
+  const auto split = static_cast<std::ptrdiff_t>(
+      lane.events.size() < capacity_ ? 0 : lane.total % capacity_);
+  out.insert(out.end(), lane.events.begin() + split, lane.events.end());
+  out.insert(out.end(), lane.events.begin(), lane.events.begin() + split);
+}
+
 std::vector<TraceEvent> TraceSink::events_in_order() const {
   std::vector<TraceEvent> out;
   if (lanes_.empty()) {
-    out.reserve(size());
-    const std::uint64_t first = total_ > capacity_ ? total_ - capacity_ : 0;
-    for (std::uint64_t i = first; i < total_; ++i) {
-      out.push_back(ring_[static_cast<std::size_t>(i % capacity_)]);
-    }
+    out.reserve(ring_.events.size());
+    append_retained(ring_, out);
     return out;
   }
   // Concatenate each lane oldest-first (in domain order), then stable-sort
   // on timestamp: per-lane order survives, ties order by domain.
-  for (const Lane& lane : lanes_) {
-    const std::uint64_t kept = std::min<std::uint64_t>(lane.total, capacity_);
-    const std::uint64_t first = lane.total - kept;
-    for (std::uint64_t i = first; i < lane.total; ++i) {
-      out.push_back(lane.events[static_cast<std::size_t>(i % capacity_)]);
-    }
-  }
+  for (const Lane& lane : lanes_) append_retained(lane, out);
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts < b.ts;

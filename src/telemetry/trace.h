@@ -2,9 +2,10 @@
 //
 // A TraceSink belongs to one run — unlike the metrics registry it is NOT
 // generally thread-safe; campaigns give every run its own sink. The ring
-// has a fixed capacity: once full, the oldest events are overwritten and
-// counted as dropped, so tracing never grows memory unboundedly on a long
-// run.
+// grows on demand up to a fixed capacity: once it holds capacity() events,
+// the oldest are overwritten and counted as dropped, so a short run pays
+// only for the events it records and a long run never grows memory
+// unboundedly.
 //
 // Under the sharded event kernel lanes execute on a thread pool, so the
 // testbed switches the sink into *domain-lanes* mode
@@ -99,17 +100,20 @@ class TraceSink {
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
  private:
-  /// One domain's private buffer: appends until the global capacity, then
-  /// wraps (a lane keeps at most `capacity_` events; the merge trims the
-  /// union to the same bound).
+  /// An event buffer that appends until `capacity_` events, then wraps,
+  /// overwriting the oldest. The shared ring is one; in domain-lanes mode
+  /// each domain records into its own (the merge trims the union to the
+  /// same bound).
   struct Lane {
     std::vector<TraceEvent> events;
     std::uint64_t total = 0;
   };
 
+  /// Appends `lane`'s retained events to `out`, oldest first.
+  void append_retained(const Lane& lane, std::vector<TraceEvent>& out) const;
+
   std::size_t capacity_ = kDefaultCapacity;
-  std::vector<TraceEvent> ring_;
-  std::uint64_t total_ = 0;
+  Lane ring_;                // the sink's buffer outside domain-lanes mode
   std::vector<Lane> lanes_;  // non-empty => domain-lanes mode
   std::vector<std::pair<std::uint32_t, std::string>> track_names_;
 };

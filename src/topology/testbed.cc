@@ -97,7 +97,7 @@ void Testbed::build() {
 
   if (spec_.enable_telemetry) {
     metrics_ = std::make_unique<telemetry::MetricsRegistry>();
-    trace_sink_ = std::make_unique<telemetry::TraceSink>(spec_.trace_capacity);
+    trace_sink_ = std::make_unique<telemetry::TraceSink>();
     if (sharded_ != nullptr) {
       // Lanes record trace events concurrently; give each domain a private
       // buffer (merged by timestamp on export).

@@ -68,7 +68,6 @@ struct TestbedSpec {
   /// Keep full (untrimmed) mirror copies; the stock tool trims to 128 B.
   bool trim_mirrors = true;
   bool enable_telemetry = true;
-  std::size_t trace_capacity = telemetry::TraceSink::kDefaultCapacity;
   /// Pre-sizes every host NIC's QP slab (rnic.md): a large fan-out run
   /// (qp_scaling regime) pays no slab growth during connection setup.
   /// Zero keeps lazy growth.

@@ -73,6 +73,17 @@ TEST(Orchestrator, TraceIsSortedByMirrorSequence) {
   }
 }
 
+TEST(Orchestrator, TraceTakesEveryCaptureOutOfTheDumpers) {
+  Orchestrator orch(small_config());
+  const TestResult& result = orch.run();
+  std::uint64_t captured = 0;
+  for (const auto& dumper : orch.dumpers()) {
+    EXPECT_TRUE(dumper->packets().empty());
+    captured += dumper->counters().captured;
+  }
+  EXPECT_EQ(result.trace.size(), captured);
+}
+
 TEST(Orchestrator, IntegrityPassesOnHealthyCapture) {
   Orchestrator orch(small_config());
   const TestResult& result = orch.run();

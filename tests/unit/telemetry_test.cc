@@ -4,7 +4,9 @@
 // report.json serializer round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -180,6 +182,55 @@ TEST(TraceSink, RingOverwritesOldestAndCountsDrops) {
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().arg, 6);  // oldest retained
   EXPECT_EQ(events.back().arg, 9);
+}
+
+/// Records `n` instants (arg = index) into a sink of `capacity` and checks
+/// that it keeps exactly the newest min(n, capacity) of them, oldest first,
+/// in events_in_order() and chrome_json() alike.
+void expect_ring_window(std::size_t capacity, int n) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity) + ", " +
+               std::to_string(n) + " events");
+  TraceSink sink(capacity);
+  for (int i = 0; i < n; ++i) {
+    sink.instant("cat", "ev", i * 100, kTrackSim, i);
+  }
+  const auto total = static_cast<std::size_t>(n);
+  const std::size_t kept = std::min(total, capacity);
+  const std::size_t first = total - kept;
+  EXPECT_EQ(sink.recorded(), total);
+  EXPECT_EQ(sink.size(), kept);
+  EXPECT_EQ(sink.dropped(), first);
+
+  const auto events = sink.events_in_order();
+  ASSERT_EQ(events.size(), kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    EXPECT_EQ(events[i].arg, static_cast<std::int64_t>(first + i));
+    EXPECT_EQ(events[i].ts, static_cast<Tick>((first + i) * 100));
+  }
+  const JsonValue doc = parse_json(sink.chrome_json());
+  const auto& json = doc.at("traceEvents").as_array();
+  ASSERT_EQ(json.size(), kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    EXPECT_EQ(json[i].at("args").at("v").as_int(),
+              static_cast<std::int64_t>(first + i));
+  }
+}
+
+TEST(TraceSink, RingAppendsUntilCapacityThenWraps) {
+  // Empty, fewer than capacity, exactly capacity, the first wrap, and a
+  // wrap part-way round the ring; then the same at capacity 1.
+  for (const int n : {0, 3, 8, 9, 21}) expect_ring_window(8, n);
+  for (const int n : {0, 1, 5}) expect_ring_window(1, n);
+}
+
+TEST(TraceSink, EmptySinkExportsNoEvents) {
+  const TraceSink sink;
+  EXPECT_EQ(sink.capacity(), TraceSink::kDefaultCapacity);
+  EXPECT_EQ(sink.recorded(), 0u);
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_TRUE(sink.events_in_order().empty());
+  EXPECT_EQ(sink.chrome_json(), "{\"traceEvents\":[]}");
 }
 
 TEST(TraceSink, ChromeJsonIsParsableAndCarriesTrackNames) {
