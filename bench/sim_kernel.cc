@@ -2,11 +2,14 @@
 // calendar-queue Simulator against the retired binary-heap scheduler
 // (sim/reference_scheduler.h) across queue depths 1e2 .. 1e6.
 //
-// Three workloads per depth:
+// Four workloads per depth:
 //   churn   — steady-state hold-and-replace: every fired event schedules a
 //             successor a small random gap ahead, keeping `depth` events
 //             pending. This is the simulator's production load shape
 //             (clustered timestamps, queue depth ~ #in-flight packets).
+//   timers  — churn plus 1000 armed retransmission-shaped timers that are
+//             cancelled and re-armed: the Simulator files them in its
+//             timing wheel, which it consults before every event it fires.
 //   cancel  — schedule `depth` events, cancel half of them by id, then
 //             drain. Exercises O(1) tombstoning vs the heap's hash set.
 //   sparse  — timestamps spread over a 1e12-tick span, the calendar
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bench_util.h"
@@ -35,6 +39,7 @@ namespace {
 struct Sample {
   double ops_per_sec = 0;
   std::uint64_t fired = 0;
+  std::uint64_t wheel_scans = 0;  ///< timers on the Simulator only
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -72,6 +77,67 @@ Sample churn(std::size_t depth, std::uint64_t ops, std::uint64_t seed) {
   ctx.sched.run();
   const double wall = seconds_since(start);
   return {static_cast<double>(ctx.fired) / wall, ctx.fired};
+}
+
+/// `churn` plus `qps` armed RTO-shaped timers. One firing in eight is an
+/// "ACK" that cancels a random QP's timer and re-arms it 100-150 us out; a
+/// timer that fires re-arms itself. Once `ops` calendar firings are done,
+/// nothing re-arms and the run drains. The Simulator files the timers in
+/// its wheel; the reference heap has none and schedules them as plain
+/// events, which fire identically.
+template <typename Sched>
+Sample timers(std::size_t depth, std::size_t qps, std::uint64_t ops,
+              std::uint64_t seed) {
+  struct Ctx {
+    Sched sched;
+    std::mt19937_64 rng;
+    std::vector<std::uint64_t> timer;
+    std::uint64_t remaining = 0;
+    std::uint64_t fired = 0;
+
+    void arm(std::size_t qp) {
+      const Tick rto = 100'000 + static_cast<Tick>(rng() % 50'000);
+      auto expire = [this, qp] {
+        ++fired;
+        if (remaining > 0) arm(qp);  // retry
+      };
+      if constexpr (std::is_same_v<Sched, Simulator>) {
+        timer[qp] = sched.schedule_timer_after(rto, std::move(expire));
+      } else {
+        timer[qp] = sched.schedule_after(rto, std::move(expire));
+      }
+    }
+
+    void tick() {
+      ++fired;
+      if (remaining == 0) return;
+      --remaining;
+      if (rng() % 8 == 0) {
+        const std::size_t qp = rng() % timer.size();
+        sched.cancel(timer[qp]);
+        arm(qp);
+      }
+      sched.schedule_after(static_cast<Tick>(rng() % 4096),
+                           [this] { tick(); });
+    }
+  };
+  Ctx ctx;
+  ctx.rng.seed(seed);
+  ctx.remaining = ops;
+  ctx.timer.assign(qps, 0);
+  for (std::size_t qp = 0; qp < qps; ++qp) ctx.arm(qp);
+  for (std::size_t i = 0; i < depth; ++i) {
+    ctx.sched.schedule_at(static_cast<Tick>(ctx.rng() % 4096),
+                          [&ctx] { ctx.tick(); });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  ctx.sched.run();
+  const double wall = seconds_since(start);
+  Sample sample{static_cast<double>(ctx.fired) / wall, ctx.fired};
+  if constexpr (std::is_same_v<Sched, Simulator>) {
+    sample.wheel_scans = ctx.sched.timer_wheel().scans();
+  }
+  return sample;
 }
 
 /// Schedule `depth`, cancel every other id, drain. Counts schedule+cancel+
@@ -145,6 +211,24 @@ int main() {
                          mops(cal.ops_per_sec), fmt("%.2fx", speedup)});
   }
   churn_table.print();
+
+  subheading("timers: churn + 1000 RTO timers cancelled and re-armed (Mops/s)");
+  Table timers_table(
+      {"depth", "heap", "calendar+wheel", "speedup", "wheel scans/event"});
+  for (const std::size_t depth : depths) {
+    const std::uint64_t ops = std::max<std::uint64_t>(depth * 2, 200'000);
+    const Sample heap = timers<ReferenceScheduler>(depth, 1'000, ops, depth);
+    const Sample sim = timers<Simulator>(depth, 1'000, ops, depth);
+    check.expect(heap.fired == sim.fired,
+                 "timers depth " + std::to_string(depth) +
+                     ": identical fired counts");
+    timers_table.add_row(
+        {std::to_string(depth), mops(heap.ops_per_sec), mops(sim.ops_per_sec),
+         fmt("%.2fx", sim.ops_per_sec / heap.ops_per_sec),
+         fmt("%.4f", static_cast<double>(sim.wheel_scans) /
+                         static_cast<double>(sim.fired))});
+  }
+  timers_table.print();
 
   subheading("cancel-heavy: schedule N, cancel N/2, drain (Mops/s)");
   Table cancel_table({"depth", "heap", "calendar", "speedup"});

@@ -26,8 +26,7 @@ std::size_t Port::set_link_down(bool drop_queued) {
   if (!drop_queued) return 0;
   const std::size_t dropped = queue_.size();
   counters_.drops += dropped;
-  for (auto& pkt : queue_) PacketArena::reclaim(std::move(pkt));
-  queue_.clear();
+  while (!queue_.empty()) PacketArena::reclaim(queue_.pop_front());
   queued_bytes_ = 0;
   return dropped;
 }
@@ -51,8 +50,7 @@ void Port::start_transmission() {
     return;
   }
   transmitting_ = true;
-  Packet pkt = std::move(queue_.front());
-  queue_.pop_front();
+  Packet pkt = queue_.pop_front();
   queued_bytes_ -= pkt.size();
 
   const Tick tx_delay = tx_time_ns(pkt.wire_size());

@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
 
+#include "net/packet_fifo.h"
 #include "packet/roce_packet.h"
 #include "sim/sim_context.h"
 #include "util/time.h"
@@ -119,7 +119,7 @@ class Port {
   int index_;
   Port* peer_ = nullptr;
   LinkParams params_;
-  std::deque<Packet> queue_;
+  PacketFifo queue_;
   std::size_t queued_bytes_ = 0;
   std::size_t queue_byte_cap_ = 4 * 1024 * 1024;
   bool transmitting_ = false;

@@ -494,8 +494,7 @@ void Rnic::pump() {
   const Tick now = sim_->now();
 
   if (!control_queue_.empty()) {
-    Packet pkt = std::move(control_queue_.front());
-    control_queue_.pop_front();
+    Packet pkt = control_queue_.pop_front();
     ++counters_.tx_packets;
     counters_.tx_bytes += pkt.size();
     port_->send(std::move(pkt));
@@ -503,10 +502,14 @@ void Rnic::pump() {
   }
 
   const std::size_t ntc = tcs_.size();
-  std::vector<bool> active(ntc, false);
-  std::vector<std::size_t> bytes(ntc, 0);
-  std::vector<QueuePair*> chosen(ntc, nullptr);
-  std::vector<std::uint32_t> chosen_pos(ntc, 0);
+  std::vector<bool>& active = pump_active_;
+  std::vector<std::size_t>& bytes = pump_bytes_;
+  std::vector<QueuePair*>& chosen = pump_chosen_;
+  std::vector<std::uint32_t>& chosen_pos = pump_chosen_pos_;
+  active.assign(ntc, false);
+  bytes.assign(ntc, 0);
+  chosen.assign(ntc, nullptr);
+  chosen_pos.assign(ntc, 0);
   Tick earliest = std::numeric_limits<Tick>::max();
 
   for (std::size_t t = 0; t < ntc; ++t) {

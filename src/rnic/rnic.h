@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/node.h"
+#include "net/packet_fifo.h"
 #include "packet/pfc.h"
 #include "pipeline/stage.h"
 #include "rnic/counters.h"
@@ -200,9 +201,17 @@ class Rnic : public Node {
   std::uint32_t next_qpn_;
 
   // Egress engine.
-  std::deque<Packet> control_queue_;
+  PacketFifo control_queue_;
   EtsScheduler ets_;
   std::vector<TcState> tcs_;
+  // pump()'s per-class picks, reused across calls and sized to tcs_. Safe
+  // because pump() never re-enters itself: build_next_packet reaches only
+  // arm_rto and telemetry, and Port::send onto the idle port pump()
+  // requires never fires the drained callback.
+  std::vector<bool> pump_active_;
+  std::vector<std::size_t> pump_bytes_;
+  std::vector<QueuePair*> pump_chosen_;
+  std::vector<std::uint32_t> pump_chosen_pos_;
   Tick pump_scheduled_for_ = -1;
   int doorbell_batch_depth_ = 0;
   bool doorbell_kick_pending_ = false;

@@ -70,9 +70,14 @@ void TimingWheel::insert(std::uint32_t n) {
     // deadlines; kept for API completeness.
     overflow_.push_back(n);
     if (deadline < overflow_min_) overflow_min_ = deadline;
+    floor_ = std::min(floor_, deadline);  // the scan sees overflow_min_
     return;
   }
   link(level, slot_of(deadline, level), n);
+  // Not the deadline: a coarse slot's scan candidate is its window start,
+  // and a floor above it would skip scans that cascade.
+  const Tick window = Tick{1} << (kLevelBits * level);
+  floor_ = std::min(floor_, deadline & ~(window - 1));
 }
 
 void TimingWheel::arm(Tick deadline, std::uint64_t id, InlineCallback cb) {
@@ -151,10 +156,14 @@ void TimingWheel::flush_overflow() {
   overflow_min_ = new_min;
 }
 
-bool TimingWheel::peek_due(Tick limit_when, std::uint64_t limit_id,
+bool TimingWheel::scan_due(Tick limit_when, std::uint64_t limit_id,
                            const EventIdTable& ids) {
+  ++scans_;
   for (;;) {
-    if (stored_ == 0) return false;
+    if (stored_ == 0) {
+      floor_ = kMaxTick;
+      return false;
+    }
 
     // Minimum candidate across sources: for level 0 the exact tick of the
     // nearest occupied slot; for higher levels the start of the nearest
@@ -231,18 +240,25 @@ bool TimingWheel::peek_due(Tick limit_when, std::uint64_t limit_id,
       }
     }
     if (!overflow_.empty() && overflow_min_ < best) {
-      if (overflow_min_ > limit_when) return false;
+      if (overflow_min_ > limit_when) {
+        floor_ = overflow_min_;
+        return false;
+      }
       if (overflow_min_ > current_) current_ = overflow_min_;
       flush_overflow();
       continue;
     }
-    if (best_rank < 0 || best > limit_when) return false;
+    if (best_rank < 0 || best > limit_when) {
+      floor_ = best;
+      return false;
+    }
 
     if (best_rank == 1) {
       // Staged front: the wheel's (when, id) minimum. Due/reclaim only
       // while it precedes the caller's limit event.
       const std::uint32_t n = staged_[staged_head_];
       if (staged_tick_ == limit_when && nodes_[n].id >= limit_id) {
+        floor_ = best;
         return false;
       }
       if (ids.dead(nodes_[n].id)) {

@@ -24,6 +24,16 @@
 // (when, id) minimum — the precise moment the calendar queue would have
 // lazily popped their tombstone. That keeps the simulator's queue-depth
 // accounting bit for bit identical between the two timer paths.
+//
+// The Simulator consults the wheel before every event it fires, yet RTO
+// timers almost never fire: nearly every consultation finds nothing due.
+// The wheel therefore keeps an exact floor — a lower bound on the minimum
+// candidate its scan would compute — and answers "nothing due" without
+// scanning while the caller's limit lies below it. Each filing lowers the
+// floor to the start of the slot window the node lands in (what the scan
+// can see of it), and each scan that finds nothing raises it to that
+// scan's minimum candidate, so a skipped call is exactly a scan that would
+// have returned false without cascading, staging or reclaiming anything.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +68,13 @@ class TimingWheel {
   /// event in (when, id) order, reclaiming tombstoned nodes (ids dead in
   /// `ids`) that surface as the wheel minimum on the way. Returns false
   /// when no live timer precedes (limit_when, limit_id). The scan never
-  /// processes a slot beyond `limit_when`.
+  /// processes a slot beyond `limit_when`, and is skipped outright while
+  /// `limit_when` lies below the floor.
   bool peek_due(Tick limit_when, std::uint64_t limit_id,
-                const EventIdTable& ids);
+                const EventIdTable& ids) {
+    if (limit_when < floor_) return false;
+    return scan_due(limit_when, limit_id, ids);
+  }
 
   /// (when, id) of the timer located by the last successful peek_due().
   Tick due_when() const { return due_when_; }
@@ -81,6 +95,9 @@ class TimingWheel {
   std::uint64_t reclaimed_total() const { return reclaimed_total_; }
   std::uint64_t cascades() const { return cascades_; }
   std::size_t max_stored() const { return max_stored_; }
+  /// peek_due() calls that ran the occupancy scan (the rest stopped at the
+  /// floor).
+  std::uint64_t scans() const { return scans_; }
   std::size_t node_capacity() const { return nodes_.size(); }
 
  private:
@@ -103,7 +120,14 @@ class TimingWheel {
   void free_node(std::uint32_t n);
   void link(int level, std::uint32_t slot, std::uint32_t n);
   std::uint32_t unlink_head(int level, std::uint32_t slot);
+  /// Files a node by its deadline relative to current_ and lowers the
+  /// floor to the start of the slot window it lands in.
   void insert(std::uint32_t n);
+
+  /// peek_due() past the floor check: the occupancy scan. Every false
+  /// return sets the floor to that scan's minimum candidate.
+  bool scan_due(Tick limit_when, std::uint64_t limit_id,
+                const EventIdTable& ids);
 
   /// Re-files every node of the given slot one level down (pure
   /// relocation, tombstones included) after advancing current_ to
@@ -132,6 +156,10 @@ class TimingWheel {
   /// tombstoned ground) and rewinds when an arm lands below it.
   Tick current_ = 0;
 
+  /// Lower bound on the minimum candidate of the next scan (see the file
+  /// comment); max while the wheel is empty.
+  Tick floor_ = std::numeric_limits<Tick>::max();
+
   /// Staged same-tick expiries: the whole level-0 slot due at staged_tick_
   /// detached and sorted by id; popped front-first across steps.
   std::vector<std::uint32_t> staged_;
@@ -148,6 +176,7 @@ class TimingWheel {
   std::uint64_t fired_total_ = 0;
   std::uint64_t reclaimed_total_ = 0;
   std::uint64_t cascades_ = 0;
+  std::uint64_t scans_ = 0;
 };
 
 }  // namespace lumina

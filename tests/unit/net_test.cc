@@ -5,6 +5,8 @@
 #include <deque>
 
 #include "net/node.h"
+#include "net/packet_fifo.h"
+#include "packet/packet_arena.h"
 #include "packet/roce_packet.h"
 
 namespace lumina {
@@ -166,10 +168,79 @@ TEST_F(NetTest, DrainedCallbackFiresWhenIdle) {
   EXPECT_TRUE(a.port().idle());
 }
 
+TEST_F(NetTest, LinkDownDropsReclaimsAndResumesWithTheNextFrame) {
+  PacketArena arena;
+  PacketArena::Scope scope(&arena);
+  connect(a.port(), b.port(), LinkParams{100.0, 0});
+  a.port().send(make_packet(100));  // serializing: the wire holds it
+  a.port().send(make_packet(200));
+  a.port().send(make_packet(300));
+  const std::uint64_t recycled = arena.recycled();
+  EXPECT_EQ(a.port().set_link_down(/*drop_queued=*/true), 2u);
+  EXPECT_EQ(a.port().counters().drops, 2u);
+  EXPECT_EQ(a.port().queued_bytes(), 0u);
+  EXPECT_EQ(arena.recycled(), recycled + 2);
+
+  const Packet next = make_packet(400);
+  a.port().send(next);  // queued behind the down link
+  sim.run();
+  ASSERT_EQ(b.arrivals.size(), 1u);  // only the frame already on the wire
+
+  a.port().set_link_up();
+  sim.run();
+  ASSERT_EQ(b.arrivals.size(), 2u);
+  EXPECT_EQ(b.arrivals[1].bytes, next.size());
+  EXPECT_EQ(a.port().counters().tx_packets, 2u);
+}
+
 TEST_F(NetTest, UnwiredPortBlackholes) {
   a.port().send(make_packet(64));  // no peer attached
   sim.run();
   EXPECT_TRUE(b.arrivals.empty());
+}
+
+/// A one-byte frame carrying `tag`, so FIFO order is visible.
+Packet tagged(std::uint8_t tag) {
+  Packet pkt;
+  pkt.bytes = {tag};
+  return pkt;
+}
+
+TEST(PacketFifo, KeepsOrderAcrossWraparound) {
+  PacketFifo fifo;
+  std::uint8_t next_in = 0;
+  std::uint8_t next_out = 0;
+  // Pushes run ahead of pops by at most five, so the head laps the ring
+  // many times without growing it.
+  for (int round = 0; round < 40; ++round) {
+    while (fifo.size() < 5) fifo.push_back(tagged(next_in++));
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(fifo.pop_front().bytes[0], next_out++);
+    }
+  }
+  while (!fifo.empty()) EXPECT_EQ(fifo.pop_front().bytes[0], next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(fifo.capacity(), 8u);
+}
+
+TEST(PacketFifo, KeepsOrderAcrossGrowthWhileWrappedAndKeepsCapacity) {
+  PacketFifo fifo;
+  std::uint8_t next_in = 0;
+  std::uint8_t next_out = 0;
+  for (int i = 0; i < 6; ++i) fifo.push_back(tagged(next_in++));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(fifo.pop_front().bytes[0], next_out++);
+  }
+  // Fill the ring across its end, then push once more: it doubles while
+  // its live range wraps.
+  while (fifo.size() < fifo.capacity()) fifo.push_back(tagged(next_in++));
+  ASSERT_EQ(fifo.capacity(), 8u);
+  fifo.push_back(tagged(next_in++));
+  EXPECT_EQ(fifo.capacity(), 16u);
+  EXPECT_EQ(fifo.size(), 9u);
+  while (!fifo.empty()) EXPECT_EQ(fifo.pop_front().bytes[0], next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(fifo.capacity(), 16u);  // draining keeps the storage
 }
 
 class WireSizeTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -6,7 +6,9 @@
 // full injector/orchestrator stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string>
 
 #include "rnic/rnic.h"
 
@@ -341,6 +343,41 @@ TEST_F(RnicTest, E810CnpCounterStuckButCnpsFlow) {
   EXPECT_GE(cnps_on_wire, 1);
   EXPECT_EQ(resp->counters().np_cnp_sent, 0u);  // §6.2.4 bug
   EXPECT_GE(req->counters().rp_cnp_handled, 1u);  // RP side still works
+}
+
+TEST_F(RnicTest, ControlFramesLeaveBeforeQueuedData) {
+  build(NicType::kCx5, NicType::kCx5);
+  auto [rq, rs] = make_qps();
+  rq->set_completion_callback([](const WorkCompletion&) {});
+  rq->post_send({1, RdmaVerb::kWrite, 64 * 1024, 0x2000, 0x22});
+  // Mid-transfer, with data still waiting, queue three control frames.
+  sim.schedule_at(2 * kMicrosecond, [&, rq = rq] {
+    for (const std::uint32_t psn : {7u, 8u, 9u}) {
+      RocePacketSpec spec = req->packet_spec_for(*rq);
+      spec.opcode = IbOpcode::kCnp;
+      spec.psn = psn;
+      req->enqueue_control(build_roce_packet(spec));
+    }
+  });
+  sim.run();
+
+  // The requester's frames in wire order: the three control frames leave
+  // back to back, in order, as soon as the frame on the wire finishes.
+  std::vector<std::string> sent;
+  for (const auto& v : wire.log) {
+    if (v.bth.dest_qpn != rs->qpn()) continue;
+    sent.push_back(v.bth.opcode == IbOpcode::kCnp
+                       ? "cnp" + std::to_string(v.bth.psn)
+                       : "data");
+  }
+  const auto first = std::find(sent.begin(), sent.end(), "cnp7");
+  ASSERT_NE(first, sent.end());
+  ASSERT_NE(first, sent.begin());
+  ASSERT_LT(first + 3, sent.end());
+  EXPECT_EQ(*(first - 1), "data");
+  EXPECT_EQ(*(first + 1), "cnp8");
+  EXPECT_EQ(*(first + 2), "cnp9");
+  EXPECT_EQ(*(first + 3), "data");
 }
 
 TEST_F(RnicTest, CorruptedPacketDroppedByIcrcCheck) {

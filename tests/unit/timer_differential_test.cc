@@ -12,6 +12,7 @@
 // schedule_at, the reference path), asserting identical observations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <utility>
@@ -56,6 +57,68 @@ class ScriptGen {
     const int top_ops = 8 + static_cast<int>(rng_() % 48);
     for (int i = 0; i < top_ops; ++i) {
       s.top.push_back(top_op(s));
+    }
+    s.top.push_back({OpKind::kRun});
+    return s;
+  }
+
+  /// The retransmission-timer shape the wheel's floor is built for: a few
+  /// QPs each keep an RTO armed while a chain of plain events tens of ns
+  /// apart (the calendar) carries "ACK"s that cancel and re-arm them, so
+  /// nearly every step consults the wheel with a limit below its floor.
+  /// Occasional long gaps in the chain let timers fire (and retry), and
+  /// run_until deadlines inside those gaps let the wheel run ahead through
+  /// tombstones before the re-arms that follow rewind it.
+  Script generate_rto_churn() {
+    Script s;
+    const int qps = 2 + static_cast<int>(rng_() % 10);
+    std::vector<int> latest(static_cast<std::size_t>(qps), -1);
+    const auto new_slot = [&s] {
+      s.body.emplace_back();
+      return static_cast<int>(s.body.size() - 1);
+    };
+    // An RTO (re-)arm for `qp`; when it fires it may retry once.
+    const auto rto_op = [&](int qp, OpKind kind) {
+      Op op{kind, rto_delay(), new_slot(),
+            latest[static_cast<std::size_t>(qp)]};
+      latest[static_cast<std::size_t>(qp)] = op.slot;
+      if (rng_() % 2 == 0) {
+        const Op retry{OpKind::kTimerAfter, rto_delay(), new_slot()};
+        s.body[static_cast<std::size_t>(op.slot)].push_back(retry);
+      }
+      return op;
+    };
+    for (int qp = 0; qp < qps; ++qp) {
+      s.top.push_back(rto_op(qp, OpKind::kTimerAfter));
+    }
+    Tick end = 0;
+    int prev = -1;
+    const int ticks = 64 + static_cast<int>(rng_() % 256);
+    for (int i = 0; i < ticks; ++i) {
+      const Tick gap = rng_() % 16 == 0
+                           ? static_cast<Tick>(20'000 + rng_() % 300'000)
+                           : static_cast<Tick>(20 + rng_() % 60);
+      end += gap;
+      const Op tick{OpKind::kScheduleAfter, gap, new_slot()};
+      if (prev < 0) {
+        s.top.push_back(tick);
+      } else {
+        s.body[static_cast<std::size_t>(prev)].push_back(tick);
+      }
+      if (rng_() % 4 == 0) {
+        const int qp = static_cast<int>(rng_() % static_cast<unsigned>(qps));
+        const Op ack = rto_op(qp, OpKind::kRearm);
+        s.body[static_cast<std::size_t>(tick.slot)].push_back(ack);
+      }
+      prev = tick.slot;
+    }
+    std::vector<Tick> cuts(rng_() % 5);
+    for (Tick& cut : cuts) cut = static_cast<Tick>(rng_() % (end + 1));
+    std::sort(cuts.begin(), cuts.end());
+    for (const Tick cut : cuts) {
+      s.top.push_back({OpKind::kRunUntil, cut});
+      const int qp = static_cast<int>(rng_() % static_cast<unsigned>(qps));
+      s.top.push_back(rto_op(qp, OpKind::kRearm));
     }
     s.top.push_back({OpKind::kRun});
     return s;
@@ -288,6 +351,33 @@ TEST(TimerDifferential, WheelMatchesPerEventTimers) {
   // Guard against the generator degenerating into trivial scripts.
   EXPECT_GT(total_firings, 10'000);
   EXPECT_GT(total_cancels, 2'000);
+}
+
+TEST(TimerDifferential, RtoChurnMatchesPerEventTimers) {
+  int total_firings = 0;
+  int total_cancels = 0;
+  for (int seed = 1; seed <= 400; ++seed) {
+    ScriptGen gen(static_cast<std::uint64_t>(seed) * 0x94d049bb133111ebULL);
+    const Script script = gen.generate_rto_churn();
+
+    const Observation got =
+        execute(script, Simulator::TimerBackend::kWheel);
+    const Observation want =
+        execute(script, Simulator::TimerBackend::kCalendar);
+
+    ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
+    ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
+    ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
+    ASSERT_EQ(got.events_processed, want.events_processed) << "seed " << seed;
+    ASSERT_EQ(got.pending_events, want.pending_events) << "seed " << seed;
+    ASSERT_EQ(got.max_queue_depth, want.max_queue_depth) << "seed " << seed;
+    ASSERT_EQ(got.cancel_requests, want.cancel_requests) << "seed " << seed;
+
+    total_firings += static_cast<int>(want.firings.size());
+    total_cancels += static_cast<int>(want.cancel_requests);
+  }
+  EXPECT_GT(total_firings, 40'000);
+  EXPECT_GT(total_cancels, 10'000);
 }
 
 // A long-lived churn soak on one simulator instance: a fixed population of

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -37,7 +38,9 @@ class WheelHarness {
   /// Fires everything due up to `limit`, returning (when, id) in order.
   std::vector<std::pair<Tick, std::uint64_t>> drain(Tick limit = kMaxTick) {
     std::vector<std::pair<Tick, std::uint64_t>> fired;
-    while (wheel_.peek_due(limit, kMaxId, ids_)) {
+    for (;;) {
+      ++peeks_;
+      if (!wheel_.peek_due(limit, kMaxId, ids_)) break;
       fired.emplace_back(wheel_.due_when(), wheel_.due_id());
       ids_.kill(wheel_.due_id());
       wheel_.pop_due()();
@@ -46,12 +49,172 @@ class WheelHarness {
   }
 
   TimingWheel& wheel() { return wheel_; }
+  /// peek_due() calls made by drain() so far.
+  std::uint64_t peeks() const { return peeks_; }
 
  private:
   TimingWheel wheel_;
   EventIdTable ids_;
   std::uint64_t next_id_ = 1;
+  std::uint64_t peeks_ = 0;
 };
+
+/// A seeded script over a WheelHarness that remembers every timer it arms
+/// and cancels: the expected firings are the never-cancelled arms in
+/// (when, id) order. `now` is the simulated time, which arms never precede.
+class FloorScript {
+ public:
+  explicit FloorScript(std::uint64_t seed) : rng_(seed) {}
+
+  std::uint64_t arm(Tick deadline) {
+    const std::uint64_t id = h_.arm(deadline);
+    armed_.emplace_back(deadline, id);
+    live_.insert(id);
+    return id;
+  }
+
+  /// Cancels `id` unless it already fired.
+  void cancel(std::uint64_t id) {
+    if (live_.erase(id) == 0) return;
+    h_.cancel(id);
+    cancelled_.insert(id);
+  }
+
+  /// Fires what is due up to `limit` (the calendar head in the Simulator),
+  /// then moves the clock to `new_now`: `limit` when the head fires, less
+  /// when a run_until deadline stops the run short of it.
+  std::vector<std::pair<Tick, std::uint64_t>> advance(Tick limit,
+                                                      Tick new_now) {
+    auto fired = h_.drain(limit);
+    for (const auto& f : fired) {
+      live_.erase(f.second);
+      fired_.push_back(f);
+    }
+    now = new_now;
+    return fired;
+  }
+  std::vector<std::pair<Tick, std::uint64_t>> advance(Tick limit) {
+    return advance(limit, limit);
+  }
+
+  std::vector<std::pair<Tick, std::uint64_t>> expected() const {
+    std::vector<std::pair<Tick, std::uint64_t>> want;
+    for (const auto& a : armed_) {
+      if (cancelled_.count(a.second) == 0) want.push_back(a);
+    }
+    std::sort(want.begin(), want.end());
+    return want;
+  }
+  const std::vector<std::pair<Tick, std::uint64_t>>& fired() const {
+    return fired_;
+  }
+
+  Tick jitter(Tick span) { return static_cast<Tick>(rng_() % span); }
+
+  WheelHarness& harness() { return h_; }
+  Tick now = 0;
+
+ private:
+  WheelHarness h_;
+  std::mt19937_64 rng_;
+  std::vector<std::pair<Tick, std::uint64_t>> armed_;
+  std::set<std::uint64_t> live_;
+  std::set<std::uint64_t> cancelled_;
+  std::vector<std::pair<Tick, std::uint64_t>> fired_;
+};
+
+/// Case 1: an arm into a coarse level whose window start lies below the
+/// floor. The cursor sits mid-window at level 1; a level-1 timer one
+/// rotation out in the cursor's own slot makes the floor its exact
+/// deadline; a level-2 arm then lands in a window starting below it. The
+/// next peek, at a limit between that window start and the floor, must
+/// cascade; so must a peek at a limit exactly at the floor. Each arm after
+/// such a peek is filed relative to the cursor that peek advanced, so a
+/// skipped cascade would change the level it lands in.
+void coarse_arm_below_floor(FloorScript& s, Tick base) {
+  s.arm(base + 100);
+  s.advance(base + 100);  // fires; the cursor is now base + 100
+  s.arm(base + 4160 + s.jitter(36));  // delta 4060..4095: level 1
+  s.advance(base + 150);              // nothing due; floor = that deadline
+  s.arm(base + 4196 + s.jitter(3900));  // level 2, window base + 4096
+  s.advance(base + 4100);               // cascades; floor = base + 4160
+  s.arm(base + 4196 + s.jitter(3900));  // level 1 from base + 4096
+  s.advance(base + 4160);               // cascades again
+  s.arm(base + 4160 + s.jitter(64));    // level 0 from base + 4160
+  s.advance(base + 9000);
+}
+
+/// Case 2: arms that rewind the cursor after tombstone run-ahead. A run_until
+/// stopped short of a far calendar head lets the wheel reclaim tombstones up
+/// to that head while the clock stays behind; arms between the clock and
+/// the cursor rewind it.
+void rewind_after_run_ahead(FloorScript& s, Tick base) {
+  s.arm(base);
+  s.advance(base);
+  for (int i = 0; i < 8; ++i) {
+    s.cancel(s.arm(base + 1'000 + s.jitter(200'000)));
+  }
+  s.arm(base + 250'000 + s.jitter(10'000));
+  s.advance(base + 240'000, /*new_now=*/base);
+  s.arm(base + 5'000 + s.jitter(60'000));  // behind the cursor: rewinds it
+  s.arm(base + 500 + s.jitter(500));       // and again
+  s.advance(base + 400'000);
+}
+
+/// Case 3: RTO-shaped churn. Calendar events every few tens of ns while
+/// each of 16 QPs keeps one retransmission timer armed 100-150 us out; an
+/// "ACK" every ~2.5 us cancels and re-arms one QP's timer, and QPs take
+/// turns going quiet for ~200 us, long enough for their timer to fire and
+/// re-arm. The caller's limit stays below the floor almost throughout.
+/// Returns {peeks, scans} over the churn.
+std::pair<std::uint64_t, std::uint64_t> rto_churn(FloorScript& s, Tick base) {
+  constexpr int kQps = 16;
+  constexpr int kSteps = 20'000;
+  std::vector<std::uint64_t> timer(kQps);
+  std::vector<int> owner(1, -1);  // by id
+  const auto arm_rto = [&](int qp) {
+    timer[static_cast<std::size_t>(qp)] =
+        s.arm(s.now + 100'000 + s.jitter(50'000));
+    owner.resize(timer[static_cast<std::size_t>(qp)] + 1, -1);
+    owner.back() = qp;
+  };
+  s.advance(base);
+  for (int qp = 0; qp < kQps; ++qp) arm_rto(qp);
+  const std::uint64_t peeks_before = s.harness().peeks();
+  const std::uint64_t scans_before = s.harness().wheel().scans();
+  for (int step = 0; step < kSteps; ++step) {
+    for (const auto& f : s.advance(s.now + 20 + s.jitter(60))) {
+      arm_rto(owner[static_cast<std::size_t>(f.second)]);  // RTO retry
+    }
+    const int quiet = (step / 4'000) % kQps;
+    const int qp = static_cast<int>(s.jitter(kQps));
+    if (step % 50 == 0 && qp != quiet) {
+      s.cancel(timer[static_cast<std::size_t>(qp)]);
+      arm_rto(qp);
+    }
+  }
+  return {s.harness().peeks() - peeks_before,
+          s.harness().wheel().scans() - scans_before};
+}
+
+TEST(TimingWheelFloor, SeededScriptKeepsOrderAndSideEffects) {
+  FloorScript s(0xf1002);
+  for (Tick k = 1; k <= 6; ++k) coarse_arm_below_floor(s, k << 20);
+  for (Tick k = 7; k <= 12; ++k) rewind_after_run_ahead(s, k << 20);
+  const auto [peeks, scans] = rto_churn(s, Tick{13} << 20);
+  s.advance(kMaxTick);
+
+  EXPECT_EQ(s.fired(), s.expected());
+  // The churn's peeks mostly stop at the floor.
+  EXPECT_LT(scans * 5, peeks) << scans << " scans for " << peeks << " peeks";
+  // The values this script produces on the wheel without a floor: an
+  // early-out that skipped a cascade, a stage or a reclamation would move
+  // them.
+  const TimingWheel& w = s.harness().wheel();
+  EXPECT_EQ(w.cascades(), 1001u);
+  EXPECT_EQ(w.reclaimed_total(), 422u);
+  EXPECT_EQ(w.max_stored(), 57u);
+}
 
 TEST(TimingWheel, FiresInDeadlineThenIdOrder) {
   WheelHarness h;
