@@ -8,12 +8,8 @@
 // exceeds 1:1 and grows with it; CNP pacing respects the device's minimum
 // CNP interval at every scale.
 //
-// A second sweep replays the 16-host incast end to end on the event
-// kernels at 1/2/4 shards (docs/simulator.md, "Sharded execution"): wire
-// counters must match the sequential oracle exactly, the two sharded runs
-// must agree on every metric, and — on machines with >= 4 hardware
-// threads — 4 shards must beat the sequential kernel by >= 2x wall clock
-// (best of 3).
+// A 16-host incast then runs end to end (wall clock best of 3) and must
+// finish with intact integrity; its wire counters join the baseline.
 //
 // --out <path> emits a run report whose deterministic counters are a pure
 // function of the config — the CI bench gate diffs it against
@@ -24,7 +20,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analyzers/cnp_analyzer.h"
@@ -91,30 +86,26 @@ Sample run_incast(int hosts) {
   return sample;
 }
 
-/// One leg of the event-kernel shards sweep: the full 16-host testbed at
-/// a given worker count, wall clock best of kSweepRepeats.
-struct SweepSample {
-  int shards = 0;
-  bool ok = false;                ///< finished with intact integrity.
-  std::size_t trace_packets = 0;  ///< wire counters: kernel-independent.
+/// The full 16-host testbed, wall clock best of kIncast16Repeats.
+struct Incast16Sample {
+  bool ok = false;  ///< finished with intact integrity.
+  std::size_t trace_packets = 0;
   std::uint64_t ce_marks = 0;
   std::uint64_t roce_rx = 0;
-  std::uint64_t events = 0;       ///< kernel-shape; sharded-family only.
+  std::uint64_t events = 0;
   double wall_ms = 0;
 };
 
-constexpr int kSweepHosts = 16;
-constexpr int kSweepRepeats = 3;
+constexpr int kIncast16Hosts = 16;
+constexpr int kIncast16Repeats = 3;
 
-SweepSample run_sweep_point(int shards) {
-  SweepSample s;
-  s.shards = shards;
+Incast16Sample run_incast16() {
+  Incast16Sample s;
   s.wall_ms = 1e30;
-  for (int rep = 0; rep < kSweepRepeats; ++rep) {
+  for (int rep = 0; rep < kIncast16Repeats; ++rep) {
     Orchestrator::Options options;
     options.switch_options.ecn_marking_threshold_bytes = 30 * 1024;
-    options.shards = shards;
-    Orchestrator orch(incast_config(kSweepHosts), options);
+    Orchestrator orch(incast_config(kIncast16Hosts), options);
     const auto start = std::chrono::steady_clock::now();
     const TestResult& result = orch.run();
     s.wall_ms = std::min(
@@ -191,61 +182,23 @@ int main(int argc, char** argv) {
   check.expect(paced, "CNP pacing respects the 4 us device minimum at "
                       "every scale");
 
-  // ---- event-kernel shards sweep: 16-host incast, end to end ------------
-  subheading("16-host incast: event-kernel shards sweep (best of " +
-             std::to_string(kSweepRepeats) + ")");
-  const std::vector<int> sweep_shards = {1, 2, 4};
-  std::vector<SweepSample> sweep;
-  Table sweep_table({"shards", "wall_ms", "speedup", "trace_pkts", "ce_marks",
-                     "events"});
-  for (const int shards : sweep_shards) {
-    sweep.push_back(run_sweep_point(shards));
-    const SweepSample& s = sweep.back();
-    sweep_table.add_row({std::to_string(s.shards), fmt("%.2f", s.wall_ms),
-                         fmt("%.2fx", sweep.front().wall_ms / s.wall_ms),
-                         std::to_string(s.trace_packets),
-                         std::to_string(s.ce_marks),
-                         std::to_string(s.events)});
-    report.wall["incast.sweep16.s" + std::to_string(shards) + ".wall_ms"] =
-        s.wall_ms;
-  }
-  sweep_table.print();
-  // Baseline counters come from the sequential leg — a pure function of
-  // the config, diffed by the CI gate at tolerance 0.25 like the rest of
-  // this report (they are exact; the tolerance covers other metrics).
+  // ---- 16-host incast, end to end ---------------------------------------
+  subheading("16-host incast, end to end (best of " +
+             std::to_string(kIncast16Repeats) + ")");
+  const Incast16Sample big = run_incast16();
+  Table big_table({"hosts", "wall_ms", "trace_pkts", "ce_marks", "events"});
+  big_table.add_row({std::to_string(kIncast16Hosts), fmt("%.2f", big.wall_ms),
+                     std::to_string(big.trace_packets),
+                     std::to_string(big.ce_marks), std::to_string(big.events)});
+  big_table.print();
+  // The counter names predate this leg's single-kernel form; they stay so
+  // bench/baselines/incast_baseline.json keeps matching.
+  report.wall["incast.sweep16.wall_ms"] = big.wall_ms;
   report.deterministic.counters["incast.sweep16.trace_packets"] =
-      sweep[0].trace_packets;
-  report.deterministic.counters["incast.sweep16.ce_marks"] = sweep[0].ce_marks;
-  report.deterministic.counters["incast.sweep16.roce_rx"] = sweep[0].roce_rx;
-
-  bool sweep_ok = true;
-  for (const auto& s : sweep) sweep_ok = sweep_ok && s.ok;
-  check.expect(sweep_ok, "every sweep leg finishes with intact integrity");
-  // Wire counters are kernel-independent: the sequential kernel is the
-  // differential oracle for the sharded family (tolerance 0).
-  bool oracle_ok = true;
-  for (const auto& s : sweep) {
-    oracle_ok = oracle_ok && s.trace_packets == sweep[0].trace_packets &&
-                s.ce_marks == sweep[0].ce_marks &&
-                s.roce_rx == sweep[0].roce_rx;
-  }
-  check.expect(oracle_ok,
-               "wire counters match the sequential oracle at every shard "
-               "count");
-  // Within the sharded family the worker count is a pure throughput knob:
-  // even kernel-shape metrics like the event count must agree exactly.
-  check.expect(sweep[1].events == sweep[2].events,
-               "sharded runs agree on every kernel counter (2 vs 4 shards)");
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores >= 4) {
-    const double speedup = sweep[0].wall_ms / sweep[2].wall_ms;
-    check.expect(speedup >= 2.0,
-                 "16-host incast at 4 shards is >= 2x over sequential (" +
-                     fmt("%.2f", speedup) + "x)");
-  } else {
-    std::printf("\n(skipping speedup floor: only %u hardware threads)\n",
-                cores);
-  }
+      big.trace_packets;
+  report.deterministic.counters["incast.sweep16.ce_marks"] = big.ce_marks;
+  report.deterministic.counters["incast.sweep16.roce_rx"] = big.roce_rx;
+  check.expect(big.ok, "the 16-host incast finishes with intact integrity");
 
   if (!report_out.empty()) {
     std::string failed;

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "fuzz/targets.h"
 #include "orchestrator/results_io.h"
@@ -46,7 +48,7 @@ std::string format_summary(const char* format, ...) {
 }
 
 CampaignRunOutcome execute_run(const CampaignRunSpec& spec,
-                               std::uint64_t seed, int shards) {
+                               std::uint64_t seed) {
   CampaignRunOutcome out;
   out.name = spec.name;
   out.kind = spec.kind;
@@ -57,7 +59,6 @@ CampaignRunOutcome execute_run(const CampaignRunSpec& spec,
     case CampaignRunKind::kExperiment: {
       Orchestrator::Options options;
       options.seed = seed;
-      options.shards = shards;
       Orchestrator orch(spec.config, options);
       const TestResult& result = orch.run();
       out.metrics.sim_duration = result.duration;
@@ -119,6 +120,12 @@ std::string to_string(CampaignRunKind kind) {
 
 CampaignReport run_campaign(const Campaign& campaign,
                             const CampaignOptions& options) {
+  if (options.shards != 1) {
+    throw std::invalid_argument(
+        "CampaignOptions::shards is retired: the sharded event kernel was "
+        "removed and every run uses one Simulator (got " +
+        std::to_string(options.shards) + ")");
+  }
   const auto started = Clock::now();
   CampaignReport report;
   report.name = campaign.name;
@@ -126,8 +133,7 @@ CampaignReport run_campaign(const Campaign& campaign,
   report.jobs = options.jobs;
   report.runs = parallel_map<CampaignRunOutcome>(
       campaign.runs.size(), options.jobs, [&](std::size_t i) {
-        return execute_run(campaign.runs[i],
-                           derive_run_seed(options.seed, i), options.shards);
+        return execute_run(campaign.runs[i], derive_run_seed(options.seed, i));
       });
   report.wall_ms = elapsed_ms(started);
   return report;

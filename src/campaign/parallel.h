@@ -32,11 +32,9 @@ namespace lumina {
 struct CampaignOptions {
   int jobs = 1;                     ///< Worker threads (<=1 = sequential).
   std::uint64_t seed = 0xC0FFEEULL; ///< Campaign master seed.
-  /// Event-kernel shards forwarded to every experiment run's
-  /// Orchestrator::Options (docs/simulator.md, "Sharded execution").
-  /// Orthogonal to `jobs`: jobs parallelizes *across* runs, shards
-  /// parallelizes the event kernel *within* one run. Artifacts are
-  /// contractually identical for every accepted value of either.
+  /// Retired event-kernel shard count, kept only so existing callers
+  /// compile: run_campaign throws std::invalid_argument for any value
+  /// but 1.
   int shards = 1;
 };
 

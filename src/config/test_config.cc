@@ -254,6 +254,13 @@ int resolve_host_index(const std::vector<HostConfig>& hosts,
 }  // namespace
 
 TestConfig load_test_config(const YamlNode& root) {
+  // Unknown keys are otherwise ignored, so a leftover `shards: 4` would
+  // silently run on the one event kernel.
+  if (root.has("shards")) {
+    throw YamlError(
+        "shards: is no longer supported: the sharded event kernel was "
+        "removed and every run uses one Simulator");
+  }
   TestConfig cfg;
   const bool v2 = root.has("hosts") || root.has("connections");
   if (v2 && (root.has("requester") || root.has("responder"))) {
@@ -292,16 +299,6 @@ TestConfig load_test_config(const YamlNode& root) {
     // from — the fuzzer mutates configs on both sides of a checkpoint
     // round trip, so any field skew changes the RNG draw sequence.
     cfg.traffic.num_connections = static_cast<int>(cfg.connections.size());
-  }
-  if (root.has("shards")) {
-    const YamlNode& shards = root["shards"];
-    if (shards.as_string_or("") == "auto") {
-      cfg.shards = 0;
-    } else {
-      const std::int64_t value = shards.as_int();
-      if (value < 1) throw YamlError("shards must be >= 1 or 'auto'");
-      cfg.shards = static_cast<int>(value);
-    }
   }
   return cfg;
 }
@@ -415,13 +412,6 @@ std::string serialize_test_config(const TestConfig& cfg) {
       out += "- {src: " + std::to_string(conn.src_host) +
              ", dst: " + std::to_string(conn.dst_host) + "}\n";
     }
-  }
-  // The default (1, sequential kernel) is omitted so pre-cutover configs
-  // serialize byte-identically; 0 round-trips as the `auto` sentinel.
-  if (cfg.shards == 0) {
-    out += "shards: auto\n";
-  } else if (cfg.shards != 1) {
-    out += "shards: " + std::to_string(cfg.shards) + "\n";
   }
   const TrafficConfig& t = cfg.traffic;
   out += "traffic:\n";

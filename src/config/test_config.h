@@ -131,11 +131,6 @@ struct TestConfig {
   std::vector<ConnectionSpec> connections;
   TrafficConfig traffic;
   EtsConfig ets;
-  /// Event-kernel shard count for runs launched from this config (YAML
-  /// `shards:` — an integer or `auto`). 1 keeps the sequential kernel;
-  /// 0 is the auto sentinel, resolved by the testbed to
-  /// min(hardware_threads, num_domains). A CLI --shards flag overrides.
-  int shards = 1;
 
   /// Role accessors for the classic two-host shape: host 0 is the
   /// requester, host 1 the responder. Growing the vector on demand keeps

@@ -117,7 +117,7 @@ struct DumperPipeline {
   }
 };
 
-TrafficDumper::TrafficDumper(SimContext sim, std::string name, Options options)
+TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options)
     : sim_(sim),
       name_(std::move(name)),
       options_(options),

@@ -21,7 +21,7 @@
 #include "injector/mirror.h"
 #include "net/node.h"
 #include "pipeline/stage.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 
 namespace lumina {
 
@@ -51,7 +51,7 @@ class TrafficDumper : public Node {
     std::size_t trim_bytes = 128;    ///< §5: first 128 B carry all headers.
   };
 
-  TrafficDumper(SimContext sim, std::string name, Options options);
+  TrafficDumper(Simulator* sim, std::string name, Options options);
 
   Port& port() { return *port_; }
 
@@ -85,7 +85,7 @@ class TrafficDumper : public Node {
  private:
   friend struct DumperPipeline;
 
-  SimContext sim_;
+  Simulator* sim_;
   std::string name_;
   Options options_;
   pipeline::StageChain rx_pipeline_;

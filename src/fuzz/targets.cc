@@ -356,7 +356,7 @@ namespace {
 /// frame's bytes so the two execution orders can be compared per egress.
 class PipelineSink : public Node {
  public:
-  explicit PipelineSink(SimContext sim, std::string name)
+  explicit PipelineSink(Simulator* sim, std::string name)
       : name_(std::move(name)), port_(sim, this, 0) {}
   void handle_packet(int, Packet pkt) override {
     frames.push_back(std::move(pkt.bytes));

@@ -6,7 +6,7 @@
 
 namespace lumina {
 
-TrafficGenerator::TrafficGenerator(SimContext sim, std::vector<Rnic*> nics,
+TrafficGenerator::TrafficGenerator(Simulator* sim, std::vector<Rnic*> nics,
                                    std::vector<HostConfig> host_cfgs,
                                    std::vector<ConnectionSpec> connections,
                                    TrafficConfig traffic, EtsConfig ets,
@@ -29,7 +29,7 @@ TrafficGenerator::TrafficGenerator(SimContext sim, std::vector<Rnic*> nics,
   }
 }
 
-TrafficGenerator::TrafficGenerator(SimContext sim, Rnic* requester_nic,
+TrafficGenerator::TrafficGenerator(Simulator* sim, Rnic* requester_nic,
                                    Rnic* responder_nic,
                                    const HostConfig& requester_cfg,
                                    const HostConfig& responder_cfg,

@@ -14,7 +14,6 @@
 // the src side plays the requester role and the dst side the responder.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -23,7 +22,7 @@
 #include "host/metrics.h"
 #include "rnic/cq.h"
 #include "rnic/rnic.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "util/random.h"
 
@@ -44,14 +43,14 @@ class TrafficGenerator {
   /// General form: one Rnic + HostConfig per host (same indexing), plus
   /// the connection specs to realize. Empty `connections` defaults to
   /// traffic.num_connections copies of the 0->1 pair.
-  TrafficGenerator(SimContext sim, std::vector<Rnic*> nics,
+  TrafficGenerator(Simulator* sim, std::vector<Rnic*> nics,
                    std::vector<HostConfig> host_cfgs,
                    std::vector<ConnectionSpec> connections,
                    TrafficConfig traffic, EtsConfig ets,
                    std::uint64_t seed = 0xBEEF);
 
   /// Classic two-host pair (Listing 1): host 0 = requester, 1 = responder.
-  TrafficGenerator(SimContext sim, Rnic* requester_nic, Rnic* responder_nic,
+  TrafficGenerator(Simulator* sim, Rnic* requester_nic, Rnic* responder_nic,
                    const HostConfig& requester_cfg,
                    const HostConfig& responder_cfg, TrafficConfig traffic,
                    EtsConfig ets, std::uint64_t seed = 0xBEEF);
@@ -113,7 +112,7 @@ class TrafficGenerator {
   void maybe_advance_barrier();
   void post_burst_all();
 
-  SimContext sim_;
+  Simulator* sim_;
   std::vector<Rnic*> nics_;
   std::vector<HostConfig> host_cfgs_;
   std::vector<ConnectionSpec> conn_specs_;
@@ -133,10 +132,7 @@ class TrafficGenerator {
   std::vector<int> posted_;     // messages posted per connection
   std::vector<int> completed_;  // messages completed per connection
   std::vector<Tick> post_time_; // post time of in-flight msgs, by wr_id slot
-  // Decremented from each source host's lane under the sharded kernel
-  // (completions run where the requester QP lives), read by finished() at
-  // the top level between windows.
-  std::atomic<int> flows_remaining_{0};
+  int flows_remaining_ = 0;
   int barrier_round_ = 0;
   bool started_ = false;
 

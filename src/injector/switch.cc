@@ -313,7 +313,7 @@ struct SwitchPipeline {
   }
 };
 
-EventInjectorSwitch::EventInjectorSwitch(SimContext sim, int num_ports,
+EventInjectorSwitch::EventInjectorSwitch(Simulator* sim, int num_ports,
                                          Options options)
     : sim_(sim), options_(options), mirror_(options.rng_seed) {
   ports_.reserve(static_cast<std::size_t>(num_ports));

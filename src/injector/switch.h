@@ -20,7 +20,7 @@
 #include "injector/mirror.h"
 #include "net/node.h"
 #include "pipeline/stage.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 namespace lumina {
@@ -85,7 +85,7 @@ class EventInjectorSwitch : public Node {
     std::uint64_t rng_seed = 0x1u;
   };
 
-  EventInjectorSwitch(SimContext sim, int num_ports, Options options);
+  EventInjectorSwitch(Simulator* sim, int num_ports, Options options);
 
   // -- wiring --------------------------------------------------------------
   Port& port(int index) { return *ports_[static_cast<std::size_t>(index)]; }
@@ -186,7 +186,7 @@ class EventInjectorSwitch : public Node {
     Tick expires = 0;  ///< 0 = lives for the rest of the run.
   };
 
-  SimContext sim_;
+  Simulator* sim_;
   Options options_;
   pipeline::StageChain rx_pipeline_;
   pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.

@@ -61,13 +61,7 @@ void Port::start_transmission() {
 
   Port* peer = peer_;
   const Tick arrive = done + params_.propagation;
-  // Delivery is scheduled in the PEER's context: under the sharded kernel
-  // this is the one cross-domain send of the whole topology, and because
-  // arrive >= now + tx_delay + propagation > now + lookahead it is never
-  // clamped — cross packets keep their physical timestamps. Sequentially
-  // both contexts are the same kernel, so call order (and ids) are
-  // unchanged.
-  peer->sim_.schedule_at(arrive, [peer, p = std::move(pkt)]() mutable {
+  sim_->schedule_at(arrive, [peer, p = std::move(pkt)]() mutable {
     peer->deliver(std::move(p));
   });
   sim_->schedule_at(done, [this] { start_transmission(); });

@@ -13,7 +13,7 @@
 
 #include "net/packet_fifo.h"
 #include "packet/roce_packet.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 #include "util/time.h"
 
 namespace lumina {
@@ -47,12 +47,7 @@ struct PortCounters {
 
 class Port {
  public:
-  /// `sim` is the owner node's scheduling context (sim/sim_context.h): a
-  /// plain Simulator* converts implicitly; under the sharded kernel the
-  /// testbed passes the owner's domain-bound context, and the peer
-  /// delivery scheduled in start_transmission() lands in the *peer's*
-  /// context — the single cross-domain edge of the topology.
-  Port(SimContext sim, Node* owner, int index)
+  Port(Simulator* sim, Node* owner, int index)
       : sim_(sim), owner_(owner), index_(index) {}
 
   Port(const Port&) = delete;
@@ -114,7 +109,7 @@ class Port {
 
   void start_transmission();
 
-  SimContext sim_;
+  Simulator* sim_;
   Node* owner_;
   int index_;
   Port* peer_ = nullptr;

@@ -1,5 +1,8 @@
 #include "orchestrator/orchestrator.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/logging.h"
 
 namespace lumina {
@@ -9,6 +12,12 @@ Orchestrator::Orchestrator(TestConfig config)
 
 Orchestrator::Orchestrator(TestConfig config, Options options)
     : config_(std::move(config)), options_(options) {
+  if (options_.shards != 1) {
+    throw std::invalid_argument(
+        "Orchestrator::Options::shards is retired: the sharded event kernel "
+        "was removed and every run uses one Simulator (got " +
+        std::to_string(options_.shards) + ")");
+  }
   // Default host names, collision-free GIDs, connection expansion — the
   // config becomes a complete testbed description here.
   config_.normalize();
@@ -26,26 +35,14 @@ void Orchestrator::build_testbed() {
   spec.link_propagation = options_.link_propagation;
   spec.trim_mirrors = options_.trim_mirrors;
   spec.enable_telemetry = options_.enable_telemetry;
-  spec.shards = options_.shards;
   testbed_ = std::make_unique<Testbed>(std::move(spec));
 
   std::vector<Rnic*> nics;
   for (int i = 0; i < testbed_->num_hosts(); ++i) {
     nics.push_back(&testbed_->nic(i));
   }
-  if (testbed_->is_sharded() && config_.traffic.barrier_sync) {
-    // The barrier reads completion counts across every connection (and so
-    // across host lanes) at each completion; that cross-lane coupling is
-    // exactly what the conservative kernel cannot see. Run barriered
-    // configs on the sequential kernel.
-    throw std::invalid_argument(
-        "traffic.barrier_sync requires the sequential kernel (shards=1)");
-  }
-  // The generator holds a kernel-neutral context; it only reads the clock
-  // from completion callbacks (which resolve to the executing lane) and
-  // never schedules events itself, so the domain tag is inert.
   generator_ = std::make_unique<TrafficGenerator>(
-      testbed_->context(0), std::move(nics), config_.hosts,
+      &testbed_->sim(), std::move(nics), config_.hosts,
       config_.connections, config_.traffic, config_.ets, options_.seed);
   generator_->attach_telemetry(testbed_->telemetry());
 }
@@ -118,9 +115,9 @@ const TestResult& Orchestrator::run() {
   program_injector();  // tables must be populated before traffic starts
   generator_->start();
 
-  testbed_->run_until(options_.max_sim_time);
+  sim().run_until(options_.max_sim_time);
   result_.finished = generator_->finished();
-  result_.duration = testbed_->now();
+  result_.duration = sim().now();
 
   collect_results();
   return result_;
@@ -174,11 +171,12 @@ void Orchestrator::scrape_telemetry() {
   telemetry::TraceSink& trace_sink = *testbed_->trace_sink();
   EventInjectorSwitch& injector = testbed_->injector();
 
-  reg.counter("sim.events_processed").inc(testbed_->events_processed());
-  reg.counter("sim.events_cancelled").inc(testbed_->cancel_requests());
+  const Simulator& sim = testbed_->sim();
+  reg.counter("sim.events_processed").inc(sim.events_processed());
+  reg.counter("sim.events_cancelled").inc(sim.cancel_requests());
   reg.gauge("sim.queue_depth_max")
-      .set(static_cast<std::int64_t>(testbed_->max_queue_depth()));
-  reg.gauge("sim.time_ns").set(testbed_->now());
+      .set(static_cast<std::int64_t>(sim.max_queue_depth()));
+  reg.gauge("sim.time_ns").set(sim.now());
   reg.counter("sim.trace_recorded").inc(trace_sink.recorded());
   reg.counter("sim.trace_dropped").inc(trace_sink.dropped());
 
@@ -239,32 +237,6 @@ void Orchestrator::scrape_telemetry() {
   }
 
   reg.gauge("host.flows").set(generator_->num_connections());
-
-  // Shard-plan metrics stay dormant at shards == 1 so the single-kernel
-  // metric set (and every golden hashed from it) is byte-identical to the
-  // pre-sharding tree. With shards > 1 the report records the full
-  // deterministic placement: count, domain space, lookahead, and each
-  // host's shard (topology/testbed.h ShardPlan).
-  const ShardPlan& plan = testbed_->shard_plan();
-  if (plan.shards > 1) {
-    reg.gauge("topology.shards").set(plan.shards);
-    reg.gauge("topology.event_domains").set(plan.num_domains());
-    reg.gauge("sim.shard.lookahead_ns").set(plan.lookahead);
-    for (int i = 0; i < testbed_->num_hosts(); ++i) {
-      reg.gauge("topology." + testbed_->nic(i).name() + ".shard")
-          .set(plan.shard_of(plan.host_domain(i)));
-    }
-    // Kernel execution telemetry. Everything here is a pure function of
-    // event content — invariant across shard counts > 1 — except that at
-    // shards == 1 the block never runs (sequential kernel), matching the
-    // dormant-at-1 contract above.
-    if (const ShardedSimulator* k = testbed_->sharded()) {
-      reg.counter("sim.shard.windows").inc(k->windows());
-      reg.counter("sim.shard.cross_messages").inc(k->cross_messages());
-      reg.counter("sim.shard.clamped_sends").inc(k->clamped_sends());
-      reg.counter("sim.shard.lookahead_stalls").inc(k->lookahead_stalls());
-    }
-  }
 }
 
 }  // namespace lumina

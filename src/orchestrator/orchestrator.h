@@ -69,11 +69,9 @@ class Orchestrator {
     /// TestResult::telemetry and exported by results_io as report.json.
     /// Off only for overhead ablations (bench/telemetry_overhead).
     bool enable_telemetry = true;
-    /// Event-kernel shards (docs/simulator.md, "Sharded execution"):
-    /// validated against the topology's domain count and recorded in the
-    /// report as the deterministic ShardPlan. Results are contractually
-    /// identical for every accepted value. 0 = auto: the testbed resolves
-    /// min(hardware_threads, num_domains) at construction.
+    /// Retired event-kernel shard count, kept only so existing callers
+    /// compile: every node runs on one Simulator, and any value but 1
+    /// throws std::invalid_argument.
     int shards = 1;
   };
 
@@ -88,11 +86,8 @@ class Orchestrator {
 
   // Component access for targeted tests and ablation benches.
   Testbed& testbed() { return *testbed_; }
-  /// Sequential kernel access; throws when the run is sharded (use the
-  /// kernel-neutral accessors below, or testbed()'s facade, instead).
   Simulator& sim() { return testbed_->sim(); }
-  /// Kernel-neutral counters, valid for either kernel.
-  std::uint64_t events_processed() { return testbed_->events_processed(); }
+  std::uint64_t events_processed() { return sim().events_processed(); }
   EventInjectorSwitch& injector() { return testbed_->injector(); }
   int num_hosts() { return testbed_->num_hosts(); }
   Rnic& nic(int host) { return testbed_->nic(host); }

@@ -17,14 +17,13 @@
 //    events, so it must stay off where trace byte-identity matters.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "rnic/verbs.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 
 namespace lumina {
 
@@ -33,7 +32,7 @@ class CompletionQueue {
   using Handler =
       std::function<void(std::uint64_t user_data, const WorkCompletion&)>;
 
-  explicit CompletionQueue(SimContext sim) : sim_(sim) {}
+  explicit CompletionQueue(Simulator* sim) : sim_(sim) {}
 
   void set_handler(Handler handler) { handler_ = std::move(handler); }
 
@@ -63,16 +62,13 @@ class CompletionQueue {
     WorkCompletion wc;
   };
 
-  SimContext sim_;
+  Simulator* sim_;
   Handler handler_;
   bool batching_ = false;
   bool drain_scheduled_ = false;
   std::vector<Entry> queue_;  // FIFO ring: [head_, size) are pending
   std::size_t head_ = 0;
-  // A CQ shared by connections on different hosts is posted to from each
-  // source host's lane under the sharded kernel; the tally is the only
-  // cross-lane-mutated field (batched mode stays off when sharded).
-  std::atomic<std::uint64_t> posted_total_{0};
+  std::uint64_t posted_total_ = 0;
   std::uint64_t batches_dispatched_ = 0;
   std::size_t max_depth_ = 0;
 };

@@ -4,7 +4,7 @@
 
 namespace lumina {
 
-DcqcnRp::DcqcnRp(SimContext sim, const DcqcnParams& params, double link_gbps)
+DcqcnRp::DcqcnRp(Simulator* sim, const DcqcnParams& params, double link_gbps)
     : sim_(sim),
       params_(params),
       link_gbps_(link_gbps),

@@ -15,7 +15,7 @@
 #include <unordered_map>
 
 #include "rnic/device_profile.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 #include "util/time.h"
 
 namespace lumina {
@@ -23,7 +23,7 @@ namespace lumina {
 /// Per-QP reaction-point state machine.
 class DcqcnRp {
  public:
-  DcqcnRp(SimContext sim, const DcqcnParams& params, double link_gbps);
+  DcqcnRp(Simulator* sim, const DcqcnParams& params, double link_gbps);
   ~DcqcnRp();
 
   DcqcnRp(const DcqcnRp&) = delete;
@@ -52,7 +52,7 @@ class DcqcnRp {
   void increase_stage();
   bool fully_recovered() const { return current_rate_ >= link_gbps_; }
 
-  SimContext sim_;
+  Simulator* sim_;
   DcqcnParams params_;
   double link_gbps_;
   bool enabled_ = true;

@@ -29,7 +29,7 @@ void QpSlab::reserve(std::size_t n) {
 }
 
 QpIndex QpSlab::create(Rnic* rnic, std::uint32_t qpn, const QpConfig& config,
-                       SimContext sim, const DcqcnParams& dcqcn,
+                       Simulator* sim, const DcqcnParams& dcqcn,
                        double link_gbps, bool rp_enabled) {
   std::uint32_t slot;
   if (!free_.empty()) {

@@ -52,7 +52,7 @@ class QpSlab {
   /// Constructs a QueuePair and its DCQCN reaction point in the next free
   /// slot (recycling destroyed slots LIFO) and returns its handle.
   QpIndex create(Rnic* rnic, std::uint32_t qpn, const QpConfig& config,
-                 SimContext sim, const DcqcnParams& dcqcn, double link_gbps,
+                 Simulator* sim, const DcqcnParams& dcqcn, double link_gbps,
                  bool rp_enabled);
 
   /// Destroys the QP behind `index` (no-op on a stale handle) and returns

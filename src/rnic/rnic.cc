@@ -197,7 +197,7 @@ struct RnicPipeline {
   }
 };
 
-Rnic::Rnic(SimContext sim, std::string name, const DeviceProfile& profile,
+Rnic::Rnic(Simulator* sim, std::string name, const DeviceProfile& profile,
            RoceParameters roce, MacAddress mac,
            std::uint32_t telemetry_track)
     : sim_(sim),

@@ -22,7 +22,7 @@
 #include "rnic/ets.h"
 #include "rnic/qp.h"
 #include "rnic/qp_slab.h"
-#include "sim/sim_context.h"
+#include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 namespace lumina {
@@ -63,7 +63,7 @@ class Rnic : public Node {
   /// `telemetry_track` is the trace track this NIC's events land on —
   /// assigned by the Testbed (telemetry::nic_track(host_index)); the
   /// default suits single-NIC unit tests.
-  Rnic(SimContext sim, std::string name, const DeviceProfile& profile,
+  Rnic(Simulator* sim, std::string name, const DeviceProfile& profile,
        RoceParameters roce, MacAddress mac,
        std::uint32_t telemetry_track = telemetry::kTrackRequester);
   ~Rnic() override;
@@ -109,10 +109,7 @@ class Rnic : public Node {
   Tick paused_until(int priority) const {
     return pause_until_[static_cast<std::size_t>(priority & 7)];
   }
-  /// The NIC's scheduling context. Returned by reference so the pointer
-  /// idiom `rnic->sim()->schedule_after(...)` keeps compiling via
-  /// SimContext::operator-> (the facade's migration contract).
-  SimContext& sim() { return sim_; }
+  Simulator* sim() { return sim_; }
 
   /// Resolved minimum CNP interval: the configured value when the device
   /// honors configuration, otherwise the device default — E810's interval
@@ -182,7 +179,7 @@ class Rnic : public Node {
   void maybe_send_cnp(QueuePair& qp);
   void on_pause_frame(const PfcFrame& frame);
 
-  SimContext sim_;
+  Simulator* sim_;
   std::string name_;
   pipeline::StageChain rx_pipeline_;
   pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.

@@ -123,26 +123,6 @@ void Simulator::run() {
   }
 }
 
-bool Simulator::peek_next(Tick& next_when) {
-  bool timer_first = false;
-  return locate_next(timer_first, next_when);
-}
-
-void Simulator::run_before(Tick horizon) {
-  stopped_ = false;
-  while (!stopped_) {
-    bool timer_first = false;
-    Tick next_when = 0;
-    if (!locate_next(timer_first, next_when)) break;
-    if (next_when >= horizon) break;
-    if (timer_first) {
-      fire_due_timer();
-    } else {
-      fire_calendar_head();
-    }
-  }
-}
-
 void Simulator::run_until(Tick deadline) {
   stopped_ = false;
   while (!stopped_) {

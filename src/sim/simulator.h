@@ -88,18 +88,6 @@ class Simulator {
   /// `deadline` still fire.
   void run_until(Tick deadline);
 
-  /// Reports the next pending event's fire time without firing it.
-  /// Tombstoned calendar heads are dropped along the way, exactly as the
-  /// run loop would. Returns false when both stores are drained.
-  bool peek_next(Tick& next_when);
-
-  /// Fires every event with `when` strictly below `horizon` and leaves the
-  /// clock at the last fired event — no fill to `horizon`. This is the
-  /// window primitive of the sharded kernel (sim/sharded_sim.h), which
-  /// owns the global clock and window bookkeeping; single-kernel callers
-  /// want run()/run_until().
-  void run_before(Tick horizon);
-
   /// Stops the run loop after the current callback returns.
   void stop() { stopped_ = true; }
 

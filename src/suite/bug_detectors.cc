@@ -95,7 +95,8 @@ DetectionResult detect_interop(NicType nic) {
   const TestResult& result = orch.run();
   DetectionResult out{KnownIssue::kInteropMigReq, nic,
                       result.responder_counters().rx_discards_phy > 0, ""};
-  out.evidence = fmt_evidence("CX5 responder rx_discards_phy = %.0f%s",
+  // The format consumes only the first value; the second is unused.
+  out.evidence = fmt_evidence("CX5 responder rx_discards_phy = %.0f",
                               static_cast<double>(
                                   result.responder_counters().rx_discards_phy),
                               0.0);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
-#include <string_view>
 
 namespace lumina::telemetry {
 namespace {
@@ -52,7 +51,6 @@ void compare_scalar_maps(const char* section, const Map& a, const Map& b,
   for (const auto& [name, value] : a) names.insert(name);
   for (const auto& [name, value] : b) names.insert(name);
   for (const auto& name : names) {
-    if (options.ignore_kernel_shape && is_kernel_shape_metric(name)) continue;
     const std::string metric = std::string(section) + "/" + name;
     const auto ia = a.find(name);
     const auto ib = b.find(name);
@@ -77,7 +75,6 @@ void compare_histograms(
   for (const auto& [name, value] : a) names.insert(name);
   for (const auto& [name, value] : b) names.insert(name);
   for (const auto& name : names) {
-    if (options.ignore_kernel_shape && is_kernel_shape_metric(name)) continue;
     const std::string metric = "histograms/" + name;
     const auto ia = a.find(name);
     const auto ib = b.find(name);
@@ -139,17 +136,6 @@ double tolerance_for(const DiffOptions& options, const std::string& metric) {
     }
   }
   return best;
-}
-
-bool is_kernel_shape_metric(const std::string& metric) {
-  // Either spelling: bare ("sim.queue_depth_max") or diff path
-  // ("gauges/sim.queue_depth_max").
-  const std::size_t slash = metric.find('/');
-  const std::string_view bare =
-      slash == std::string::npos
-          ? std::string_view(metric)
-          : std::string_view(metric).substr(slash + 1);
-  return bare.starts_with("sim.queue_depth");
 }
 
 DiffResult diff_reports(const RunReport& a, const RunReport& b,

@@ -25,11 +25,6 @@ struct DiffOptions {
   /// When true, a metric present on only one side is reported but does not
   /// fail the diff (schema-migration escape hatch).
   bool allow_missing = false;
-  /// When true, kernel-shape metrics (is_kernel_shape_metric) are skipped
-  /// entirely. Use when baseline and candidate ran on different event
-  /// kernels (sequential vs sharded), where these gauges legitimately
-  /// differ without any semantic change.
-  bool ignore_kernel_shape = false;
 };
 
 struct MetricDiff {
@@ -61,14 +56,6 @@ struct DiffResult {
 /// Tolerance that applies to `metric`: the longest matching per-metric
 /// prefix override, else the global default.
 double tolerance_for(const DiffOptions& options, const std::string& metric);
-
-/// True for metrics whose value reflects the shape of the event kernel
-/// rather than simulation semantics — the scheduler-queue high-water
-/// gauges (sim.queue_depth*): the sequential kernel tracks one global
-/// queue, the sharded kernel sums per-lane high-waters, so the values
-/// differ across kernels even for byte-identical runs. Accepts either the
-/// bare metric name or the diff path ("gauges/sim.queue_depth_max").
-bool is_kernel_shape_metric(const std::string& metric);
 
 /// Compares deterministic sections of `a` (baseline) and `b` (candidate).
 DiffResult diff_reports(const RunReport& a, const RunReport& b,

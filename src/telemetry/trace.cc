@@ -1,9 +1,6 @@
 #include "telemetry/trace.h"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "util/exec_domain.h"
 
 namespace lumina::telemetry {
 namespace {
@@ -43,61 +40,24 @@ void append_json_string(std::string* out, const char* s) {
 TraceSink::TraceSink(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void TraceSink::enable_domain_lanes(int num_domains) {
-  lanes_.assign(static_cast<std::size_t>(num_domains < 1 ? 1 : num_domains),
-                Lane{});
-}
-
 void TraceSink::record(const TraceEvent& ev) {
-  Lane* lane = &ring_;
-  if (!lanes_.empty()) {
-    // Outside any lane the tag is -1, which wraps past size() to lane 0.
-    const auto d = static_cast<std::size_t>(exec_domain::current());
-    lane = &lanes_[d < lanes_.size() ? d : 0];
-  }
-  if (lane->events.size() < capacity_) {
-    lane->events.push_back(ev);
+  if (events_.size() < capacity_) {
+    events_.push_back(ev);
   } else {
-    lane->events[static_cast<std::size_t>(lane->total % capacity_)] = ev;
+    events_[static_cast<std::size_t>(total_ % capacity_)] = ev;
   }
-  ++lane->total;
-}
-
-std::uint64_t TraceSink::recorded() const {
-  if (lanes_.empty()) return ring_.total;
-  std::uint64_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.total;
-  return n;
-}
-
-void TraceSink::append_retained(const Lane& lane,
-                                std::vector<TraceEvent>& out) const {
-  // Until the lane wraps its events are in record order; after, the oldest
-  // sits in the slot the next record would overwrite.
-  const auto split = static_cast<std::ptrdiff_t>(
-      lane.events.size() < capacity_ ? 0 : lane.total % capacity_);
-  out.insert(out.end(), lane.events.begin() + split, lane.events.end());
-  out.insert(out.end(), lane.events.begin(), lane.events.begin() + split);
+  ++total_;
 }
 
 std::vector<TraceEvent> TraceSink::events_in_order() const {
+  // Until the ring wraps its events are in record order; after, the oldest
+  // sits in the slot the next record would overwrite.
+  const auto split = static_cast<std::ptrdiff_t>(
+      events_.size() < capacity_ ? 0 : total_ % capacity_);
   std::vector<TraceEvent> out;
-  if (lanes_.empty()) {
-    out.reserve(ring_.events.size());
-    append_retained(ring_, out);
-    return out;
-  }
-  // Concatenate each lane oldest-first (in domain order), then stable-sort
-  // on timestamp: per-lane order survives, ties order by domain.
-  for (const Lane& lane : lanes_) append_retained(lane, out);
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts < b.ts;
-                   });
-  if (out.size() > capacity_) {
-    out.erase(out.begin(),
-              out.end() - static_cast<std::ptrdiff_t>(capacity_));
-  }
+  out.reserve(events_.size());
+  out.insert(out.end(), events_.begin() + split, events_.end());
+  out.insert(out.end(), events_.begin(), events_.begin() + split);
   return out;
 }
 

@@ -7,13 +7,6 @@
 // only for the events it records and a long run never grows memory
 // unboundedly.
 //
-// Under the sharded event kernel lanes execute on a thread pool, so the
-// testbed switches the sink into *domain-lanes* mode
-// (enable_domain_lanes): each event domain records into its own private
-// buffer, routed by the executing lane's exec_domain tag. Lanes never
-// share a cache line of bookkeeping, so the hot path stays unsynchronized;
-// events_in_order() merges lanes by timestamp on the (cold) export path.
-//
 // Event names and categories must be string literals (or otherwise outlive
 // the sink): events store the pointers, not copies, which keeps the record
 // hot path allocation-free.
@@ -61,30 +54,14 @@ class TraceSink {
 
   void record(const TraceEvent& ev);
 
-  /// Switches to domain-lanes mode: one private buffer per event domain,
-  /// record() routed by exec_domain::current() (events recorded outside
-  /// any lane — top-level setup, scrape — land on lane 0). The capacity
-  /// bound stays global: dropped() still reports against the configured
-  /// capacity, and events_in_order() keeps only the newest `capacity()`
-  /// events after the merge. Call once, before any event is recorded.
-  void enable_domain_lanes(int num_domains);
-  bool domain_lanes() const { return !lanes_.empty(); }
-
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t recorded() const;
+  std::uint64_t recorded() const { return total_; }
   std::uint64_t dropped() const {
-    const std::uint64_t n = recorded();
-    return n > capacity_ ? n - capacity_ : 0;
+    return total_ > capacity_ ? total_ - capacity_ : 0;
   }
-  std::size_t size() const {
-    const std::uint64_t n = recorded();
-    return n < capacity_ ? static_cast<std::size_t>(n) : capacity_;
-  }
+  std::size_t size() const { return events_.size(); }
 
-  /// Retained events, oldest first. In domain-lanes mode the lanes are
-  /// merged with a stable sort on timestamp — per-lane order is preserved
-  /// and equal-timestamp events order by domain id — so the export is a
-  /// pure function of event content, not thread placement.
+  /// Retained events, oldest first.
   std::vector<TraceEvent> events_in_order() const;
 
   /// Names a virtual track: emitted as thread_name metadata so viewers
@@ -100,21 +77,10 @@ class TraceSink {
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
  private:
-  /// An event buffer that appends until `capacity_` events, then wraps,
-  /// overwriting the oldest. The shared ring is one; in domain-lanes mode
-  /// each domain records into its own (the merge trims the union to the
-  /// same bound).
-  struct Lane {
-    std::vector<TraceEvent> events;
-    std::uint64_t total = 0;
-  };
-
-  /// Appends `lane`'s retained events to `out`, oldest first.
-  void append_retained(const Lane& lane, std::vector<TraceEvent>& out) const;
-
   std::size_t capacity_ = kDefaultCapacity;
-  Lane ring_;                // the sink's buffer outside domain-lanes mode
-  std::vector<Lane> lanes_;  // non-empty => domain-lanes mode
+  /// Appends until `capacity_` events, then wraps, overwriting the oldest.
+  std::vector<TraceEvent> events_;
+  std::uint64_t total_ = 0;  ///< Events ever recorded.
   std::vector<std::pair<std::uint32_t, std::string>> track_names_;
 };
 

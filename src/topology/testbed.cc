@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <thread>
-
-#include "packet/packet_arena.h"
 
 namespace lumina {
 
@@ -13,96 +10,15 @@ Testbed::Testbed(TestbedSpec spec) : spec_(std::move(spec)) {
   if (spec_.hosts.size() < 2) {
     throw std::invalid_argument("Testbed requires at least 2 hosts");
   }
-  shard_plan_.num_hosts = static_cast<int>(spec_.hosts.size());
-  shard_plan_.num_dumpers = spec_.num_dumpers;
-  shard_plan_.lookahead = spec_.link_propagation;
-  if (spec_.shards == 0) {
-    // Auto: one shard per hardware thread, bounded by the domain space
-    // (more shards than domains leaves some empty).
-    const int hw =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-    spec_.shards = std::min(hw, shard_plan_.num_domains());
-  }
-  shard_plan_.shards = spec_.shards;
-  if (spec_.shards < 1 || spec_.shards > shard_plan_.num_domains()) {
-    throw std::invalid_argument(
-        "TestbedSpec::shards must be in [1, " +
-        std::to_string(shard_plan_.num_domains()) +
-        "] (1 + hosts + dumpers), got " + std::to_string(spec_.shards));
-  }
   build();
 }
 
 Testbed::~Testbed() = default;
 
-Simulator& Testbed::sim() {
-  if (sim_ == nullptr) {
-    throw std::logic_error(
-        "Testbed::sim(): the data plane runs on the sharded kernel; use "
-        "the run facade (run_until/now/...) or sharded()");
-  }
-  return *sim_;
-}
-
-SimContext Testbed::context(DomainId domain) {
-  if (sharded_ != nullptr) return SimContext(sharded_.get(), domain);
-  return SimContext(sim_.get());
-}
-
-void Testbed::run_until(Tick deadline) {
-  if (sharded_ != nullptr) {
-    sharded_->run_until(deadline);
-  } else {
-    sim_->run_until(deadline);
-  }
-}
-
-Tick Testbed::now() const {
-  return sharded_ != nullptr ? sharded_->now() : sim_->now();
-}
-
-std::uint64_t Testbed::events_processed() const {
-  return sharded_ != nullptr ? sharded_->events_processed()
-                             : sim_->events_processed();
-}
-
-std::uint64_t Testbed::cancel_requests() const {
-  return sharded_ != nullptr ? sharded_->cancel_requests()
-                             : sim_->cancel_requests();
-}
-
-std::size_t Testbed::max_queue_depth() const {
-  return sharded_ != nullptr ? sharded_->max_queue_depth()
-                             : sim_->max_queue_depth();
-}
-
 void Testbed::build() {
-  if (spec_.shards > 1) {
-    sharded_ = std::make_unique<ShardedSimulator>(
-        shard_plan_.num_domains(),
-        ShardedSimulator::Options{spec_.shards, shard_plan_.lookahead});
-    // Pool threads get their own PacketArena: arenas are thread-local by
-    // contract, and without one every worker-side alloc/reclaim falls back
-    // to the heap.
-    sharded_->set_thread_init([]() -> std::shared_ptr<void> {
-      struct WorkerArena {
-        PacketArena arena;
-        PacketArena::Scope scope{&arena};
-      };
-      return std::make_shared<WorkerArena>();
-    });
-  } else {
-    sim_ = std::make_unique<Simulator>();
-  }
-
   if (spec_.enable_telemetry) {
     metrics_ = std::make_unique<telemetry::MetricsRegistry>();
     trace_sink_ = std::make_unique<telemetry::TraceSink>();
-    if (sharded_ != nullptr) {
-      // Lanes record trace events concurrently; give each domain a private
-      // buffer (merged by timestamp on export).
-      trace_sink_->enable_domain_lanes(shard_plan_.num_domains());
-    }
     trace_sink_->set_track_name(telemetry::kTrackSim, "sim");
     trace_sink_->set_track_name(telemetry::kTrackInjector, "injector");
     for (std::size_t i = 0; i < spec_.hosts.size(); ++i) {
@@ -116,8 +32,8 @@ void Testbed::build() {
 
   const int num_hosts = static_cast<int>(spec_.hosts.size());
   const int num_ports = num_hosts + spec_.num_dumpers;
-  switch_ = std::make_unique<EventInjectorSwitch>(
-      context(shard_plan_.switch_domain()), num_ports, spec_.switch_options);
+  switch_ = std::make_unique<EventInjectorSwitch>(&sim_, num_ports,
+                                                  spec_.switch_options);
 
   // One RNIC per host on switch port i. The MAC stride keeps hosts 0/1 on
   // the historical ...aa/...bb addresses, so two-host wire bytes (and the
@@ -128,7 +44,7 @@ void Testbed::build() {
     const DeviceProfile& profile = DeviceProfile::get(host.nic_type);
     fastest_gbps = std::max(fastest_gbps, profile.link_gbps);
     auto nic = std::make_unique<Rnic>(
-        context(shard_plan_.host_domain(i)), host.name, profile, host.roce,
+        &sim_, host.name, profile, host.roce,
         MacAddress::from_u48(0x0200000000aaULL +
                              0x11ULL * static_cast<std::uint64_t>(i)),
         telemetry::nic_track(i));
@@ -149,8 +65,7 @@ void Testbed::build() {
   if (!spec_.trim_mirrors) dopt.trim_bytes = 1 << 20;
   for (int i = 0; i < spec_.num_dumpers; ++i) {
     auto dumper = std::make_unique<TrafficDumper>(
-        context(shard_plan_.dumper_domain(i)), "dumper-" + std::to_string(i),
-        dopt);
+        &sim_, "dumper-" + std::to_string(i), dopt);
     connect(dumper->port(), switch_->port(dumper_port(i)),
             LinkParams{fastest_gbps, spec_.link_propagation});
     targets.push_back(MirrorEngine::Target{dumper_port(i), 1});

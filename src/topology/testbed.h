@@ -22,40 +22,10 @@
 #include "dumper/dumper.h"
 #include "injector/switch.h"
 #include "rnic/rnic.h"
-#include "sim/event_domain.h"
-#include "sim/sharded_sim.h"
-#include "sim/sim_context.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 namespace lumina {
-
-/// Deterministic event-domain plan for the sharded kernel
-/// (docs/simulator.md, "Sharded execution"). Domain ids are a pure
-/// function of the topology — switch = 0, host i = 1 + i, dumper j =
-/// 1 + num_hosts + j — and a domain executes on shard `domain % shards`,
-/// so the placement is reproducible from the config alone and identical
-/// for every worker count. The conservative lookahead is the link
-/// propagation delay: no domain can affect another sooner than one wire
-/// traversal.
-struct ShardPlan {
-  int shards = 1;
-  int num_hosts = 0;
-  int num_dumpers = 0;
-  Tick lookahead = 250;
-
-  int num_domains() const { return 1 + num_hosts + num_dumpers; }
-  DomainId switch_domain() const { return 0; }
-  DomainId host_domain(int host) const {
-    return static_cast<DomainId>(1 + host);
-  }
-  DomainId dumper_domain(int dumper) const {
-    return static_cast<DomainId>(1 + num_hosts + dumper);
-  }
-  int shard_of(DomainId domain) const {
-    return static_cast<int>(domain % static_cast<DomainId>(shards));
-  }
-};
 
 /// Declarative description of a testbed instance. `hosts` must already be
 /// normalized (names + GIDs filled; TestConfig::normalize does this).
@@ -72,12 +42,6 @@ struct TestbedSpec {
   /// (qp_scaling regime) pays no slab growth during connection setup.
   /// Zero keeps lazy growth.
   std::size_t qp_reserve_per_host = 0;
-  /// Event-kernel shards (sim/sharded_sim.h). Must satisfy
-  /// 1 <= shards <= num_domains (= 1 + hosts + dumpers); the derived
-  /// ShardPlan is recorded in the report. 1 keeps the sequential kernel;
-  /// 0 means *auto*: resolve to min(hardware_threads, num_domains) at
-  /// construction (the resolved value replaces 0 in spec().shards).
-  int shards = 1;
 };
 
 class Testbed {
@@ -85,27 +49,8 @@ class Testbed {
   explicit Testbed(TestbedSpec spec);
   ~Testbed();
 
-  /// The sequential kernel. Throws std::logic_error when the testbed runs
-  /// sharded (shards > 1) — callers that only need the clock or the run
-  /// loop should use the kernel-neutral facade below instead.
-  Simulator& sim();
-
-  /// True when the data plane runs on the sharded kernel.
-  bool is_sharded() const { return sharded_ != nullptr; }
-  /// The sharded kernel, or nullptr when running sequentially.
-  ShardedSimulator* sharded() { return sharded_.get(); }
-
-  /// Scheduling context bound to `domain` — what every node layer holds
-  /// instead of a raw Simulator*. Sequentially the domain tag is inert;
-  /// sharded it routes the node's events to its lane.
-  SimContext context(DomainId domain);
-
-  // Kernel-neutral run facade (what the Orchestrator drives).
-  void run_until(Tick deadline);
-  Tick now() const;
-  std::uint64_t events_processed() const;
-  std::uint64_t cancel_requests() const;
-  std::size_t max_queue_depth() const;
+  /// The event kernel every node of the testbed schedules on.
+  Simulator& sim() { return sim_; }
 
   EventInjectorSwitch& injector() { return *switch_; }
 
@@ -122,10 +67,6 @@ class Testbed {
   std::vector<std::unique_ptr<TrafficDumper>>& dumpers() { return dumpers_; }
   const TestbedSpec& spec() const { return spec_; }
 
-  /// Topology-derived event-domain plan; valid for any shard count the
-  /// constructor accepted.
-  const ShardPlan& shard_plan() const { return shard_plan_; }
-
   /// Null when TestbedSpec::enable_telemetry is false.
   telemetry::MetricsRegistry* metrics() { return metrics_.get(); }
   telemetry::TraceSink* trace_sink() { return trace_sink_.get(); }
@@ -137,12 +78,10 @@ class Testbed {
   void build();
 
   TestbedSpec spec_;
-  ShardPlan shard_plan_;
   std::unique_ptr<telemetry::MetricsRegistry> metrics_;
   std::unique_ptr<telemetry::TraceSink> trace_sink_;
   telemetry::Telemetry telemetry_;
-  std::unique_ptr<Simulator> sim_;           // shards == 1
-  std::unique_ptr<ShardedSimulator> sharded_;  // shards > 1
+  Simulator sim_;
   std::unique_ptr<EventInjectorSwitch> switch_;
   std::vector<std::unique_ptr<Rnic>> nics_;
   std::vector<std::unique_ptr<TrafficDumper>> dumpers_;

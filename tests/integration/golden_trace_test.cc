@@ -36,18 +36,6 @@ bool regen_requested() {
   return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
-/// TSan race-exercise mode (ci.yml): LUMINA_TEST_SHARDS > 1 replays every
-/// golden scenario on the sharded kernel at that worker count instead of
-/// comparing bytes. The goldens are the sequential kernel's output and the
-/// two kernels legally differ in same-tick order (shard_invariance_test.cc
-/// documents the contract), so this mode asserts the semantic invariants
-/// and artifact production; byte identity across sharded worker counts is
-/// pinned by ShardInvariance.
-int test_shards() {
-  const char* env = std::getenv("LUMINA_TEST_SHARDS");
-  return env != nullptr ? std::atoi(env) : 1;
-}
-
 std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << "cannot open " << path;
@@ -152,39 +140,10 @@ TestConfig pause_storm_incast_config() {
 /// directory, or rewrites the goldens when LUMINA_REGEN_GOLDEN is set.
 void check_against_golden(const std::string& scenario, const TestConfig& cfg,
                           const Orchestrator::Options& options = {}) {
-  Orchestrator::Options run_options = options;
-  if (test_shards() > 1) {
-    TestConfig normalized = cfg;
-    normalized.normalize();
-    const int num_domains = 1 + static_cast<int>(normalized.hosts.size()) +
-                            options.num_dumpers;
-    run_options.shards = std::min(test_shards(), num_domains);
-  }
-  const TestResult result = Orchestrator(cfg, run_options).run();
+  const TestResult result = Orchestrator(cfg, options).run();
   ASSERT_TRUE(result.finished) << scenario;
   ASSERT_TRUE(result.integrity.ok()) << scenario << ": "
                                      << result.integrity.to_string();
-
-  if (run_options.shards > 1) {
-    // Race-exercise mode: the run held together on the worker pool (TSan
-    // flags any ordering bug); prove the artifact pipeline still writes a
-    // complete tree and stop short of the sequential-golden byte compare.
-    const fs::path actual_dir =
-        fs::temp_directory_path() /
-        ("lumina_golden_sharded_" + scenario + "_" +
-         std::to_string(::getpid()));
-    fs::remove_all(actual_dir);
-    std::string failed;
-    ASSERT_TRUE(write_results(result, actual_dir.string(), &failed))
-        << failed;
-    std::size_t produced = 0;
-    for (const auto& entry : fs::directory_iterator(actual_dir)) {
-      if (entry.is_regular_file()) ++produced;
-    }
-    EXPECT_GE(produced, 8u) << scenario << ": sharded artifact set incomplete";
-    fs::remove_all(actual_dir);
-    return;
-  }
 
   const fs::path golden_dir = fs::path(golden_root()) / scenario;
   if (regen_requested()) {

@@ -250,5 +250,13 @@ TEST(CampaignSummary, CsvIsDeterministicAndWallClockFree) {
   }
 }
 
+TEST(CampaignOptions, RejectsRetiredShardCounts) {
+  Campaign campaign;
+  campaign.runs.push_back(CampaignRunSpec{});
+  CampaignOptions options;
+  options.shards = 4;
+  EXPECT_THROW(run_campaign(campaign, options), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace lumina

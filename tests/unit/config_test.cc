@@ -364,31 +364,12 @@ TEST(Config, SerializeRoundTripsFaultEvents) {
   EXPECT_EQ(serialize_test_config(back), text);
 }
 
-TEST(Config, ShardsKeyParsesIntegersAndAuto) {
-  EXPECT_EQ(load_test_config(parse_yaml("traffic:\n  mtu: 1024\n")).shards, 1);
-  EXPECT_EQ(load_test_config(parse_yaml("shards: 4\n")).shards, 4);
-  // `auto` is the 0 sentinel; the testbed resolves it to
-  // min(hardware_threads, num_domains) at construction.
-  EXPECT_EQ(load_test_config(parse_yaml("shards: auto\n")).shards, 0);
-  EXPECT_THROW(load_test_config(parse_yaml("shards: 0\n")), YamlError);
-  EXPECT_THROW(load_test_config(parse_yaml("shards: -2\n")), YamlError);
-}
-
-TEST(Config, SerializeRoundTripsShards) {
-  TestConfig cfg;
-  // Default stays invisible: pre-cutover configs serialize byte-identically.
-  EXPECT_EQ(serialize_test_config(cfg).find("shards"), std::string::npos);
-
-  cfg.shards = 3;
-  TestConfig back = load_test_config(parse_yaml(serialize_test_config(cfg)));
-  EXPECT_EQ(back.shards, 3);
-
-  cfg.shards = 0;
-  const std::string text = serialize_test_config(cfg);
-  EXPECT_NE(text.find("shards: auto"), std::string::npos);
-  back = load_test_config(parse_yaml(text));
-  EXPECT_EQ(back.shards, 0);
-  EXPECT_EQ(serialize_test_config(back), text);
+TEST(Config, ShardsKeyIsRejected) {
+  // The sharded kernel is gone. Unknown keys are otherwise ignored, so any
+  // `shards:` value must fail loudly rather than run unsharded.
+  for (const char* text : {"shards: 1\n", "shards: 4\n", "shards: auto\n"}) {
+    EXPECT_THROW(load_test_config(parse_yaml(text)), YamlError) << text;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // The table was previously exercised only indirectly through the scheduler
 // differential suites; this drives it directly against a naive model
 // (a dead-id hash set plus per-chunk dead counts) under the cancel-heavy
-// churn pattern the sharded lanes and the RNIC timer path produce:
+// churn pattern the RNIC timer path produces:
 // dense allocation bursts, kills in random order, repeat kills, probes of
 // never-issued ids, and full-chunk retirement.
 #include <gtest/gtest.h>

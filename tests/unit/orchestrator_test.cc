@@ -174,6 +174,21 @@ TEST(Orchestrator, SeedChangesQpNumbering) {
             b.result().connections[0].requester.ipsn);
 }
 
+TEST(Orchestrator, RejectsRetiredShardCounts) {
+  // Options::shards survives only for source compatibility: every run uses
+  // one Simulator, so anything but 1 must throw instead of being ignored.
+  for (const int shards : {0, 2}) {
+    Orchestrator::Options options;
+    options.shards = shards;
+    EXPECT_THROW(Orchestrator(small_config(), options), std::invalid_argument)
+        << shards;
+  }
+  Orchestrator::Options options;
+  options.shards = 1;
+  Orchestrator orch(small_config(), options);
+  EXPECT_TRUE(orch.run().finished);
+}
+
 TEST(Orchestrator, MultiGidRoutesAllAddresses) {
   TestConfig cfg = small_config();
   cfg.requester().ip_list = {Ipv4Address::from_octets(10, 0, 0, 1),

@@ -104,37 +104,6 @@ TEST(ReportDiff, MissingMetricFailsUnlessAllowed) {
   EXPECT_EQ(result.diffs[0].detail, "only in baseline");
 }
 
-TEST(ReportDiff, KernelShapeMetricPredicate) {
-  EXPECT_TRUE(is_kernel_shape_metric("sim.queue_depth_max"));
-  EXPECT_TRUE(is_kernel_shape_metric("gauges/sim.queue_depth_max"));
-  EXPECT_TRUE(is_kernel_shape_metric("sim.queue_depth_shard3"));
-  EXPECT_FALSE(is_kernel_shape_metric("sim.events_processed"));
-  EXPECT_FALSE(is_kernel_shape_metric("counters/injector.roce_rx"));
-}
-
-TEST(ReportDiff, IgnoreKernelShapeSkipsQueueDepthGauges) {
-  RunReport a = report_with_counter("m", 100);
-  RunReport b = report_with_counter("m", 100);
-  // The cross-kernel situation: same semantics, different scheduler-queue
-  // high-water because the kernels account for the queue differently.
-  a.deterministic.gauges["sim.queue_depth_max"] = 7;
-  b.deterministic.gauges["sim.queue_depth_max"] = 31;
-
-  const DiffResult strict = diff_reports(a, b, DiffOptions{});
-  EXPECT_FALSE(strict.passed());
-
-  DiffOptions options;
-  options.ignore_kernel_shape = true;
-  const DiffResult relaxed = diff_reports(a, b, options);
-  EXPECT_TRUE(relaxed.passed());
-  // The skipped gauge is not even counted as compared.
-  EXPECT_EQ(relaxed.compared, 1u);
-
-  // A semantic regression still fails with the flag set.
-  b.deterministic.counters["m"] = 101;
-  EXPECT_FALSE(diff_reports(a, b, options).passed());
-}
-
 TEST(ReportDiff, HistogramBucketShiftFailsDespiteStableTotal) {
   // One observation migrates buckets; count/sum totals barely move but the
   // per-bucket comparison must notice.

@@ -20,6 +20,10 @@
 // checkpointing (docs/fuzzing.md); --fuzz-target is the short-budget
 // smoke form CI registers per target (ctest -R fuzz).
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,14 +52,12 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <config.yaml> [results-dir] [--report file] "
-               "[--trace-out file] [--shards N]\n"
+               "[--trace-out file]\n"
                "       %s --screen <cx4|cx5|cx6|e810> [--jobs N] "
                "[--report file]\n"
-               "       %s --campaign <campaign.yaml> [--jobs N] [--shards N] "
-               "[--seed S]\n"
+               "       %s --campaign <campaign.yaml> [--jobs N] [--seed S]\n"
                "                      [--out dir] [--report file]\n"
-               "       %s --fuzz-campaign <fuzz.yaml> [--jobs N] [--shards N] "
-               "[--seed S]\n"
+               "       %s --fuzz-campaign <fuzz.yaml> [--jobs N] [--seed S]\n"
                "                      [--out dir] [--report file] "
                "[--budget N] [--resume]\n"
                "       %s --fuzz-target <name> [--nic t] [--seed S] "
@@ -80,27 +82,45 @@ void usage(const char* argv0) {
                "the Chrome trace\n"
                "(chrome://tracing / Perfetto) to the given paths "
                "(docs/telemetry.md).\n"
-               "--shards selects the event-kernel shard count "
-               "(docs/simulator.md); sharded\n"
-               "results are identical for every accepted value (1 <= N <= "
-               "hosts + dumpers + 1),\n"
-               "and 'auto' resolves to min(hardware threads, event "
-               "domains).\n",
+               "--jobs is an integer >= 1, --steps and --budget integers "
+               ">= 0, and --seed an\n"
+               "unsigned 64-bit integer (decimal or 0x...).\n",
                argv0, argv0, argv0, argv0, argv0);
 }
 
-/// Parses a --shards value: `auto` maps to the 0 sentinel (the testbed
-/// resolves min(hardware_threads, num_domains) at construction); anything
-/// else must be an integer >= 1. An explicit numeric 0 stays an error —
-/// only the spelled-out keyword opts into auto.
-bool parse_shards_value(const char* text, int* shards) {
-  if (std::strcmp(text, "auto") == 0) {
-    *shards = 0;
-    return true;
+/// Parses all of `text` as an unsigned integer no greater than `max`.
+/// Base 0 also accepts the 0x... spelling seeds are printed in. Signs,
+/// whitespace, trailing characters and overflow are all rejected.
+bool parse_uint(const char* text, int base, std::uint64_t max,
+                std::uint64_t* value) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  *value = std::strtoull(text, &end, base);
+  return *end == '\0' && errno != ERANGE && *value <= max;
+}
+
+/// Parses a decimal count flag (--jobs, --steps, --budget) that must be
+/// at least `min`; prints a one-line error and returns false otherwise.
+bool parse_count_flag(const char* flag, const char* text, int min,
+                      int* value) {
+  std::uint64_t parsed = 0;
+  if (!parse_uint(text, 10, INT_MAX, &parsed) ||
+      parsed < static_cast<std::uint64_t>(min)) {
+    std::fprintf(stderr, "error: %s must be an integer >= %d, got '%s'\n",
+                 flag, min, text);
+    return false;
   }
-  *shards = std::atoi(text);
-  if (*shards < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1 or 'auto'\n");
+  *value = static_cast<int>(parsed);
+  return true;
+}
+
+bool parse_seed_flag(const char* text, std::uint64_t* seed) {
+  if (!parse_uint(text, 0, UINT64_MAX, seed)) {
+    std::fprintf(stderr,
+                 "error: --seed must be an unsigned 64-bit integer, got "
+                 "'%s'\n",
+                 text);
     return false;
   }
   return true;
@@ -132,17 +152,12 @@ bool parse_campaign_flags(int argc, char** argv, int first,
     };
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (!need_value("--jobs")) return false;
-      options->jobs = std::atoi(argv[++i]);
-      if (options->jobs < 1) {
-        std::fprintf(stderr, "error: --jobs must be >= 1\n");
+      if (!parse_count_flag("--jobs", argv[++i], 1, &options->jobs)) {
         return false;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!need_value("--shards")) return false;
-      if (!parse_shards_value(argv[++i], &options->shards)) return false;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!need_value("--seed")) return false;
-      options->seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_seed_flag(argv[++i], &options->seed)) return false;
     } else if (std::strcmp(argv[i], "--out") == 0) {
       if (!need_value("--out")) return false;
       *out_dir = argv[++i];
@@ -223,7 +238,7 @@ int run_campaign_mode(int argc, char** argv) {
   try {
     report = run_campaign(campaign, options);
   } catch (const std::exception& error) {
-    // e.g. a shard count no run's topology can satisfy.
+    // e.g. a run whose config the orchestrator rejects.
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
@@ -278,19 +293,10 @@ int run_fuzz_campaign_mode(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (!need_value("--jobs")) return 1;
-      options.jobs = std::atoi(argv[++i]);
-      if (options.jobs < 1) {
-        std::fprintf(stderr, "error: --jobs must be >= 1\n");
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      // Event-kernel shards for experiment-backed runs; fuzz iterations
-      // that never build a testbed simply ignore the setting.
-      if (!need_value("--shards")) return 1;
-      if (!parse_shards_value(argv[++i], &options.shards)) return 1;
+      if (!parse_count_flag("--jobs", argv[++i], 1, &options.jobs)) return 1;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!need_value("--seed")) return 1;
-      options.seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_seed_flag(argv[++i], &options.seed)) return 1;
     } else if (std::strcmp(argv[i], "--out") == 0) {
       if (!need_value("--out")) return 1;
       out_dir = argv[++i];
@@ -299,7 +305,9 @@ int run_fuzz_campaign_mode(int argc, char** argv) {
       report_path = argv[++i];
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       if (!need_value("--budget")) return 1;
-      spec.step_budget = std::atoi(argv[++i]);
+      if (!parse_count_flag("--budget", argv[++i], 0, &spec.step_budget)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
     } else {
@@ -405,10 +413,13 @@ int run_fuzz_target_mode(int argc, char** argv) {
       nic = *parsed;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!need_value("--seed")) return 1;
-      options.seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_seed_flag(argv[++i], &options.seed)) return 1;
     } else if (std::strcmp(argv[i], "--steps") == 0) {
       if (!need_value("--steps")) return 1;
-      options.max_iterations = std::atoi(argv[++i]);
+      if (!parse_count_flag("--steps", argv[++i], 0,
+                            &options.max_iterations)) {
+        return 1;
+      }
     } else {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return 1;
@@ -472,8 +483,6 @@ int main(int argc, char** argv) {
   std::string results_dir;
   std::string report_path;
   std::string trace_path;
-  Orchestrator::Options orch_options;
-  bool shards_from_cli = false;
   for (int i = 2; i < argc; ++i) {
     const auto need_value = [&](const char* flag) {
       if (i + 1 < argc) return true;
@@ -486,10 +495,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       if (!need_value("--trace-out")) return 1;
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!need_value("--shards")) return 1;
-      if (!parse_shards_value(argv[++i], &orch_options.shards)) return 1;
-      shards_from_cli = true;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return 1;
@@ -520,26 +525,7 @@ int main(int argc, char** argv) {
   }
   std::printf("   injected events: %zu\n", cfg.traffic.data_pkt_events.size());
 
-  // The config's `shards:` key (integer or `auto`) applies unless the
-  // flag overrode it on the command line.
-  if (!shards_from_cli) orch_options.shards = cfg.shards;
-
-  // Shard validation needs the normalized topology: the domain space is
-  // 1 switch + hosts + dumpers (topology/testbed.h ShardPlan). The auto
-  // sentinel (0) is always in range — the testbed clamps it to the
-  // domain space when it resolves.
-  const int num_domains = 1 + static_cast<int>(cfg.hosts.size()) +
-                          orch_options.num_dumpers;
-  if (orch_options.shards > num_domains) {
-    std::fprintf(stderr,
-                 "error: --shards %d exceeds the topology's %d event "
-                 "domains (1 switch + %zu hosts + %d dumpers)\n",
-                 orch_options.shards, num_domains, cfg.hosts.size(),
-                 orch_options.num_dumpers);
-    return 1;
-  }
-
-  Orchestrator orch(cfg, orch_options);
+  Orchestrator orch(cfg);
   const TestResult& result = orch.run();
 
   std::printf("\n== Integrity check (Section 3.5)\n   %s\n",

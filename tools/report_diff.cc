@@ -4,11 +4,11 @@
 //
 //   report_diff <baseline.json> <candidate.json>
 //               [--tolerance T] [--metric prefix=T ...] [--allow-missing]
-//               [--ignore-kernel-shape]
 //
 // Exit codes: 0 = within tolerance, 1 = regression (metrics outside
 // tolerance or missing), 2 = usage or I/O error. Wall-clock sections are
 // never compared.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +27,6 @@ void usage(const char* argv0) {
                "usage: %s <baseline.json> <candidate.json>\n"
                "          [--tolerance T] [--metric prefix=T ...] "
                "[--allow-missing]\n"
-               "          [--ignore-kernel-shape]\n"
                "\n"
                "Compares the deterministic sections of two telemetry "
                "reports. A metric passes\n"
@@ -36,14 +35,18 @@ void usage(const char* argv0) {
                "overrides the tolerance for every metric matching the "
                "given name prefix\n"
                "(longest prefix wins). Wall-clock sections are ignored.\n"
-               "--ignore-kernel-shape skips scheduler-queue high-water "
-               "gauges\n"
-               "(sim.queue_depth*) whose values depend on the event "
-               "kernel, for\n"
-               "baselines recorded on a different kernel (sequential vs "
-               "sharded).\n"
+               "T must be a finite number >= 0.\n"
                "Exit: 0 pass, 1 regression, 2 usage/IO error.\n",
                argv0);
+}
+
+/// Parses a whole-string tolerance. NaN and infinities are rejected: no
+/// relative difference compares greater than NaN, so a NaN tolerance would
+/// pass every metric.
+bool parse_tolerance(const char* text, double* tol) {
+  char* end = nullptr;
+  *tol = std::strtod(text, &end);
+  return end != text && *end == '\0' && std::isfinite(*tol) && *tol >= 0;
 }
 
 /// Parses "prefix=T" into an entry of options.per_metric.
@@ -53,9 +56,8 @@ bool parse_metric_override(const char* spec, DiffOptions* options) {
     std::fprintf(stderr, "error: --metric wants prefix=T, got '%s'\n", spec);
     return false;
   }
-  char* end = nullptr;
-  const double tol = std::strtod(eq + 1, &end);
-  if (end == eq + 1 || *end != '\0' || tol < 0) {
+  double tol = 0;
+  if (!parse_tolerance(eq + 1, &tol)) {
     std::fprintf(stderr, "error: bad tolerance in '%s'\n", spec);
     return false;
   }
@@ -86,9 +88,7 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--tolerance") == 0) {
       if (!need_value("--tolerance")) return 2;
-      char* end = nullptr;
-      options.tolerance = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || options.tolerance < 0) {
+      if (!parse_tolerance(argv[++i], &options.tolerance)) {
         std::fprintf(stderr, "error: bad --tolerance '%s'\n", argv[i]);
         return 2;
       }
@@ -97,8 +97,6 @@ int main(int argc, char** argv) {
       if (!parse_metric_override(argv[++i], &options)) return 2;
     } else if (std::strcmp(argv[i], "--allow-missing") == 0) {
       options.allow_missing = true;
-    } else if (std::strcmp(argv[i], "--ignore-kernel-shape") == 0) {
-      options.ignore_kernel_shape = true;
     } else {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return 2;
