@@ -20,53 +20,43 @@ std::uint32_t rss_hash(const RoceView& v) {
 
 }  // namespace
 
-// The dumper's rx pipeline, decomposed from the pre-pipeline monolithic
-// handle_packet into two stages over a PacketBatch (same construction as
-// SwitchPipeline in injector/switch.cc: the event kernel delivers one
-// packet per call, so the production pump runs single-slot batches and
-// the stage bodies concatenate to the former per-packet sequence).
+// The dumper's rx pipeline: two stages that handle_packet walks each
+// delivered frame through (same construction as SwitchPipeline in
+// injector/switch.cc).
 struct DumperPipeline {
-  using PacketBatch = pipeline::PacketBatch;
+  using FrameMeta = pipeline::FrameMeta;
   using StageContract = pipeline::StageContract;
 
   /// NIC/ring admission: RSS core selection and the finite per-core
   /// service model. Ring overflow -> NIC discard. Stores the admitted
-  /// slot's core in the slot metadata.
+  /// frame's core in the frame metadata.
   class Admit : public pipeline::Stage {
    public:
     explicit Admit(TrafficDumper& dumper) : dumper_(dumper) {}
     const char* name() const override { return "admit"; }
-    StageContract contract() const override {
-      return {.provides_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.provides_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       TrafficDumper& d = dumper_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        if (d.terminated_) {
-          batch.consume(i);
-          continue;
-        }
-        ++d.counters_.received;
+      if (d.terminated_) return false;
+      ++d.counters_.received;
 
-        const auto view = parse_roce(batch.pkt(i));
-        const Tick now = batch.meta(i).ingress_ts;
-        const std::size_t core =
-            view ? rss_hash(*view) % d.core_busy_until_.size() : 0;
+      const auto view = parse_roce(pkt);
+      const Tick now = meta.ingress_ts;
+      const std::size_t core =
+          view ? rss_hash(*view) % d.core_busy_until_.size() : 0;
 
-        // Finite per-core processing: ring overflow -> NIC discard.
-        Tick& busy = d.core_busy_until_[core];
-        const Tick service = d.options_.per_packet_service;
-        const std::size_t backlog =
-            busy > now ? static_cast<std::size_t>((busy - now) / service) : 0;
-        if (backlog >= d.options_.ring_capacity) {
-          ++d.counters_.discarded;
-          batch.consume(i);
-          continue;
-        }
-        busy = std::max(busy, now) + service;
-        batch.meta(i).core = core;
+      // Finite per-core processing: ring overflow -> NIC discard.
+      Tick& busy = d.core_busy_until_[core];
+      const Tick service = d.options_.per_packet_service;
+      const std::size_t backlog =
+          busy > now ? static_cast<std::size_t>((busy - now) / service) : 0;
+      if (backlog >= d.options_.ring_capacity) {
+        ++d.counters_.discarded;
+        return false;
       }
+      busy = std::max(busy, now) + service;
+      meta.core = core;
+      return true;
     }
 
    private:
@@ -75,36 +65,30 @@ struct DumperPipeline {
 
   /// Trim + store: copies the trimmed headers straight into a new capture
   /// store entry (or moves small frames whole) along with the embedded
-  /// mirror metadata.
+  /// mirror metadata. Retires every frame.
   class Capture : public pipeline::Stage {
    public:
     explicit Capture(TrafficDumper& dumper) : dumper_(dumper) {}
     const char* name() const override { return "capture"; }
-    StageContract contract() const override {
-      return {.needs_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       TrafficDumper& d = dumper_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        Packet& pkt = batch.pkt(i);
-        DumpedPacket& dumped = d.packets_.emplace_back();
-        dumped.orig_len = pkt.size();
-        dumped.captured_at = batch.meta(i).ingress_ts;
-        dumped.meta = extract_mirror_meta(pkt);
-        if (pkt.size() > d.options_.trim_bytes) {
-          // Copy the trimmed headers out so the full-size wire buffer
-          // recycles instead of being pinned in the capture store for the
-          // whole run. (Deliberately not arena-backed: the copy lives in
-          // the store for the rest of the run, so recycled capacity would
-          // just be pinned.)
-          pkt.clone_into(dumped.pkt, d.options_.trim_bytes);
-        } else {
-          dumped.pkt = std::move(pkt);
-        }
-        ++d.counters_.captured;
-        batch.consume(i);
+      DumpedPacket& dumped = d.packets_.emplace_back();
+      dumped.orig_len = pkt.size();
+      dumped.captured_at = meta.ingress_ts;
+      dumped.meta = extract_mirror_meta(pkt);
+      if (pkt.size() > d.options_.trim_bytes) {
+        // Copy the trimmed headers out so the full-size wire buffer
+        // recycles instead of being pinned in the capture store for the
+        // whole run. (Deliberately not arena-backed: the copy lives in
+        // the store for the rest of the run, so recycled capacity would
+        // just be pinned.)
+        pkt.clone_into(dumped.pkt, d.options_.trim_bytes);
+      } else {
+        dumped.pkt = std::move(pkt);
       }
+      ++d.counters_.captured;
+      return false;
     }
 
    private:
@@ -127,17 +111,13 @@ TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options)
 }
 
 void TrafficDumper::handle_packet(int in_port, Packet pkt) {
-  rx_batch_.clear();
-  rx_batch_.push(std::move(pkt), in_port, sim_->now());
-  handle_batch(rx_batch_);
-}
-
-void TrafficDumper::handle_batch(pipeline::PacketBatch& batch) {
-  rx_pipeline_.run(batch);
-  // Discard paths and trim-copies leave the wire buffer in the slot;
-  // untrimmed captures move the frame into the store first (reclaim
-  // no-ops on those).
-  batch.reclaim();
+  // Discard paths and trim-copies leave the wire buffer behind for the
+  // guard to recycle; untrimmed captures move the frame into the store.
+  ScopedPacketReclaim reclaim(pkt);
+  pipeline::FrameMeta meta;
+  meta.in_port = in_port;
+  meta.ingress_ts = sim_->now();
+  rx_pipeline_.run(pkt, meta);
 }
 
 void TrafficDumper::terminate() {

@@ -55,16 +55,10 @@ class TrafficDumper : public Node {
 
   Port& port() { return *port_; }
 
-  // handle_packet is a single-slot batch pump over the rx stage chain
-  // (admit -> capture); handle_batch runs any batch stage-major and
-  // reclaims leftover buffers.
+  // handle_packet walks each delivered frame through the rx stage chain
+  // (admit -> capture).
   void handle_packet(int in_port, Packet pkt) override;
-  void handle_batch(pipeline::PacketBatch& batch);
   std::string name() const override { return name_; }
-
-  /// The assembled rx stage chain (differential harness access).
-  const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
-  pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
 
   /// TERM from the orchestrator: restores UDP ports on captured packets.
   void terminate();
@@ -89,7 +83,6 @@ class TrafficDumper : public Node {
   std::string name_;
   Options options_;
   pipeline::StageChain rx_pipeline_;
-  pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   std::unique_ptr<Port> port_;
   std::vector<Tick> core_busy_until_;
   std::vector<DumpedPacket> packets_;

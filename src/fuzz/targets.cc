@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "analyzers/counter_analyzer.h"
 #include "analyzers/retrans_perf.h"
-#include "dumper/dumper.h"
 #include "fuzz/scorers.h"
-#include "injector/switch.h"
-#include "net/node.h"
-#include "pipeline/packet_batch.h"
-#include "sim/simulator.h"
 #include "packet/icrc.h"
 #include "packet/roce_packet.h"
 #include "util/time.h"
@@ -213,7 +207,9 @@ CrcDifferentialOutcome run_crc_differential(std::uint64_t seed,
     const std::span<const std::uint8_t> data =
         std::span<const std::uint8_t>(backing).subspan(lead);
 
-    // (1) Slice-by-8 vs bit-at-a-time, random seed included.
+    // (1) The dispatched engine (CLMUL on spans of 64 B or more where the
+    // CPU has it, slice-by-8 otherwise) vs bit-at-a-time, random seed
+    // included.
     const std::uint32_t fast = crc32(data);
     if (fast != crc32_reference(data)) {
       record_mismatch(out, "crc32 != crc32_reference at len " +
@@ -352,286 +348,6 @@ FuzzTarget make_crc_differential_target(NicType nic) {
 
 namespace {
 
-/// Terminal node for the pipeline differential: collects every delivered
-/// frame's bytes so the two execution orders can be compared per egress.
-class PipelineSink : public Node {
- public:
-  explicit PipelineSink(Simulator* sim, std::string name)
-      : name_(std::move(name)), port_(sim, this, 0) {}
-  void handle_packet(int, Packet pkt) override {
-    frames.push_back(std::move(pkt.bytes));
-  }
-  std::string name() const override { return name_; }
-  Port& port() { return port_; }
-  std::vector<std::vector<std::uint8_t>> frames;
-
- private:
-  std::string name_;
-  Port port_;
-};
-
-/// One switch-under-test plus capture sinks on every egress. Both
-/// execution orders get an identical copy of this harness.
-struct SwitchHarness {
-  Simulator sim;
-  EventInjectorSwitch sw;
-  PipelineSink host;    ///< forward route target (port 1)
-  PipelineSink mirror;  ///< mirror pool member (port 2)
-
-  SwitchHarness(const EventInjectorSwitch::Options& options,
-                const FlowKey& flow)
-      : sw(&sim, 3, options),
-        host(&sim, "host"),
-        mirror(&sim, "mirror") {
-    connect(host.port(), sw.port(1), LinkParams{100.0, 10});
-    connect(mirror.port(), sw.port(2), LinkParams{100.0, 10});
-    sw.add_route(flow.dst_ip, 1);
-    sw.set_mirror_targets({{2, 1}});
-  }
-};
-
-void record_pipeline_mismatch(PipelineDifferentialOutcome& out, int iteration,
-                              const std::string& what) {
-  ++out.mismatches;
-  if (out.first_mismatch.empty()) {
-    out.first_mismatch =
-        "iteration " + std::to_string(iteration) + ": " + what;
-  }
-}
-
-/// Sorted multiset of an egress node's frame bytes: same-tick insertion
-/// order into the event kernel may legally differ between the execution
-/// orders, so delivery order within one tick is not part of the contract.
-std::vector<std::vector<std::uint8_t>> sorted_frames(
-    std::vector<std::vector<std::uint8_t>> frames) {
-  std::sort(frames.begin(), frames.end());
-  return frames;
-}
-
-}  // namespace
-
-PipelineDifferentialOutcome run_pipeline_differential(std::uint64_t seed,
-                                                      int iterations) {
-  Rng rng(seed);
-  PipelineDifferentialOutcome out;
-  const FlowKey flow{Ipv4Address::from_octets(10, 0, 0, 1),
-                     Ipv4Address::from_octets(10, 0, 0, 2), 0xea};
-  constexpr std::uint32_t kIpsn = 100;
-
-  for (int it = 0; it < iterations; ++it) {
-    ++out.iterations;
-
-    EventInjectorSwitch::Options options;
-    options.rng_seed = rng.next_u64() | 1;
-    options.enable_mirroring = rng.next_bool(0.8);
-    options.rewrite_mig_req = rng.next_bool(0.3);
-    options.enforce_drops = rng.next_bool(0.9);
-
-    SwitchHarness stage_major(options, flow);
-    SwitchHarness packet_major(options, flow);
-
-    // Identical random event rules over the single-packet vocabulary plus
-    // the burst-loss channel (pause storms / link flaps act on ports, not
-    // frames, and live in the scenario target instead).
-    static constexpr EventType kVocabulary[] = {
-        EventType::kDrop,    EventType::kEcn,       EventType::kCorrupt,
-        EventType::kDelay,   EventType::kReorder,   EventType::kDuplicate,
-        EventType::kBurstLoss,
-    };
-    const int num_rules = static_cast<int>(rng.next_below(5));
-    for (int r = 0; r < num_rules; ++r) {
-      EventRule rule;
-      rule.flow = flow;
-      rule.psn = kIpsn + static_cast<std::uint32_t>(rng.next_below(24));
-      rule.iter = 1 + static_cast<std::uint32_t>(rng.next_below(3));
-      rule.action = kVocabulary[rng.next_below(std::size(kVocabulary))];
-      if (rule.action == EventType::kDelay) {
-        rule.delay = rng.next_in(1, 2000);
-      }
-      if (rule.action == EventType::kBurstLoss) {
-        rule.fault.ge_p = 0.5;
-        rule.fault.ge_r = 0.3;
-        rule.fault.duration = 0;
-      }
-      stage_major.sw.install_rule(rule);
-      packet_major.sw.install_rule(rule);
-    }
-    stage_major.sw.register_flow(flow, kIpsn);
-    packet_major.sw.register_flow(flow, kIpsn);
-
-    // One random batch: mostly in-order data packets of the flow, with
-    // occasional PSN rewinds (retransmission rounds -> higher ITERs) and
-    // occasional ACKs (control packets skip the event table).
-    const std::size_t n =
-        1 + rng.next_below(pipeline::PacketBatch::kMaxSlots);
-    std::uint32_t psn = kIpsn;
-    std::vector<Packet> frames;
-    for (std::size_t j = 0; j < n; ++j) {
-      RocePacketSpec spec;
-      spec.src_ip = flow.src_ip;
-      spec.dst_ip = flow.dst_ip;
-      spec.dest_qpn = flow.dst_qpn;
-      spec.mig_req = rng.next_bool(0.7);
-      if (rng.next_bool(0.15)) {
-        spec.opcode = IbOpcode::kAcknowledge;
-        spec.aeth = Aeth{};
-        spec.psn = psn;
-      } else {
-        if (rng.next_bool(0.15) && psn > kIpsn) {
-          psn = kIpsn + static_cast<std::uint32_t>(
-                            rng.next_below(psn - kIpsn + 1));
-        }
-        spec.opcode = IbOpcode::kWriteOnly;
-        const std::uint32_t len =
-            static_cast<std::uint32_t>(rng.next_in(0, 1024));
-        spec.reth = Reth{0, 0, len};
-        spec.payload_len = len;
-        spec.psn = psn++;
-      }
-      frames.push_back(build_roce_packet(spec));
-    }
-
-    // Feed the identical batch both ways and drain both simulations.
-    pipeline::PacketBatch batch_a;
-    pipeline::PacketBatch batch_b;
-    for (const Packet& frame : frames) {
-      batch_a.push(frame, /*in_port=*/0, /*ingress_ts=*/0);
-      batch_b.push(frame, /*in_port=*/0, /*ingress_ts=*/0);
-    }
-    stage_major.sw.rx_pipeline().run(batch_a);
-    packet_major.sw.rx_pipeline().run_per_packet(batch_b);
-    batch_a.reclaim();
-    batch_b.reclaim();
-    stage_major.sim.run();
-    packet_major.sim.run();
-
-    // Every egress must carry the same frame-byte multiset.
-    if (sorted_frames(stage_major.host.frames) !=
-        sorted_frames(packet_major.host.frames)) {
-      record_pipeline_mismatch(out, it,
-                               "forwarded frames diverged between orders");
-    }
-    if (sorted_frames(stage_major.mirror.frames) !=
-        sorted_frames(packet_major.mirror.frames)) {
-      record_pipeline_mismatch(out, it,
-                               "mirrored frames diverged between orders");
-    }
-    const SwitchRoceCounters& ca = stage_major.sw.roce_counters();
-    const SwitchRoceCounters& cb = packet_major.sw.roce_counters();
-    if (ca.roce_rx != cb.roce_rx || ca.roce_tx != cb.roce_tx ||
-        ca.mirrored != cb.mirrored ||
-        ca.events_applied != cb.events_applied ||
-        ca.dropped_by_event != cb.dropped_by_event) {
-      record_pipeline_mismatch(out, it, "switch counters diverged");
-    }
-
-    // Dumper chain: admit -> capture, fed header-heavy frames with
-    // bunched ingress timestamps so ring overflow actually fires. The
-    // capture store preserves slot order under both execution orders, so
-    // here the comparison is the exact sequence, not a multiset.
-    TrafficDumper::Options dopt;
-    dopt.cores = 1 + static_cast<int>(rng.next_below(4));
-    dopt.ring_capacity = 1 + rng.next_below(8);
-    dopt.trim_bytes = 64 + rng.next_below(128);
-    Simulator dsim_a;
-    Simulator dsim_b;
-    TrafficDumper dumper_a(&dsim_a, "dumper-a", dopt);
-    TrafficDumper dumper_b(&dsim_b, "dumper-b", dopt);
-    pipeline::PacketBatch dbatch_a;
-    pipeline::PacketBatch dbatch_b;
-    const std::size_t m =
-        1 + rng.next_below(pipeline::PacketBatch::kMaxSlots);
-    Tick ts = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      RocePacketSpec spec;
-      spec.src_ip = flow.src_ip;
-      spec.dst_ip = flow.dst_ip;
-      spec.dest_qpn = flow.dst_qpn;
-      spec.src_udp_port =
-          static_cast<std::uint16_t>(49152 + rng.next_below(1024));
-      spec.psn = static_cast<std::uint32_t>(j);
-      spec.payload_len = static_cast<std::uint32_t>(rng.next_in(0, 512));
-      const Packet frame = build_roce_packet(spec);
-      ts += rng.next_in(0, 300);
-      dbatch_a.push(frame, /*in_port=*/0, ts);
-      dbatch_b.push(frame, /*in_port=*/0, ts);
-    }
-    dumper_a.rx_pipeline().run(dbatch_a);
-    dumper_b.rx_pipeline().run_per_packet(dbatch_b);
-    dbatch_a.reclaim();
-    dbatch_b.reclaim();
-    const DumperCounters& da = dumper_a.counters();
-    const DumperCounters& db = dumper_b.counters();
-    if (da.received != db.received || da.captured != db.captured ||
-        da.discarded != db.discarded) {
-      record_pipeline_mismatch(out, it, "dumper counters diverged");
-    }
-    if (dumper_a.packets().size() != dumper_b.packets().size()) {
-      record_pipeline_mismatch(out, it, "dumper capture counts diverged");
-    } else {
-      for (std::size_t j = 0; j < dumper_a.packets().size(); ++j) {
-        const DumpedPacket& pa = dumper_a.packets()[j];
-        const DumpedPacket& pb = dumper_b.packets()[j];
-        if (pa.pkt.bytes != pb.pkt.bytes || pa.orig_len != pb.orig_len ||
-            pa.captured_at != pb.captured_at) {
-          record_pipeline_mismatch(
-              out, it, "dumper capture " + std::to_string(j) + " diverged");
-          break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-FuzzTarget make_pipeline_differential_target(NicType nic) {
-  FuzzTarget target;
-  // Same shared-outcome construction as the crc-differential target: the
-  // batch runs in mutate() (which has the Rng), score()/is_anomaly() read
-  // the accumulated state.
-  auto state = std::make_shared<PipelineDifferentialOutcome>();
-
-  target.make_initial = [nic](Rng& rng) {
-    TestConfig cfg = base_config(nic);
-    cfg.traffic.verb = RdmaVerb::kWrite;
-    cfg.traffic.num_connections = 1;
-    cfg.traffic.num_msgs_per_qp = 1;
-    cfg.traffic.message_size = 4 * 1024;
-    // The carrier simulation keeps the full production path (injector ->
-    // rnic -> dumper batch pumps) in the loop with a real injected event.
-    cfg.traffic.data_pkt_events.push_back(DataPacketEvent{
-        1, static_cast<std::uint32_t>(rng.next_in(0, 3)),
-        EventType::kDrop, 1});
-    return cfg;
-  };
-
-  target.mutate = [state](TestConfig& cfg, Rng& rng) {
-    const PipelineDifferentialOutcome batch =
-        run_pipeline_differential(rng.next_u64(), 8);
-    state->iterations += batch.iterations;
-    if (batch.mismatches > 0 && state->first_mismatch.empty()) {
-      state->first_mismatch = batch.first_mismatch;
-    }
-    state->mismatches += batch.mismatches;
-    if (!cfg.traffic.data_pkt_events.empty()) {
-      cfg.traffic.data_pkt_events[0].psn =
-          static_cast<std::uint32_t>(rng.next_in(0, 3));
-    }
-  };
-
-  target.score = [state](const TestConfig&, const TestResult&) {
-    return static_cast<double>(state->mismatches);
-  };
-
-  target.is_anomaly = [state](const TestConfig&, const TestResult&) {
-    return state->mismatches > 0;
-  };
-
-  return target;
-}
-
-namespace {
-
 /// The full event vocabulary the scenario target mutates over (kNone is
 /// not a useful injection).
 constexpr EventType kScenarioVocabulary[] = {
@@ -763,9 +479,6 @@ std::optional<FuzzTarget> make_fuzz_target(const std::string& name,
   if (name == "noisy-neighbor") return make_noisy_neighbor_target(nic);
   if (name == "lossy-network") return make_lossy_network_target(nic);
   if (name == "crc-differential") return make_crc_differential_target(nic);
-  if (name == "pipeline-differential") {
-    return make_pipeline_differential_target(nic);
-  }
   if (name == "scenario") return make_scenario_target(nic, scenario_hosts);
   return std::nullopt;
 }

@@ -31,8 +31,9 @@ struct CrcDifferentialOutcome {
 
 /// Differentially checks the packet/icrc fast paths against the retained
 /// bit-at-a-time / pseudo-packet references (packet/icrc.h) on random
-/// buffers, split points, and alignments: slice-by-8 vs bitwise CRC,
-/// chained crc32_update segmentation, crc32_combine / crc32_zero_advance
+/// buffers, split points, and alignments: the dispatched CRC engine
+/// (CLMUL where available, else slice-by-8) vs bitwise CRC, chained
+/// crc32_update segmentation, crc32_combine / crc32_zero_advance
 /// identities, the copy-free compute_icrc vs the materializing reference,
 /// and the single-byte incremental-patch property set_mig_req relies on.
 /// A healthy implementation reports 0 mismatches for every seed.
@@ -44,35 +45,6 @@ CrcDifferentialOutcome run_crc_differential(std::uint64_t seed,
 /// verify_icrc path executes) and anomaly = any fast-vs-reference
 /// divergence. The `nic` only parameterizes the carrier simulation.
 FuzzTarget make_crc_differential_target(NicType nic);
-
-/// Outcome of a pipeline-differential batch (see
-/// run_pipeline_differential).
-struct PipelineDifferentialOutcome {
-  int iterations = 0;
-  int mismatches = 0;
-  /// Human-readable description of the first divergence, if any.
-  std::string first_mismatch;
-};
-
-/// Differentially checks the staged data plane (pipeline/stage.h) against
-/// the retained per-packet execution order on random batches: the event
-/// injector's five-stage rx chain (classify -> event-match -> transform ->
-/// mirror-tap -> emit, with random event rules over the single-packet
-/// vocabulary plus burst loss) and the dumper's admit -> capture chain.
-/// Each iteration feeds one random batch to two identical node instances —
-/// one stage-major (StageChain::run), one packet-major
-/// (StageChain::run_per_packet) — then byte-compares every emitted frame
-/// (per egress node, as sorted multisets: same-tick event-kernel insertion
-/// order may legally differ between the orders) and every data-plane
-/// counter. A healthy pipeline reports 0 mismatches for every seed.
-PipelineDifferentialOutcome run_pipeline_differential(std::uint64_t seed,
-                                                      int iterations);
-
-/// Wraps run_pipeline_differential as a fuzz target (same carrier-run
-/// construction as make_crc_differential_target): each fuzzer iteration
-/// runs a differential batch and anomaly = any stage-major vs packet-major
-/// divergence.
-FuzzTarget make_pipeline_differential_target(NicType nic);
 
 /// Scenario-explosion target: an n-host incast (hosts 1..n-1 drive Writes
 /// at host 0 through the event injector) whose mutation space spans the
@@ -88,8 +60,7 @@ FuzzTarget make_pipeline_differential_target(NicType nic);
 FuzzTarget make_scenario_target(NicType nic, int num_hosts = 4);
 
 /// Looks a canned target up by its campaign-YAML name
-/// ("noisy-neighbor" | "lossy-network" | "crc-differential" |
-/// "pipeline-differential" | "scenario").
+/// ("noisy-neighbor" | "lossy-network" | "crc-differential" | "scenario").
 /// Empty on unknown names. `scenario_hosts` parameterizes only the
 /// scenario target's topology width.
 std::optional<FuzzTarget> make_fuzz_target(const std::string& name,

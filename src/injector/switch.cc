@@ -7,48 +7,36 @@
 
 namespace lumina {
 
-// The injector's rx pipeline, decomposed from the pre-pipeline monolithic
-// handle_packet into five stages over a PacketBatch. Each stage sweeps the
-// batch's live slots in index order; all injector state (tables, trackers,
-// fault channels, mirror engine) stays on the switch and is touched in
-// slot order, so stage-major execution leaves every frame byte-identical
-// to the packet-major order (pipeline-differential fuzz target holds
-// this). The event kernel delivers single packets, so the production pump
-// always runs batches of one — the stage bodies concatenate to exactly
-// the former per-packet statement sequence.
+// The injector's rx pipeline: five stages that handle_packet walks each
+// delivered frame through, in order. All injector state (tables, trackers,
+// fault channels, mirror engine) stays on the switch.
 struct SwitchPipeline {
-  using PacketBatch = pipeline::PacketBatch;
+  using FrameMeta = pipeline::FrameMeta;
   using StageContract = pipeline::StageContract;
 
   /// Parse + RoCE classification. Non-RoCE frames L2-forward after the
-  /// base pipeline latency and leave the batch; RoCE frames get their
+  /// base pipeline latency and leave the chain; RoCE frames get their
   /// base latency and data/control discrimination recorded.
   class Classify : public pipeline::Stage {
    public:
     explicit Classify(EventInjectorSwitch& sw) : sw_(sw) {}
     const char* name() const override { return "classify"; }
-    StageContract contract() const override {
-      return {.provides_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.provides_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        Packet& pkt = batch.pkt(i);
-        const auto view = parse_roce(pkt);
-        if (!view) {
-          // Not RoCE-shaped: plain L2/L3 forward after base latency.
-          sw.sim_->schedule_after(sw.options_.l2_pipeline_latency,
-                                  [s = &sw, p = std::move(pkt)]() mutable {
-                                    s->forward(std::move(p));
-                                  });
-          batch.consume(i);
-          continue;
-        }
-        ++sw.counters_.roce_rx;
-        batch.meta(i).base_latency = sw.options_.l2_pipeline_latency;
-        batch.meta(i).is_data = is_data_opcode(view->bth.opcode);
+      const auto view = parse_roce(pkt);
+      if (!view) {
+        // Not RoCE-shaped: plain L2/L3 forward after base latency.
+        sw.sim_->schedule_after(sw.options_.l2_pipeline_latency,
+                                [s = &sw, p = std::move(pkt)]() mutable {
+                                  s->forward(std::move(p));
+                                });
+        return false;
       }
+      ++sw.counters_.roce_rx;
+      meta.base_latency = sw.options_.l2_pipeline_latency;
+      meta.is_data = is_data_opcode(view->bth.opcode);
+      return true;
     }
 
    private:
@@ -58,77 +46,72 @@ struct SwitchPipeline {
   /// Event-table match/action plus the stateful fault models: relative-
   /// rule discovery, ITER tracking, table match, fault activations, and
   /// the Gilbert–Elliott burst-channel verdict. Writes the matched event,
-  /// its delay, and the burst verdict into the slot metadata.
+  /// its delay, and the burst verdict into the frame metadata.
   class EventMatch : public pipeline::Stage {
    public:
     explicit EventMatch(EventInjectorSwitch& sw) : sw_(sw) {}
     const char* name() const override { return "event-match"; }
-    StageContract contract() const override {
-      return {.needs_view = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      if (!sw.options_.enable_event_injection) return;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        pipeline::SlotMeta& meta = batch.meta(i);
-        meta.base_latency += sw.options_.event_stage_latency;
-        // ITER tracking + event matching apply to data-carrying packets
-        // only (ACK/NACK/CNP are not injectable, §3.3 fn 2).
-        if (!meta.is_data) continue;
-        const auto view = parse_roce(batch.pkt(i));
-        const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
-        // Stateful-discovery ablation: the first packet of a new flow
-        // binds pending relative rules, taking its PSN as the IPSN.
-        if (!sw.relative_rules_.empty() &&
-            !sw.discovery_index_.contains(flow)) {
-          const int index = ++sw.discovered_;
-          sw.discovery_index_[flow] = index;
-          for (const auto& rel : sw.relative_rules_) {
-            if (rel.conn_index != index) continue;
-            EventRule rule;
-            rule.flow = flow;
-            rule.psn = psn_add(view->bth.psn,
-                               static_cast<std::int64_t>(rel.psn) - 1);
-            rule.iter = rel.iter;
-            rule.action = rel.action;
-            rule.delay = rel.delay;
-            rule.fault = rel.fault;
-            sw.table_.install(rule);
-          }
+      if (!sw.options_.enable_event_injection) return true;
+      meta.base_latency += sw.options_.event_stage_latency;
+      // ITER tracking + event matching apply to data-carrying packets
+      // only (ACK/NACK/CNP are not injectable, §3.3 fn 2).
+      if (!meta.is_data) return true;
+      const auto view = parse_roce(pkt);
+      const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
+      // Stateful-discovery ablation: the first packet of a new flow
+      // binds pending relative rules, taking its PSN as the IPSN.
+      if (!sw.relative_rules_.empty() &&
+          !sw.discovery_index_.contains(flow)) {
+        const int index = ++sw.discovered_;
+        sw.discovery_index_[flow] = index;
+        for (const auto& rel : sw.relative_rules_) {
+          if (rel.conn_index != index) continue;
+          EventRule rule;
+          rule.flow = flow;
+          rule.psn = psn_add(view->bth.psn,
+                             static_cast<std::int64_t>(rel.psn) - 1);
+          rule.iter = rel.iter;
+          rule.action = rel.action;
+          rule.delay = rel.delay;
+          rule.fault = rel.fault;
+          sw.table_.install(rule);
         }
-        const std::uint32_t iter = sw.iter_tracker_.observe(flow, view->bth.psn);
-        if (const auto action = sw.table_.match(flow, view->bth.psn, iter)) {
-          meta.event = action->type;
-          meta.event_delay = action->delay;
-          ++sw.counters_.events_applied;
-          telemetry::inc(sw.m_table_match_);
-          telemetry::trace_instant(sw.trace_, "injector", "event_applied",
-                                   meta.ingress_ts, telemetry::kTrackInjector,
-                                   view->bth.psn);
-          // Stateful fault activations: the matched packet arms the fault;
-          // its ongoing effects then compose with any further rules.
-          switch (meta.event) {
-            case EventType::kBurstLoss:
-              sw.start_burst_channel(flow, action->fault);
-              break;
-            case EventType::kPauseStorm:
-              sw.start_pause_storm(meta.in_port, action->fault);
-              break;
-            case EventType::kLinkFlap:
-              sw.apply_link_flap(view->dst_ip, action->fault);
-              break;
-            default:
-              break;
-          }
-        } else {
-          telemetry::inc(sw.m_table_miss_);
-        }
-        // An armed Gilbert–Elliott channel judges every data packet of its
-        // flow — including the one that just armed it (the channel starts
-        // in the Bad state, so the trigger is the burst's first casualty).
-        meta.burst_dropped = sw.burst_channel_drops(flow);
       }
+      const std::uint32_t iter = sw.iter_tracker_.observe(flow, view->bth.psn);
+      if (const auto action = sw.table_.match(flow, view->bth.psn, iter)) {
+        meta.event = action->type;
+        meta.event_delay = action->delay;
+        ++sw.counters_.events_applied;
+        telemetry::inc(sw.m_table_match_);
+        telemetry::trace_instant(sw.trace_, "injector", "event_applied",
+                                 meta.ingress_ts, telemetry::kTrackInjector,
+                                 view->bth.psn);
+        // Stateful fault activations: the matched packet arms the fault;
+        // its ongoing effects then compose with any further rules.
+        switch (meta.event) {
+          case EventType::kBurstLoss:
+            sw.start_burst_channel(flow, action->fault);
+            break;
+          case EventType::kPauseStorm:
+            sw.start_pause_storm(meta.in_port, action->fault);
+            break;
+          case EventType::kLinkFlap:
+            sw.apply_link_flap(view->dst_ip, action->fault);
+            break;
+          default:
+            break;
+        }
+      } else {
+        telemetry::inc(sw.m_table_miss_);
+      }
+      // An armed Gilbert–Elliott channel judges every data packet of its
+      // flow — including the one that just armed it (the channel starts
+      // in the Bad state, so the trigger is the burst's first casualty).
+      meta.burst_dropped = sw.burst_channel_drops(flow);
+      return true;
     }
 
    private:
@@ -141,30 +124,24 @@ struct SwitchPipeline {
    public:
     explicit Transform(EventInjectorSwitch& sw) : sw_(sw) {}
     const char* name() const override { return "transform"; }
-    StageContract contract() const override {
-      return {.needs_view = true, .mutates_bytes = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        Packet& pkt = batch.pkt(i);
-        const pipeline::SlotMeta& meta = batch.meta(i);
-        switch (meta.event) {
-          case EventType::kEcn:
-            set_ecn_ce(pkt);
-            break;
-          case EventType::kCorrupt:
-            corrupt_payload_bit(pkt);
-            break;
-          default:
-            break;
-        }
-        if (sw.options_.rewrite_mig_req && meta.is_data &&
-            !parse_roce(pkt)->bth.mig_req) {
-          set_mig_req(pkt, true);
-        }
+      switch (meta.event) {
+        case EventType::kEcn:
+          set_ecn_ce(pkt);
+          break;
+        case EventType::kCorrupt:
+          corrupt_payload_bit(pkt);
+          break;
+        default:
+          break;
       }
+      if (sw.options_.rewrite_mig_req && meta.is_data &&
+          !parse_roce(pkt)->bth.mig_req) {
+        set_mig_req(pkt, true);
+      }
+      return true;
     }
 
    private:
@@ -178,37 +155,32 @@ struct SwitchPipeline {
    public:
     explicit MirrorTap(EventInjectorSwitch& sw) : sw_(sw) {}
     const char* name() const override { return "mirror-tap"; }
-    StageContract contract() const override {
-      return {.needs_view = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      if (!sw.options_.enable_mirroring || !sw.mirror_.has_targets()) return;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        const pipeline::SlotMeta& meta = batch.meta(i);
-        const EventType mirror_event =
-            meta.burst_dropped && meta.event == EventType::kNone
-                ? EventType::kBurstLoss
-                : meta.event;
-        auto mirrored =
-            sw.mirror_.mirror(batch.pkt(i), mirror_event, meta.ingress_ts);
-        ++sw.counters_.mirrored;
-        // The mirror slot records ingress order, but a delayed packet
-        // reaches the receiver event_delay later — possibly behind its
-        // successors. Remember the release time by mirror seq so the trace
-        // can be replayed in receiver order (delay_releases() doc).
-        if (meta.event == EventType::kDelay && meta.event_delay > 0) {
-          sw.delay_releases_[sw.mirror_.mirrored_count() - 1] =
-              meta.ingress_ts + meta.event_delay;
-          ++sw.fault_stats_.delays_applied;
-        }
-        sw.sim_->schedule_after(meta.base_latency,
-                                [s = &sw, m = std::move(mirrored)]() mutable {
-                                  s->port(m.port_index)
-                                      .send(std::move(m.clone));
-                                });
+      if (!sw.options_.enable_mirroring || !sw.mirror_.has_targets()) {
+        return true;
       }
+      const EventType mirror_event =
+          meta.burst_dropped && meta.event == EventType::kNone
+              ? EventType::kBurstLoss
+              : meta.event;
+      auto mirrored = sw.mirror_.mirror(pkt, mirror_event, meta.ingress_ts);
+      ++sw.counters_.mirrored;
+      // The mirror slot records ingress order, but a delayed packet
+      // reaches the receiver event_delay later — possibly behind its
+      // successors. Remember the release time by mirror seq so the trace
+      // can be replayed in receiver order (delay_releases() doc).
+      if (meta.event == EventType::kDelay && meta.event_delay > 0) {
+        sw.delay_releases_[sw.mirror_.mirrored_count() - 1] =
+            meta.ingress_ts + meta.event_delay;
+        ++sw.fault_stats_.delays_applied;
+      }
+      sw.sim_->schedule_after(meta.base_latency,
+                              [s = &sw, m = std::move(mirrored)]() mutable {
+                                s->port(m.port_index).send(std::move(m.clone));
+                              });
+      return true;
     }
 
    private:
@@ -216,88 +188,76 @@ struct SwitchPipeline {
   };
 
   /// Egress disposition: drop enforcement, reorder holds, duplication,
-  /// and the L3 forward — every path that moves the frame out of the
-  /// batch and into the event kernel.
+  /// and the L3 forward — every path retires the frame.
   class Emit : public pipeline::Stage {
    public:
     explicit Emit(EventInjectorSwitch& sw) : sw_(sw) {}
     const char* name() const override { return "emit"; }
-    StageContract contract() const override {
-      return {.needs_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        Packet& pkt = batch.pkt(i);
-        const pipeline::SlotMeta& meta = batch.meta(i);
-        const auto view = parse_roce(pkt);
-        if (sw.options_.enable_event_injection) {
-          telemetry::observe(sw.m_added_latency_,
-                             sw.options_.event_stage_latency +
-                                 meta.event_delay);
-        }
+      const auto view = parse_roce(pkt);
+      if (sw.options_.enable_event_injection) {
+        telemetry::observe(sw.m_added_latency_,
+                           sw.options_.event_stage_latency + meta.event_delay);
+      }
 
-        if ((meta.event == EventType::kDrop || meta.burst_dropped) &&
-            sw.options_.enforce_drops) {
-          ++sw.counters_.dropped_by_event;
-          if (meta.burst_dropped) ++sw.fault_stats_.burst_loss_dropped;
-          telemetry::trace_instant(sw.trace_, "injector", "drop_enforced",
-                                   meta.ingress_ts, telemetry::kTrackInjector,
-                                   view->bth.psn);
-          batch.consume(i);
-          continue;
-        }
+      if ((meta.event == EventType::kDrop || meta.burst_dropped) &&
+          sw.options_.enforce_drops) {
+        ++sw.counters_.dropped_by_event;
+        if (meta.burst_dropped) ++sw.fault_stats_.burst_loss_dropped;
+        telemetry::trace_instant(sw.trace_, "injector", "drop_enforced",
+                                 meta.ingress_ts, telemetry::kTrackInjector,
+                                 view->bth.psn);
+        return false;
+      }
 
-        // §7 extension: hold the packet so it leaves AFTER its flow's next
-        // data packet (adjacent-pair reordering).
-        if (meta.event == EventType::kReorder && meta.is_data) {
-          const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
-          EventInjectorSwitch::ReorderSlot slot;
-          slot.pkt = std::move(pkt);
-          // Safety valve: flush if no successor shows up (tail packet).
-          slot.flush_event = sw.sim_->schedule_after(
-              sw.options_.reorder_flush_timeout,
-              [s = &sw, flow] { s->flush_reorder(flow); });
-          sw.reorder_slots_[flow] = std::move(slot);
-          batch.consume(i);
-          continue;
-        }
-
-        ++sw.counters_.roce_tx;
-        const Tick depart = meta.base_latency + meta.event_delay;
+      // §7 extension: hold the packet so it leaves AFTER its flow's next
+      // data packet (adjacent-pair reordering).
+      if (meta.event == EventType::kReorder && meta.is_data) {
         const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
-        // Duplication: a byte-identical clone chases the original one tick
-        // behind — the receiver sees the same PSN twice back to back.
-        if (meta.event == EventType::kDuplicate) {
-          Packet clone = pkt.clone_arena();
+        EventInjectorSwitch::ReorderSlot slot;
+        slot.pkt = std::move(pkt);
+        // Safety valve: flush if no successor shows up (tail packet).
+        slot.flush_event = sw.sim_->schedule_after(
+            sw.options_.reorder_flush_timeout,
+            [s = &sw, flow] { s->flush_reorder(flow); });
+        sw.reorder_slots_[flow] = std::move(slot);
+        return false;
+      }
+
+      ++sw.counters_.roce_tx;
+      const Tick depart = meta.base_latency + meta.event_delay;
+      const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
+      // Duplication: a byte-identical clone chases the original one tick
+      // behind — the receiver sees the same PSN twice back to back.
+      if (meta.event == EventType::kDuplicate) {
+        Packet clone = pkt.clone_arena();
+        ++sw.counters_.roce_tx;
+        ++sw.fault_stats_.duplicates_emitted;
+        sw.sim_->schedule_after(depart + 1,
+                                [s = &sw, p = std::move(clone)]() mutable {
+                                  s->forward(std::move(p));
+                                });
+      }
+      sw.sim_->schedule_after(depart, [s = &sw, p = std::move(pkt)]() mutable {
+        s->forward(std::move(p));
+      });
+      // A held (reordered) predecessor departs right behind this packet.
+      if (meta.is_data) {
+        if (const auto it = sw.reorder_slots_.find(flow);
+            it != sw.reorder_slots_.end()) {
+          sw.sim_->cancel(it->second.flush_event);
+          Packet held = std::move(it->second.pkt);
+          sw.reorder_slots_.erase(it);
           ++sw.counters_.roce_tx;
-          ++sw.fault_stats_.duplicates_emitted;
           sw.sim_->schedule_after(depart + 1,
-                                  [s = &sw, p = std::move(clone)]() mutable {
+                                  [s = &sw, p = std::move(held)]() mutable {
                                     s->forward(std::move(p));
                                   });
         }
-        sw.sim_->schedule_after(depart,
-                                [s = &sw, p = std::move(pkt)]() mutable {
-                                  s->forward(std::move(p));
-                                });
-        batch.consume(i);
-        // A held (reordered) predecessor departs right behind this packet.
-        if (meta.is_data) {
-          if (const auto it = sw.reorder_slots_.find(flow);
-              it != sw.reorder_slots_.end()) {
-            sw.sim_->cancel(it->second.flush_event);
-            Packet held = std::move(it->second.pkt);
-            sw.reorder_slots_.erase(it);
-            ++sw.counters_.roce_tx;
-            sw.sim_->schedule_after(depart + 1,
-                                    [s = &sw, p = std::move(held)]() mutable {
-                                      s->forward(std::move(p));
-                                    });
-          }
-        }
       }
+      return false;
     }
 
    private:
@@ -371,18 +331,13 @@ void EventInjectorSwitch::attach_telemetry(telemetry::Telemetry* t) {
 }
 
 void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
-  // The kernel hands over one packet per delivery: pump it through the
-  // stage chain as a single-slot batch.
-  rx_batch_.clear();
-  rx_batch_.push(std::move(pkt), in_port, sim_->now());
-  handle_batch(rx_batch_);
-}
-
-void EventInjectorSwitch::handle_batch(pipeline::PacketBatch& batch) {
-  rx_pipeline_.run(batch);
-  // Forward/mirror/reorder paths moved their frames onward (nothing left
-  // to do); enforced drops left their buffers behind — recycle them.
-  batch.reclaim();
+  // Forward/mirror/reorder paths move the frame onward (the guard then
+  // has nothing to do); an enforced drop leaves its buffer behind.
+  ScopedPacketReclaim reclaim(pkt);
+  pipeline::FrameMeta meta;
+  meta.in_port = in_port;
+  meta.ingress_ts = sim_->now();
+  rx_pipeline_.run(pkt, meta);
 }
 
 void EventInjectorSwitch::start_burst_channel(const FlowKey& flow,

@@ -148,20 +148,10 @@ class EventInjectorSwitch : public Node {
   }
 
   // -- data plane ----------------------------------------------------------
-  // The event kernel delivers one packet per call; handle_packet is a
-  // batch pump over a single-slot batch. handle_batch runs the declared
-  // stage chain stage-major over any batch (bench/pipeline_batch and the
-  // pipeline-differential fuzz target drive it with 1–64 slots) and
-  // reclaims the slots' leftover buffers.
+  // The event kernel delivers one packet per call; handle_packet walks it
+  // through the rx stage chain (SwitchPipeline).
   void handle_packet(int in_port, Packet pkt) override;
-  void handle_batch(pipeline::PacketBatch& batch);
   std::string name() const override { return "event-injector"; }
-
-  /// The assembled rx stage chain (classify -> event-match -> transform ->
-  /// mirror-tap -> emit). Exposed so the differential harnesses can run
-  /// the retained packet-major oracle against the same stages.
-  const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
-  pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
 
  private:
   friend struct SwitchPipeline;
@@ -189,7 +179,6 @@ class EventInjectorSwitch : public Node {
   Simulator* sim_;
   Options options_;
   pipeline::StageChain rx_pipeline_;
-  pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<Ipv4Address, int> routes_;
   EventTable table_;

@@ -13,8 +13,10 @@
 // reduction code path and makes the fold invariant directly testable:
 // at every point, slice8(0, acc_bytes ++ rest) == slice8(state, input).
 //
-// Differentially pinned against slice-by-8 by tests/unit/pipeline_test.cc
-// and the crc-differential fuzz target; equal results on every input.
+// Differentially pinned against slice-by-8 by the ClmulCrc tests in
+// tests/unit/packet_test.cc, and through the crc32_update dispatcher
+// against the bit-at-a-time reference by the crc-differential fuzz
+// target; equal results on every input.
 #include "packet/icrc.h"
 
 #if defined(__x86_64__) && !defined(LUMINA_DISABLE_CLMUL) && \

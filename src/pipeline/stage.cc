@@ -8,37 +8,12 @@ void StageChain::append(std::unique_ptr<Stage> stage) {
   const StageContract contract = stage->contract();
   if (contract.needs_view && !have_classifier_) {
     throw std::logic_error(std::string("stage '") + stage->name() +
-                           "' needs classified slots but no classifying "
+                           "' needs classified frames but no classifying "
                            "stage precedes it in: " +
                            describe());
   }
   have_classifier_ = have_classifier_ || contract.provides_view;
   stages_.push_back(std::move(stage));
-}
-
-void StageChain::run(PacketBatch& batch) const {
-  for (const auto& stage : stages_) {
-    stage->process(batch);
-  }
-}
-
-void StageChain::run_per_packet(PacketBatch& batch) const {
-  // Each slot gets a private single-slot window through the whole chain.
-  // The window borrows the frame and metadata and hands back whatever the
-  // chain left (including the consumed flag), so the outer batch ends in
-  // the same state run() would have produced slot-wise.
-  PacketBatch window;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!batch.live(i)) continue;
-    window.clear();
-    window.push(std::move(batch.pkt(i)), batch.meta(i));
-    for (const auto& stage : stages_) {
-      stage->process(window);
-    }
-    batch.pkt(i) = std::move(window.pkt(0));
-    batch.meta(i) = window.meta(0);
-    if (!window.live(0)) batch.consume(i);
-  }
 }
 
 std::string StageChain::describe() const {

@@ -2,43 +2,53 @@
 //
 // A Stage is one match/action step of a node's on-path processing —
 // classify, event match, transform, mirror tap, emit — with an explicit
-// ingress/egress contract. A StageChain assembles a node's stages in
-// order, validates the contracts at append time, and executes a
-// PacketBatch either stage-major (run(): each stage sweeps the whole
-// batch before the next starts) or packet-major (run_per_packet(): each
-// frame traverses the full chain alone — the pre-pipeline per-packet
-// semantics, retained as the differential oracle).
-//
-// Stages own no frames and no ordering: they read and write batch slots
-// in index order, keep their private state (iteration trackers, mirror
-// sequence numbers, fault channels) keyed off slot data, and retire slots
-// with consume(). Any stage state touched in slot order produces the same
-// per-frame bytes under both execution orders; the pipeline property test
-// (tests/unit/pipeline_test.cc) and the pipeline-differential fuzz target
-// hold that equivalence for every permutation-legal chain.
+// contract. A StageChain assembles a node's stages in order, validates
+// the contracts at append time, and walks each frame the event kernel
+// delivers through them. A stage that retires the frame (drops it, or
+// moves it onward into the event kernel or a capture store) returns
+// false and the walk stops there; the node's handle_packet holds a
+// ScopedPacketReclaim, so a buffer left behind is recycled exactly once.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "pipeline/packet_batch.h"
+#include "packet/roce_packet.h"
+#include "util/time.h"
 
 namespace lumina::pipeline {
 
-/// What a stage requires from the slots it receives and what it does to
-/// them. Checked when the stage is appended to a chain, so an ill-formed
-/// assembly fails at construction, not as silent garbage mid-run.
+/// Per-frame metadata. `in_port`/`ingress_ts` are stamped by the node's
+/// handle_packet; the rest is scratch a node's stages pass between one
+/// another (each node's chain documents which fields it uses). Scratch
+/// starts zeroed for every frame.
+struct FrameMeta {
+  int in_port = 0;
+  Tick ingress_ts = 0;
+
+  // Injector-switch scratch (classify -> match -> transform -> mirror ->
+  // emit).
+  Tick base_latency = 0;   ///< Pipeline latency accumulated so far.
+  Tick event_delay = 0;    ///< Injected hold from a matched delay event.
+  EventType event = EventType::kNone;
+  bool is_data = false;    ///< Data-carrying opcode (set by classify).
+  bool burst_dropped = false;  ///< Gilbert–Elliott channel verdict.
+
+  // Dumper scratch: RSS-selected capture core.
+  std::size_t core = 0;
+};
+
+/// What a stage requires from the frames it receives. Checked when the
+/// stage is appended to a chain, so an ill-formed assembly fails at
+/// construction, not as silent garbage mid-run.
 struct StageContract {
-  /// Requires slots to have been through a classifying stage (the parse
+  /// Requires frames to have been through a classifying stage (the parse
   /// view attempted and cached, data/control discriminated).
   bool needs_view = false;
-  /// Performs classification: parses frames and seeds slot metadata.
+  /// Performs classification: parses frames and seeds frame metadata.
   bool provides_view = false;
-  /// Rewrites frame bytes (transforms, metadata embedding).
-  bool mutates_bytes = false;
-  /// May retire slots (drops, or moving frames onward out of the batch).
-  bool may_consume = false;
 };
 
 class Stage {
@@ -48,29 +58,27 @@ class Stage {
   virtual const char* name() const = 0;
   virtual StageContract contract() const = 0;
 
-  /// Processes every live slot of `batch` in index order.
-  virtual void process(PacketBatch& batch) = 0;
+  /// Processes one frame. Returns false once the stage has retired it
+  /// (dropped, or moved onward); later stages then never see it.
+  virtual bool process(Packet& pkt, FrameMeta& meta) = 0;
 };
 
 class StageChain {
  public:
   /// Appends a stage, validating its contract against the chain so far.
-  /// Throws std::logic_error when a stage that needs classified slots is
+  /// Throws std::logic_error when a stage that needs classified frames is
   /// appended before any classifying stage.
   void append(std::unique_ptr<Stage> stage);
 
   std::size_t size() const { return stages_.size(); }
-  const Stage& stage(std::size_t i) const { return *stages_[i]; }
 
-  /// Stage-major execution: stage 0 sweeps all slots, then stage 1, ...
-  /// This is the order the node batch pumps run.
-  void run(PacketBatch& batch) const;
-
-  /// Packet-major execution: each slot traverses the whole chain in a
-  /// single-slot window before the next slot starts — byte-for-byte the
-  /// pre-pipeline per-packet data plane. Retained as the oracle the
-  /// stage-major order is differentially tested against.
-  void run_per_packet(PacketBatch& batch) const;
+  /// Walks the frame through the stages in order, stopping at the first
+  /// stage that retires it.
+  void run(Packet& pkt, FrameMeta& meta) const {
+    for (const auto& stage : stages_) {
+      if (!stage->process(pkt, meta)) return;
+    }
+  }
 
   /// "stage0 -> stage1 -> ..." (diagnostics, docs, test failure output).
   std::string describe() const;

@@ -21,13 +21,11 @@ std::uint64_t fnv1a(const std::string& s) {
 
 }  // namespace
 
-// The RNIC's rx pipeline, decomposed from the pre-pipeline monolithic
-// handle_packet into three stages over a PacketBatch (same construction
-// as SwitchPipeline in injector/switch.cc: the event kernel delivers one
-// packet per call, so the production pump runs single-slot batches and
-// the stage bodies concatenate to the former per-packet sequence).
+// The RNIC's rx pipeline: three stages that handle_packet walks each
+// delivered frame through (same construction as SwitchPipeline in
+// injector/switch.cc).
 struct RnicPipeline {
-  using PacketBatch = pipeline::PacketBatch;
+  using FrameMeta = pipeline::FrameMeta;
   using StageContract = pipeline::StageContract;
 
   /// MAC-layer admission: PFC pause handling, rx accounting, the
@@ -36,39 +34,28 @@ struct RnicPipeline {
    public:
     explicit RxClassify(Rnic& nic) : nic_(nic) {}
     const char* name() const override { return "rx-classify"; }
-    StageContract contract() const override {
-      return {.provides_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.provides_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       Rnic& nic = nic_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        Packet& pkt = batch.pkt(i);
-        // 802.1Qbb pause: MAC-layer flow control, honored ahead of the
-        // RoCE RX pipeline (and regardless of any pipeline stall). Kept
-        // out of the generic rx counters — real NICs account pause frames
-        // separately.
-        if (is_pfc_frame(pkt)) {
-          if (const auto frame = parse_pfc_frame(pkt)) {
-            nic.on_pause_frame(*frame);
-          }
-          batch.consume(i);
-          continue;
+      // 802.1Qbb pause: MAC-layer flow control, honored ahead of the
+      // RoCE RX pipeline (and regardless of any pipeline stall). Kept
+      // out of the generic rx counters — real NICs account pause frames
+      // separately.
+      if (is_pfc_frame(pkt)) {
+        if (const auto frame = parse_pfc_frame(pkt)) {
+          nic.on_pause_frame(*frame);
         }
-        ++nic.counters_.rx_packets;
-        nic.counters_.rx_bytes += pkt.size();
-
-        if (batch.meta(i).ingress_ts < nic.rx_stalled_until_) {
-          ++nic.counters_.rx_discards_phy;
-          batch.consume(i);
-          continue;
-        }
-
-        if (!parse_roce(pkt)) {
-          batch.consume(i);
-          continue;
-        }
+        return false;
       }
+      ++nic.counters_.rx_packets;
+      nic.counters_.rx_bytes += pkt.size();
+
+      if (meta.ingress_ts < nic.rx_stalled_until_) {
+        ++nic.counters_.rx_discards_phy;
+        return false;
+      }
+
+      return parse_roce(pkt).has_value();
     }
 
    private:
@@ -80,18 +67,14 @@ struct RnicPipeline {
    public:
     explicit IcrcVerify(Rnic& nic) : nic_(nic) {}
     const char* name() const override { return "icrc-verify"; }
-    StageContract contract() const override {
-      return {.needs_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta&) override {
       Rnic& nic = nic_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        if (!verify_icrc(batch.pkt(i))) {
-          ++nic.counters_.icrc_error_packets;
-          batch.consume(i);
-        }
+      if (!verify_icrc(pkt)) {
+        ++nic.counters_.icrc_error_packets;
+        return false;
       }
+      return true;
     }
 
    private:
@@ -101,89 +84,85 @@ struct RnicPipeline {
   /// QP lookup, the APM MigReq=0 slow path, the DCQCN notification point,
   /// and the delayed dispatch into the QP state machines. The dispatch
   /// captures a boxed copy of the parse view, not the frame bytes, so the
-  /// slot's buffer stays behind for the pump to recycle.
+  /// frame's buffer stays behind for handle_packet to recycle. Retires
+  /// every frame.
   class RxDispatch : public pipeline::Stage {
    public:
     explicit RxDispatch(Rnic& nic) : nic_(nic) {}
     const char* name() const override { return "rx-dispatch"; }
-    StageContract contract() const override {
-      return {.needs_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
+    StageContract contract() const override { return {.needs_view = true}; }
+    bool process(Packet& pkt, FrameMeta& meta) override {
       Rnic& nic = nic_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        const Tick now = batch.meta(i).ingress_ts;
-        const auto view = parse_roce(batch.pkt(i));
-        batch.consume(i);
+      const Tick now = meta.ingress_ts;
+      const auto view = parse_roce(pkt);
 
-        QueuePair* qp = nic.find_qp(view->bth.dest_qpn);
-        if (qp == nullptr) continue;
+      QueuePair* qp = nic.find_qp(view->bth.dest_qpn);
+      if (qp == nullptr) return false;
 
-        Tick delay = nic.profile_.rx_pipeline_delay;
+      Tick delay = nic.profile_.rx_pipeline_delay;
 
-        // §6.2.3: APM reconciliation slow path — data packets carrying
-        // MigReq=0 for a not-yet-reconciled QP pass through a shared
-        // service queue with finite capacity; overflow shows up as
-        // rx_discards_phy.
-        if (nic.profile_.apm_slow_path_on_mig_req0 &&
-            is_data_opcode(view->bth.opcode) && !view->bth.mig_req &&
-            !qp->apm_reconciled()) {
-          const Tick service = nic.profile_.apm_slow_path_service;
-          const std::size_t backlog =
-              nic.apm_busy_until_ > now
-                  ? static_cast<std::size_t>((nic.apm_busy_until_ - now) /
-                                             service)
-                  : 0;
-          if (backlog >= nic.profile_.apm_slow_path_queue_pkts) {
-            nic.apm_shedding_ = true;
-          } else if (nic.apm_shedding_ && backlog == 0) {
-            nic.apm_shedding_ = false;  // resume only once fully drained
-          }
-          if (nic.apm_shedding_) {
-            ++nic.counters_.rx_discards_phy;
-            continue;
-          }
-          const Tick start = std::max(now, nic.apm_busy_until_);
-          nic.apm_busy_until_ = start + service;
-          delay = (nic.apm_busy_until_ - now) + nic.profile_.rx_pipeline_delay;
+      // §6.2.3: APM reconciliation slow path — data packets carrying
+      // MigReq=0 for a not-yet-reconciled QP pass through a shared
+      // service queue with finite capacity; overflow shows up as
+      // rx_discards_phy.
+      if (nic.profile_.apm_slow_path_on_mig_req0 &&
+          is_data_opcode(view->bth.opcode) && !view->bth.mig_req &&
+          !qp->apm_reconciled()) {
+        const Tick service = nic.profile_.apm_slow_path_service;
+        const std::size_t backlog =
+            nic.apm_busy_until_ > now
+                ? static_cast<std::size_t>((nic.apm_busy_until_ - now) /
+                                           service)
+                : 0;
+        if (backlog >= nic.profile_.apm_slow_path_queue_pkts) {
+          nic.apm_shedding_ = true;
+        } else if (nic.apm_shedding_ && backlog == 0) {
+          nic.apm_shedding_ = false;  // resume only once fully drained
         }
-
-        // DCQCN notification point.
-        if (is_data_opcode(view->bth.opcode) && view->ecn_ce() &&
-            nic.roce_.dcqcn_np_enable) {
-          ++nic.counters_.np_ecn_marked_roce_packets;
-          nic.maybe_send_cnp(*qp);
+        if (nic.apm_shedding_) {
+          ++nic.counters_.rx_discards_phy;
+          return false;
         }
-
-        // Box the parsed view (too big for the inline callback buffer),
-        // drawing from the recycled pool; unfired callbacks free the box
-        // via unique_ptr.
-        std::unique_ptr<RoceView> boxed;
-        if (!nic.view_pool_.empty()) {
-          boxed = std::move(nic.view_pool_.back());
-          nic.view_pool_.pop_back();
-          *boxed = *view;
-        } else {
-          boxed = std::make_unique<RoceView>(*view);
-        }
-        nic.sim_->schedule_after(
-            delay, [n = &nic, vb = std::move(boxed), qp]() mutable {
-              const RoceView& v = *vb;
-              if (v.bth.opcode == IbOpcode::kCnp) {
-                qp->on_cnp();
-              } else if (v.bth.opcode == IbOpcode::kAcknowledge) {
-                qp->on_ack_packet(v);
-              } else if (v.bth.opcode == IbOpcode::kAtomicAck) {
-                qp->on_atomic_ack(v);
-              } else if (is_read_response(v.bth.opcode)) {
-                qp->on_read_response_packet(v);
-              } else {
-                qp->on_request_packet(v);
-              }
-              n->view_pool_.push_back(std::move(vb));
-            });
+        const Tick start = std::max(now, nic.apm_busy_until_);
+        nic.apm_busy_until_ = start + service;
+        delay = (nic.apm_busy_until_ - now) + nic.profile_.rx_pipeline_delay;
       }
+
+      // DCQCN notification point.
+      if (is_data_opcode(view->bth.opcode) && view->ecn_ce() &&
+          nic.roce_.dcqcn_np_enable) {
+        ++nic.counters_.np_ecn_marked_roce_packets;
+        nic.maybe_send_cnp(*qp);
+      }
+
+      // Box the parsed view (too big for the inline callback buffer),
+      // drawing from the recycled pool; unfired callbacks free the box
+      // via unique_ptr.
+      std::unique_ptr<RoceView> boxed;
+      if (!nic.view_pool_.empty()) {
+        boxed = std::move(nic.view_pool_.back());
+        nic.view_pool_.pop_back();
+        *boxed = *view;
+      } else {
+        boxed = std::make_unique<RoceView>(*view);
+      }
+      nic.sim_->schedule_after(
+          delay, [n = &nic, vb = std::move(boxed), qp]() mutable {
+            const RoceView& v = *vb;
+            if (v.bth.opcode == IbOpcode::kCnp) {
+              qp->on_cnp();
+            } else if (v.bth.opcode == IbOpcode::kAcknowledge) {
+              qp->on_ack_packet(v);
+            } else if (v.bth.opcode == IbOpcode::kAtomicAck) {
+              qp->on_atomic_ack(v);
+            } else if (is_read_response(v.bth.opcode)) {
+              qp->on_read_response_packet(v);
+            } else {
+              qp->on_request_packet(v);
+            }
+            n->view_pool_.push_back(std::move(vb));
+          });
+      return false;
     }
 
    private:
@@ -413,17 +392,13 @@ void Rnic::read_slow_path_end() {
 // ---------------------------------------------------------------------------
 
 void Rnic::handle_packet(int in_port, Packet pkt) {
-  (void)in_port;
-  rx_batch_.clear();
-  rx_batch_.push(std::move(pkt), in_port, sim_->now());
-  handle_batch(rx_batch_);
-}
-
-void Rnic::handle_batch(pipeline::PacketBatch& batch) {
-  rx_pipeline_.run(batch);
-  // Every stage leaves the frame bytes in the slot (dispatch captures a
-  // parsed copy): recycle all of them.
-  batch.reclaim();
+  // Every stage leaves the frame bytes in place (dispatch captures a
+  // parsed copy), so every exit path recycles the buffer here.
+  ScopedPacketReclaim reclaim(pkt);
+  pipeline::FrameMeta meta;
+  meta.in_port = in_port;
+  meta.ingress_ts = sim_->now();
+  rx_pipeline_.run(pkt, meta);
 }
 
 void Rnic::on_pause_frame(const PfcFrame& frame) {

@@ -148,16 +148,10 @@ class Rnic : public Node {
   const RnicTelemetryHooks& tele() const { return tele_; }
 
   // -- Node -------------------------------------------------------------------
-  // handle_packet is a single-slot batch pump over the rx stage chain
-  // (rx-classify -> icrc-verify -> rx-dispatch); handle_batch runs any
-  // batch stage-major and reclaims leftover buffers.
+  // handle_packet walks each delivered frame through the rx stage chain
+  // (rx-classify -> icrc-verify -> rx-dispatch).
   void handle_packet(int in_port, Packet pkt) override;
-  void handle_batch(pipeline::PacketBatch& batch);
   std::string name() const override { return name_; }
-
-  /// The assembled rx stage chain (differential harness access).
-  const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
-  pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
 
  private:
   friend struct RnicPipeline;
@@ -172,7 +166,6 @@ class Rnic : public Node {
     std::size_t tombstones = 0;
   };
 
-  void process_packet(Packet pkt, const RoceView& view);
   void pump();
   void schedule_pump(Tick when);
   void compact_tc(TcState& tc);
@@ -182,7 +175,6 @@ class Rnic : public Node {
   Simulator* sim_;
   std::string name_;
   pipeline::StageChain rx_pipeline_;
-  pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   DeviceProfile profile_;
   RoceParameters roce_;
   MacAddress mac_;

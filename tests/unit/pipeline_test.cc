@@ -1,20 +1,13 @@
 // Unit tests for the composable data-plane pipeline (src/pipeline): the
-// stage-chain contract validation, the permutation property (every
-// permutation-legal chain produces frame-for-frame identical output under
-// stage-major and packet-major execution), and the CLMUL-vs-slice-by-8
-// CRC32 differential (gated on runtime CPU-feature detection).
+// stage-chain contract validation and the per-frame walk, which stops at
+// the stage that retires a frame.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "packet/icrc.h"
 #include "pipeline/stage.h"
 #include "util/random.h"
 
@@ -23,50 +16,42 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Synthetic stages. Each follows the stage discipline the production
-// chains rely on: deterministic bodies, private state touched in slot
-// order only, per-stage logs so internal state transitions can be
-// compared across execution orders.
+// chains rely on: deterministic bodies and per-stage logs of what the
+// stage saw, so a test can tell which frames reached which stage.
 // ---------------------------------------------------------------------------
 
-/// Classifier: seeds slot metadata from the frame bytes and marks frames
+/// Classifier: seeds frame metadata from the frame bytes and marks frames
 /// with a nonzero lead byte as "data".
 class Tag : public Stage {
  public:
   explicit Tag(std::vector<std::uint64_t>& log) : log_(log) {}
   const char* name() const override { return "tag"; }
   StageContract contract() const override { return {.provides_view = true}; }
-  void process(PacketBatch& batch) override {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!batch.live(i)) continue;
-      const Packet& pkt = batch.pkt(i);
-      batch.meta(i).is_data = !pkt.bytes.empty() && pkt.bytes[0] != 0;
-      log_.push_back(pkt.size());
-    }
+  bool process(Packet& pkt, FrameMeta& meta) override {
+    meta.is_data = !pkt.bytes.empty() && pkt.bytes[0] != 0;
+    log_.push_back(pkt.size());
+    return true;
   }
 
  private:
   std::vector<std::uint64_t>& log_;
 };
 
-/// Byte transform with slot-order internal state: XORs every frame byte
-/// with a rolling key that advances once per live slot.
+/// Byte transform with internal state: XORs every frame byte with a
+/// rolling key that advances once per frame.
 class Scramble : public Stage {
  public:
   explicit Scramble(std::vector<std::uint64_t>& log) : log_(log) {}
   const char* name() const override { return "scramble"; }
-  StageContract contract() const override {
-    return {.needs_view = true, .mutates_bytes = true};
-  }
-  void process(PacketBatch& batch) override {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!batch.live(i)) continue;
-      key_ = key_ * 0x9e3779b97f4a7c15ULL + 1;
-      for (auto& b : batch.pkt(i).bytes) {
-        b ^= static_cast<std::uint8_t>(key_);
-      }
-      batch.pkt(i).invalidate_view();
-      log_.push_back(key_);
+  StageContract contract() const override { return {.needs_view = true}; }
+  bool process(Packet& pkt, FrameMeta&) override {
+    key_ = key_ * 0x9e3779b97f4a7c15ULL + 1;
+    for (auto& b : pkt.bytes) {
+      b ^= static_cast<std::uint8_t>(key_);
     }
+    pkt.invalidate_view();
+    log_.push_back(key_);
+    return true;
   }
 
  private:
@@ -74,23 +59,17 @@ class Scramble : public Stage {
   std::vector<std::uint64_t>& log_;
 };
 
-/// Consuming stage with slot-order internal state: retires every third
-/// live slot it sweeps (across batches, like a fault channel would).
+/// Retiring stage with internal state: retires every third frame it sees
+/// (across calls, like a fault channel would).
 class Cull : public Stage {
  public:
   explicit Cull(std::vector<std::uint64_t>& log) : log_(log) {}
   const char* name() const override { return "cull"; }
-  StageContract contract() const override {
-    return {.needs_view = true, .may_consume = true};
-  }
-  void process(PacketBatch& batch) override {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!batch.live(i)) continue;
-      if (++seen_ % 3 == 0) {
-        batch.consume(i);
-        log_.push_back(seen_);
-      }
-    }
+  StageContract contract() const override { return {.needs_view = true}; }
+  bool process(Packet&, FrameMeta&) override {
+    if (++seen_ % 3 != 0) return true;
+    log_.push_back(seen_);
+    return false;
   }
 
  private:
@@ -98,67 +77,29 @@ class Cull : public Stage {
   std::vector<std::uint64_t>& log_;
 };
 
-/// Pure observer: accumulates a checksum of every live frame.
+/// Pure observer: logs the size of every frame it sees.
 class Observe : public Stage {
  public:
   explicit Observe(std::vector<std::uint64_t>& log) : log_(log) {}
   const char* name() const override { return "observe"; }
   StageContract contract() const override { return {.needs_view = true}; }
-  void process(PacketBatch& batch) override {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!batch.live(i)) continue;
-      // Checksum over frame bytes only: the slot index is an execution
-      // artifact (the packet-major window renumbers slots), never state.
-      const auto& bytes = batch.pkt(i).bytes;
-      log_.push_back(std::accumulate(bytes.begin(), bytes.end(),
-                                     std::uint64_t{0}));
-    }
+  bool process(Packet& pkt, FrameMeta&) override {
+    log_.push_back(pkt.size());
+    return true;
   }
 
  private:
   std::vector<std::uint64_t>& log_;
 };
 
-constexpr std::size_t kNumStages = 4;
-
-/// Builds stage `index` writing into `log`. Index 0 is the classifier.
-std::unique_ptr<Stage> make_stage(std::size_t index,
-                                  std::vector<std::uint64_t>& log) {
-  switch (index) {
-    case 0: return std::make_unique<Tag>(log);
-    case 1: return std::make_unique<Scramble>(log);
-    case 2: return std::make_unique<Cull>(log);
-    default: return std::make_unique<Observe>(log);
+/// Deterministic frame with a random size and contents.
+Packet random_frame(Rng& rng) {
+  Packet pkt;
+  pkt.bytes.resize(rng.next_below(256));
+  for (auto& b : pkt.bytes) {
+    b = static_cast<std::uint8_t>(rng.next_below(256));
   }
-}
-
-/// A chain assembled from a stage-index permutation plus its per-stage
-/// logs (one vector per stage, in permutation order).
-struct ChainUnderTest {
-  StageChain chain;
-  std::array<std::vector<std::uint64_t>, kNumStages> logs;
-
-  /// Throws std::logic_error for permutation orders the contract
-  /// validation rejects (a needs_view stage before the classifier).
-  explicit ChainUnderTest(const std::array<std::size_t, kNumStages>& order) {
-    for (std::size_t p = 0; p < kNumStages; ++p) {
-      chain.append(make_stage(order[p], logs[p]));
-    }
-  }
-};
-
-/// Deterministic batch of `n` frames with varied sizes and contents.
-void seed_batch(PacketBatch& batch, std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  for (std::size_t j = 0; j < n; ++j) {
-    Packet pkt;
-    pkt.bytes.resize(rng.next_below(256));
-    for (auto& b : pkt.bytes) {
-      b = static_cast<std::uint8_t>(rng.next_below(256));
-    }
-    batch.push(std::move(pkt), static_cast<int>(j % 3),
-               static_cast<Tick>(j * 100));
-  }
+  return pkt;
 }
 
 // ---------------------------------------------------------------------------
@@ -185,66 +126,10 @@ TEST(StageChainContract, DescribeNamesStagesInOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Permutation property: for EVERY permutation-legal chain, stage-major
-// run() and the packet-major oracle run_per_packet() leave the batch —
-// frames, liveness, metadata — and every stage's internal state
-// byte-identical.
+// The per-frame walk
 // ---------------------------------------------------------------------------
 
-TEST(StageChainProperty, EveryLegalPermutationMatchesPerPacketOracle) {
-  std::array<std::size_t, kNumStages> order{0, 1, 2, 3};
-  std::sort(order.begin(), order.end());
-  int legal = 0;
-  int illegal = 0;
-  do {
-    // Legality: the classifier (stage 0) must come first, because every
-    // other synthetic stage declares needs_view. The chain must agree.
-    const bool expect_legal = order[0] == 0;
-    if (!expect_legal) {
-      EXPECT_THROW(ChainUnderTest{order}, std::logic_error);
-      ++illegal;
-      continue;
-    }
-    ++legal;
-    ChainUnderTest stage_major(order);
-    ChainUnderTest packet_major(order);
-
-    for (const std::size_t n : {std::size_t{1}, std::size_t{4},
-                                std::size_t{16}, PacketBatch::kMaxSlots}) {
-      PacketBatch a;
-      PacketBatch b;
-      seed_batch(a, n, 0x5eed + n);
-      seed_batch(b, n, 0x5eed + n);
-
-      stage_major.chain.run(a);
-      packet_major.chain.run_per_packet(b);
-
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.live(i), b.live(i))
-            << stage_major.chain.describe() << " slot " << i;
-        EXPECT_EQ(a.pkt(i).bytes, b.pkt(i).bytes)
-            << stage_major.chain.describe() << " slot " << i;
-        EXPECT_EQ(a.meta(i).is_data, b.meta(i).is_data)
-            << stage_major.chain.describe() << " slot " << i;
-        EXPECT_EQ(a.meta(i).in_port, b.meta(i).in_port);
-        EXPECT_EQ(a.meta(i).ingress_ts, b.meta(i).ingress_ts);
-      }
-      a.reclaim();
-      b.reclaim();
-    }
-    // Per-stage state transitions happened in the same order with the
-    // same values (the cross-stage interleaving differs, by design).
-    for (std::size_t p = 0; p < kNumStages; ++p) {
-      EXPECT_EQ(stage_major.logs[p], packet_major.logs[p])
-          << stage_major.chain.describe() << " stage " << p;
-    }
-  } while (std::next_permutation(order.begin(), order.end()));
-  EXPECT_EQ(legal, 6);
-  EXPECT_EQ(illegal, 18);
-}
-
-TEST(StageChainProperty, ConsumedSlotsSkipLaterStages) {
+TEST(StageChainWalk, RetiredFramesSkipLaterStages) {
   std::vector<std::uint64_t> tag_log;
   std::vector<std::uint64_t> cull_log;
   std::vector<std::uint64_t> observe_log;
@@ -253,62 +138,19 @@ TEST(StageChainProperty, ConsumedSlotsSkipLaterStages) {
   chain.append(std::make_unique<Cull>(cull_log));
   chain.append(std::make_unique<Observe>(observe_log));
 
-  PacketBatch batch;
-  seed_batch(batch, 9, 0xfeed);
-  chain.run(batch);
-  // Cull retires every third live slot; Observe sees only the survivors.
-  EXPECT_EQ(cull_log.size(), 3u);
+  Rng rng(0xfeed);
+  for (int j = 0; j < 9; ++j) {
+    Packet pkt = random_frame(rng);
+    FrameMeta meta;
+    meta.in_port = j % 3;
+    meta.ingress_ts = static_cast<Tick>(j * 100);
+    chain.run(pkt, meta);
+  }
+  // Every frame reaches the classifier; Cull retires every third one, and
+  // Observe sees only the survivors.
+  EXPECT_EQ(tag_log.size(), 9u);
+  EXPECT_EQ(cull_log, (std::vector<std::uint64_t>{3, 6, 9}));
   EXPECT_EQ(observe_log.size(), 6u);
-  batch.reclaim();
-}
-
-// ---------------------------------------------------------------------------
-// CLMUL-vs-slice-by-8 differential (satellite of the batch pipeline: the
-// folded iCRC engine must be observationally invisible too). Gated on
-// runtime CPU-feature detection — on hardware without PCLMULQDQ the
-// engine reports unsupported and these tests reduce to the fallback
-// identity.
-// ---------------------------------------------------------------------------
-
-TEST(ClmulCrc, MatchesSliceBy8AcrossLengthsAndAlignments) {
-  Rng rng(0xc1c);
-  // Lengths bracket the dispatch threshold and the 64 B fold block:
-  // sub-16 (fallback), 16..63 (single-lane region), 64/65/127/128/129
-  // (fold boundaries), and jumbo-frame-ish tails.
-  const std::size_t lengths[] = {0,  1,  15,  16,  17,  63,   64,  65,
-                                 96, 127, 128, 129, 256, 1023, 1500, 4096};
-  for (const std::size_t len : lengths) {
-    for (std::size_t lead = 0; lead < 8; ++lead) {
-      std::vector<std::uint8_t> backing(lead + len);
-      for (auto& b : backing) {
-        b = static_cast<std::uint8_t>(rng.next_below(256));
-      }
-      const auto data =
-          std::span<const std::uint8_t>(backing).subspan(lead);
-      const std::uint32_t seed =
-          static_cast<std::uint32_t>(rng.next_u64());
-      EXPECT_EQ(crc32_update_clmul(seed, data),
-                crc32_update_slice8(seed, data))
-          << "len " << len << " lead " << lead;
-      EXPECT_EQ(crc32_update(seed, data), crc32_update_slice8(seed, data))
-          << "dispatcher, len " << len << " lead " << lead;
-    }
-  }
-}
-
-TEST(ClmulCrc, SupportedEngineIsExercisedWhenCpuHasIt) {
-  // On PCLMULQDQ hardware the differential above must have exercised the
-  // folded engine (not just the fallback); record which path ran so a CI
-  // log shows whether the fast path was covered.
-  if (!crc32_clmul_supported()) {
-    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1 (or build disabled CLMUL); "
-                    "fallback identity covered above";
-  }
-  std::vector<std::uint8_t> data(512);
-  Rng rng(7);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
-  EXPECT_EQ(crc32_update_clmul(kCrcInit, data),
-            crc32_update_slice8(kCrcInit, data));
 }
 
 }  // namespace
