@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   PcapWriter writer;
   if (writer.open("lumina_trace.pcap")) {
     for (const auto& p : result.trace) {
-      writer.write(p.pkt, p.time(), p.orig_len);
+      writer.write(p.pkt.bytes, p.time(), p.orig_len);
     }
     std::printf("wrote %zu packets to lumina_trace.pcap\n",
                 writer.packets_written());

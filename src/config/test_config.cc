@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <set>
 
 namespace lumina {
@@ -12,6 +13,17 @@ EventType parse_event_type_or_throw(const std::string& text) {
   const auto parsed = parse_event_type(text);
   if (!parsed) throw YamlError("unknown event type: " + text);
   return *parsed;
+}
+
+/// A traffic `mtu` value, from the config or a sweep. The RNIC divides a
+/// message into mtu-sized packets, so 0 (or a value that wraps to 0 as a
+/// uint32) must never load.
+std::uint32_t checked_mtu(std::int64_t mtu) {
+  if (mtu < 1 || mtu > std::numeric_limits<std::uint32_t>::max()) {
+    throw YamlError("mtu must be in [1, 4294967295], got " +
+                    std::to_string(mtu));
+  }
+  return static_cast<std::uint32_t>(mtu);
 }
 
 }  // namespace
@@ -190,7 +202,7 @@ TrafficConfig load_traffic_config(const YamlNode& node) {
     cfg.verb = *parsed;
   }
   cfg.num_msgs_per_qp = static_cast<int>(node["num-msgs-per-qp"].as_int_or(1));
-  cfg.mtu = static_cast<std::uint32_t>(node["mtu"].as_int_or(1024));
+  cfg.mtu = checked_mtu(node["mtu"].as_int_or(1024));
   cfg.message_size =
       static_cast<std::uint64_t>(node["message-size"].as_int_or(10240));
   cfg.multi_gid = node["multi-gid"].as_bool_or(false);
@@ -241,7 +253,14 @@ int resolve_host_index(const std::vector<HostConfig>& hosts,
   if (text.empty()) throw YamlError(std::string("connection missing ") + key);
   if (std::all_of(text.begin(), text.end(),
                   [](unsigned char c) { return std::isdigit(c) != 0; })) {
-    return std::stoi(text);
+    int index = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, index);
+    if (ec != std::errc{} || ptr != end) {
+      throw YamlError(std::string("connection ") + key +
+                      " host index out of range: " + text);
+    }
+    return index;
   }
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     const std::string& name =
@@ -454,7 +473,7 @@ void apply_traffic_override(TestConfig& cfg, const std::string& key,
   } else if (key == "message-size") {
     t.message_size = static_cast<std::uint64_t>(value.as_int());
   } else if (key == "mtu") {
-    t.mtu = static_cast<std::uint32_t>(value.as_int());
+    t.mtu = checked_mtu(value.as_int());
   } else if (key == "tx-depth") {
     t.tx_depth = static_cast<int>(value.as_int());
   } else if (key == "min-retransmit-timeout") {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "packet/bytes.h"
 #include "packet/packet_arena.h"
 #include "packet/pcap_writer.h"
 
@@ -63,9 +64,10 @@ struct DumperPipeline {
     TrafficDumper& dumper_;
   };
 
-  /// Trim + store: copies the trimmed headers straight into a new capture
-  /// store entry (or moves small frames whole) along with the embedded
-  /// mirror metadata. Retires every frame.
+  /// Trim + store: appends the first trim_bytes of the frame to the
+  /// capture slab and a record carrying the embedded mirror metadata and
+  /// the trimmed parse view. Retires every frame; its wire buffer stays
+  /// behind for the node's guard to recycle.
   class Capture : public pipeline::Stage {
    public:
     explicit Capture(TrafficDumper& dumper) : dumper_(dumper) {}
@@ -73,20 +75,26 @@ struct DumperPipeline {
     StageContract contract() const override { return {.needs_view = true}; }
     bool process(Packet& pkt, FrameMeta& meta) override {
       TrafficDumper& d = dumper_;
-      DumpedPacket& dumped = d.packets_.emplace_back();
-      dumped.orig_len = pkt.size();
-      dumped.captured_at = meta.ingress_ts;
-      dumped.meta = extract_mirror_meta(pkt);
-      if (pkt.size() > d.options_.trim_bytes) {
-        // Copy the trimmed headers out so the full-size wire buffer
-        // recycles instead of being pinned in the capture store for the
-        // whole run. (Deliberately not arena-backed: the copy lives in
-        // the store for the rest of the run, so recycled capacity would
-        // just be pinned.)
-        pkt.clone_into(dumped.pkt, d.options_.trim_bytes);
-      } else {
-        dumped.pkt = std::move(pkt);
+      CaptureStore& store = d.capture_;
+      const std::size_t kept = std::min(pkt.size(), d.options_.trim_bytes);
+      CaptureRecord record;
+      record.offset = store.bytes.size();
+      record.length = kept;
+      record.orig_len = pkt.size();
+      record.captured_at = meta.ingress_ts;
+      record.meta = extract_mirror_meta(pkt);
+      // The admit stage's full parse is a cache hit here. When the cut
+      // keeps every header, the trimmed parser would decode the same view
+      // from the kept bytes, except the iCRC, which it reports as 0.
+      const bool cut = kept < pkt.size();
+      if (auto view = parse_roce(pkt);
+          view && (!cut || kept >= view->payload_offset)) {
+        if (cut) view->icrc = 0;
+        record.view = view;
       }
+      store.records.push_back(record);
+      const std::span<const std::uint8_t> head = pkt.span().first(kept);
+      store.bytes.insert(store.bytes.end(), head.begin(), head.end());
       ++d.counters_.captured;
       return false;
     }
@@ -111,8 +119,8 @@ TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options)
 }
 
 void TrafficDumper::handle_packet(int in_port, Packet pkt) {
-  // Discard paths and trim-copies leave the wire buffer behind for the
-  // guard to recycle; untrimmed captures move the frame into the store.
+  // No stage moves the frame out (captures copy into the slab), so the
+  // guard recycles the wire buffer on every path.
   ScopedPacketReclaim reclaim(pkt);
   pipeline::FrameMeta meta;
   meta.in_port = in_port;
@@ -125,9 +133,11 @@ void TrafficDumper::terminate() {
   terminated_ = true;
   // §3.4: before writing to disk, the previously randomized UDP
   // destination port is reverted to 4791.
-  for (auto& dumped : packets_) {
-    if (dumped.pkt.size() >= off::kUdpDstPort + 2) {
-      restore_roce_udp_port(dumped.pkt);
+  for (CaptureRecord& record : capture_.records) {
+    if (record.length >= off::kUdpDstPort + 2) {
+      poke_u16(capture_.bytes, record.offset + off::kUdpDstPort,
+               kRoceUdpPort);
+      if (record.view) record.view->udp_dst_port = kRoceUdpPort;
     }
   }
 }
@@ -135,8 +145,9 @@ void TrafficDumper::terminate() {
 bool TrafficDumper::write_pcap(const std::string& path) const {
   PcapWriter writer;
   if (!writer.open(path)) return false;
-  for (const auto& dumped : packets_) {
-    if (!writer.write(dumped.pkt, dumped.captured_at, dumped.orig_len)) {
+  for (const CaptureRecord& record : capture_.records) {
+    if (!writer.write(capture_.frame(record), record.captured_at,
+                      record.orig_len)) {
       return false;
     }
   }

@@ -8,12 +8,20 @@
 // two-host design). Because the mirror engine randomizes the UDP
 // destination port, RSS spreads even a single flow across all cores.
 //
+// Captures land in a CaptureStore: the kept bytes of every frame back to
+// back in one slab, plus one record per frame that locates them and
+// carries the parse view the admit stage already decoded (docs/packet.md,
+// "Capture store and trace records"). A capture copies at most
+// `trim_bytes` into the slab, so every delivered wire buffer recycles.
+//
 // On TERM the dumper restores the UDP destination port of every captured
 // packet to 4791 and can persist the capture as a pcap file.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,11 +37,30 @@ namespace lumina {
 /// capture.
 struct DumperPipeline;
 
-struct DumpedPacket {
-  Packet pkt;              ///< Trimmed copy (headers only).
-  std::size_t orig_len = 0;
-  Tick captured_at = 0;    ///< Host capture time (not the switch timestamp).
-  MirrorMeta meta;         ///< Metadata embedded by the mirror engine.
+/// One captured frame: where its kept bytes sit in the slab, and what the
+/// dumper learned about it on arrival.
+struct CaptureRecord {
+  std::size_t offset = 0;    ///< First kept byte in CaptureStore::bytes.
+  std::size_t length = 0;    ///< Bytes kept: min(orig_len, trim_bytes).
+  std::size_t orig_len = 0;  ///< Length on the wire.
+  Tick captured_at = 0;      ///< Host capture time (not the switch timestamp).
+  MirrorMeta meta;           ///< Metadata embedded by the mirror engine.
+  /// What parse_roce(..., allow_trimmed=true) decodes from the kept bytes:
+  /// the admit stage's full view, with icrc 0 when the frame was cut.
+  /// Empty when the full parse failed or the cut fell inside the headers;
+  /// reconstruct_trace() then decodes the kept bytes itself.
+  std::optional<RoceView> view;
+};
+
+/// A dumper's captures in arrival order, which is mirror order: mirror
+/// copies leave the switch in sequence order through FIFO ports.
+struct CaptureStore {
+  std::vector<std::uint8_t> bytes;     ///< Kept bytes, back to back.
+  std::vector<CaptureRecord> records;  ///< One per captured frame.
+
+  std::span<const std::uint8_t> frame(const CaptureRecord& record) const {
+    return std::span(bytes).subspan(record.offset, record.length);
+  }
 };
 
 struct DumperCounters {
@@ -60,17 +87,14 @@ class TrafficDumper : public Node {
   void handle_packet(int in_port, Packet pkt) override;
   std::string name() const override { return name_; }
 
-  /// TERM from the orchestrator: restores UDP ports on captured packets.
+  /// TERM from the orchestrator: restores the UDP destination port of
+  /// every capture, in the slab and in the record's view.
   void terminate();
 
-  /// Captured packets in arrival order, which is mirror order: mirror
-  /// copies leave the switch in sequence order through FIFO ports.
-  const std::vector<DumpedPacket>& packets() const { return packets_; }
+  const CaptureStore& capture() const { return capture_; }
   /// Hands the capture store to the caller (trace reconstruction); the
-  /// dumper holds no packets afterwards.
-  std::vector<DumpedPacket> take_packets() {
-    return std::exchange(packets_, {});
-  }
+  /// dumper holds no captures afterwards.
+  CaptureStore take_capture() { return std::exchange(capture_, {}); }
   const DumperCounters& counters() const { return counters_; }
 
   /// Writes captured (trimmed) packets to a pcap file.
@@ -85,7 +109,7 @@ class TrafficDumper : public Node {
   pipeline::StageChain rx_pipeline_;
   std::unique_ptr<Port> port_;
   std::vector<Tick> core_busy_until_;
-  std::vector<DumpedPacket> packets_;
+  CaptureStore capture_;
   DumperCounters counters_;
   bool terminated_ = false;
 };

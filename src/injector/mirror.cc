@@ -14,10 +14,6 @@ MirrorMeta extract_mirror_meta(const Packet& pkt) {
   return meta;
 }
 
-void restore_roce_udp_port(Packet& pkt) {
-  set_udp_dst_port(pkt, kRoceUdpPort);
-}
-
 void MirrorEngine::set_targets(std::vector<Target> targets) {
   targets_ = std::move(targets);
   credits_.assign(targets_.size(), 0);

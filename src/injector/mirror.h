@@ -34,10 +34,6 @@ struct MirrorMeta {
 /// Decodes embedded metadata from a mirrored frame's rewritten fields.
 MirrorMeta extract_mirror_meta(const Packet& pkt);
 
-/// Restores a mirrored packet's UDP destination port to 4791. The dumper
-/// applies this before persisting packets (§3.4, TERM handling).
-void restore_roce_udp_port(Packet& pkt);
-
 class MirrorEngine {
  public:
   struct Target {

@@ -126,10 +126,10 @@ const TestResult& Orchestrator::run() {
 void Orchestrator::collect_results() {
   EventInjectorSwitch& injector = testbed_->injector();
   // TERM all dumpers, then merge their stores by mirror sequence number.
-  std::vector<std::vector<DumpedPacket>> captures;
+  std::vector<CaptureStore> captures;
   for (auto& dumper : testbed_->dumpers()) {
     dumper->terminate();
-    captures.push_back(dumper->take_packets());
+    captures.push_back(dumper->take_capture());
   }
   result_.integrity = reconstruct_trace(
       std::move(captures), injector.mirror_engine().mirrored_count(),

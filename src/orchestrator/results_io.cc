@@ -209,7 +209,7 @@ bool write_results(const TestResult& result, const std::string& dir,
   PcapWriter pcap;
   if (!pcap.open(trace_path)) return fail(trace_path, failed_path);
   for (const auto& p : result.trace) {
-    if (!pcap.write(p.pkt, p.time(), p.orig_len)) {
+    if (!pcap.write(p.pkt.bytes, p.time(), p.orig_len)) {
       return fail(trace_path, failed_path);
     }
   }

@@ -1,6 +1,7 @@
 #include "orchestrator/trace.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "dumper/dumper.h"
@@ -8,7 +9,7 @@
 namespace lumina {
 namespace {
 
-bool by_mirror_seq(const DumpedPacket& a, const DumpedPacket& b) {
+bool by_mirror_seq(const CaptureRecord& a, const CaptureRecord& b) {
   return a.meta.mirror_seq < b.meta.mirror_seq;
 }
 
@@ -23,18 +24,33 @@ std::string IntegrityReport::to_string() const {
   return out.str();
 }
 
-IntegrityReport reconstruct_trace(
-    std::vector<std::vector<DumpedPacket>> captures,
-    std::uint64_t injector_mirrored, std::uint64_t injector_roce_rx,
-    PacketTrace& trace) {
+void PacketTrace::append(std::span<const std::uint8_t> bytes,
+                         TracePacket record) {
+  const auto& slab = slabs.emplace_back(
+      std::make_shared<const std::vector<std::uint8_t>>(bytes.begin(),
+                                                        bytes.end()));
+  record.pkt.bytes = *slab;
+  packets.push_back(record);
+}
+
+IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
+                                  std::uint64_t injector_mirrored,
+                                  std::uint64_t injector_roce_rx,
+                                  PacketTrace& trace) {
   // A dumper's store arrives as one sorted run; the stable sort is only the
   // fallback that keeps any other input equal to the documented order.
+  // Store d's slab moves into trace.slabs[d] (the buffer itself stays put,
+  // so records can view it from here on).
   std::size_t total = 0;
-  for (auto& run : captures) {
-    if (!std::is_sorted(run.begin(), run.end(), by_mirror_seq)) {
-      std::stable_sort(run.begin(), run.end(), by_mirror_seq);
+  trace.slabs.clear();
+  for (CaptureStore& store : captures) {
+    auto& records = store.records;
+    if (!std::is_sorted(records.begin(), records.end(), by_mirror_seq)) {
+      std::stable_sort(records.begin(), records.end(), by_mirror_seq);
     }
-    total += run.size();
+    total += records.size();
+    trace.slabs.push_back(std::make_shared<const std::vector<std::uint8_t>>(
+        std::move(store.bytes)));
   }
 
   std::vector<TracePacket>& packets = trace.packets;
@@ -43,26 +59,35 @@ IntegrityReport reconstruct_trace(
   IntegrityReport integrity;
   integrity.seqnums_consecutive = true;
   std::vector<std::size_t> next(captures.size(), 0);
+  Packet frame;  // decodes the rare record that carries no view
   for (;;) {
     // The run whose head has the lowest mirror_seq; ties go to the
     // earlier dumper, which keeps the merge stable.
     std::size_t pick = captures.size();
     for (std::size_t d = 0; d < captures.size(); ++d) {
-      if (next[d] == captures[d].size()) continue;
+      if (next[d] == captures[d].records.size()) continue;
       if (pick == captures.size() ||
-          by_mirror_seq(captures[d][next[d]], captures[pick][next[pick]])) {
+          by_mirror_seq(captures[d].records[next[d]],
+                        captures[pick].records[next[pick]])) {
         pick = d;
       }
     }
     if (pick == captures.size()) break;
-    DumpedPacket& dumped = captures[pick][next[pick]++];
-    const auto view = parse_roce(dumped.pkt, /*allow_trimmed=*/true);
-    if (!view) continue;
-    if (dumped.meta.mirror_seq != packets.size()) {
+    const CaptureRecord& record = captures[pick].records[next[pick]++];
+    const auto bytes =
+        std::span(*trace.slabs[pick]).subspan(record.offset, record.length);
+    std::optional<RoceView> view = record.view;
+    if (!view) {
+      frame.bytes.assign(bytes.begin(), bytes.end());
+      frame.invalidate_view();
+      view = parse_roce(frame, /*allow_trimmed=*/true);
+      if (!view) continue;
+    }
+    if (record.meta.mirror_seq != packets.size()) {
       integrity.seqnums_consecutive = false;
     }
-    packets.emplace_back(std::move(dumped.pkt), *view, dumped.meta,
-                         dumped.orig_len);
+    packets.push_back(
+        TracePacket{FrameBytes{bytes}, *view, record.meta, record.orig_len});
   }
 
   integrity.trace_packets = packets.size();

@@ -5,12 +5,19 @@
 // synchronization is needed because every timestamp comes from the single
 // switch clock. Mirror copies leave the switch in sequence order through
 // FIFO ports, so each dumper's capture is already one sorted run, and
-// reconstruct_trace() builds the trace as a one-pass merge of those runs,
-// moving every frame out of the dumpers' stores (which are empty
-// afterwards) and running the integrity check in the same pass.
+// reconstruct_trace() builds the trace as a one-pass merge of those runs
+// and runs the integrity check in the same pass.
+//
+// A trace record does not own its bytes: `pkt` views the dumpers' capture
+// slabs, which reconstruct_trace() moves into a store the PacketTrace
+// shares with its copies. A record's bytes therefore live as long as any
+// copy of its trace, and no longer (docs/packet.md, "Capture store and
+// trace records").
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,9 +28,16 @@
 
 namespace lumina {
 
+/// A trace record's frame bytes: the trimmed capture, UDP port restored.
+struct FrameBytes {
+  std::span<const std::uint8_t> bytes;
+
+  std::size_t size() const { return bytes.size(); }
+};
+
 struct TracePacket {
-  Packet pkt;      ///< Trimmed capture, UDP port restored.
-  RoceView view;   ///< Parsed headers.
+  FrameBytes pkt;  ///< Views the trace's frame store.
+  RoceView view;   ///< Parsed headers (the trimmed parser's view).
   MirrorMeta meta; ///< mirror_seq / switch ingress timestamp / event type.
   std::size_t orig_len = 0;
   /// Departure time of a packet a `delay` event held at the switch
@@ -68,24 +82,33 @@ struct IntegrityReport {
 
 struct PacketTrace {
   std::vector<TracePacket> packets;  ///< Sorted by mirror sequence number.
+  /// The byte slabs the records' `pkt` views point into. Copies of a trace
+  /// share them; they are never written once a record points into them.
+  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> slabs;
 
   std::size_t size() const { return packets.size(); }
   const TracePacket& operator[](std::size_t i) const { return packets[i]; }
   auto begin() const { return packets.begin(); }
   auto end() const { return packets.end(); }
+
+  /// Appends `record` with its `pkt` pointing at a copy of `bytes` that
+  /// this trace owns (traces built by hand, e.g. in tests).
+  void append(std::span<const std::uint8_t> bytes, TracePacket record);
 };
 
-struct DumpedPacket;  // dumper/dumper.h
+struct CaptureStore;  // dumper/dumper.h
 
 /// Builds `trace` from the dumpers' capture stores, one store per dumper,
 /// and returns the §3.5 integrity report against the injector's mirrored
-/// and RoCE-received counts. Frames the trimmed parser rejects are left
-/// out. The order equals a stable sort of the concatenated stores by
-/// mirror_seq: a store that is not already in mirror order is stably
-/// sorted first, and equal sequence numbers keep dumper order.
-IntegrityReport reconstruct_trace(
-    std::vector<std::vector<DumpedPacket>> captures,
-    std::uint64_t injector_mirrored, std::uint64_t injector_roce_rx,
-    PacketTrace& trace);
+/// and RoCE-received counts. The stores' byte slabs move into the trace.
+/// Each record's view is the store's, decoded with the trimmed parser only
+/// when the store has none; frames that parser rejects are left out. The
+/// order equals a stable sort of the concatenated stores by mirror_seq: a
+/// store that is not already in mirror order is stably sorted first, and
+/// equal sequence numbers keep dumper order.
+IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
+                                  std::uint64_t injector_mirrored,
+                                  std::uint64_t injector_roce_rx,
+                                  PacketTrace& trace);
 
 }  // namespace lumina

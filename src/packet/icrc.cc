@@ -1,5 +1,6 @@
 #include "packet/icrc.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -166,29 +167,27 @@ std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
   constexpr std::size_t kUdpSize = 8;
   constexpr std::size_t kMasked[] = {
       1, 8, 10, 11, kIpv4Size + 6, kIpv4Size + 7, kIpv4Size + kUdpSize + 4};
-  constexpr std::uint8_t kFf = 0xff;
+  constexpr std::size_t kPrefixSize = 8;
+  constexpr std::size_t kHeadSize = 56;
+  static_assert(kMasked[std::size(kMasked) - 1] < kHeadSize);
 
-  // The 8-byte 0xff prefix (dummy LRH) always starts the pseudo packet, so
-  // the state it produces from kCrcInit is a constant.
-  static const std::uint32_t kPrefixState = [] {
-    const std::array<std::uint8_t, 8> prefix{kFf, kFf, kFf, kFf,
-                                             kFf, kFf, kFf, kFf};
-    return crc32_update(kCrcInit, prefix);
-  }();
-
-  // Stream the frame's spans directly: unmasked runs through the sliced
-  // update, each masked position as a single 0xff — no pseudo packet.
+  // Every masked byte lies in the first 56 bytes of L3, so only the pseudo
+  // packet's first 64 bytes are built: the 8-byte 0xff prefix (dummy LRH)
+  // and the start of L3 with its masked bytes forced to 0xff, in one stack
+  // block. The CRC is one update over the block and one over the rest of
+  // L3, read in place.
   const std::span<const std::uint8_t> l3 = frame.subspan(l3_offset);
-  std::uint32_t state = kPrefixState;
-  std::size_t pos = 0;
+  const std::size_t head = std::min(kHeadSize, l3.size());
+  std::array<std::uint8_t, kPrefixSize + kHeadSize> block{};
+  std::fill_n(block.data(), kPrefixSize, std::uint8_t{0xff});
+  std::copy_n(l3.data(), head, block.data() + kPrefixSize);
   for (const std::size_t masked : kMasked) {
-    if (masked >= l3.size()) break;
-    state = crc32_update(state, l3.subspan(pos, masked - pos));
-    state = crc32_update(state, std::span<const std::uint8_t>(&kFf, 1));
-    pos = masked + 1;
+    if (masked < head) block[kPrefixSize + masked] = 0xff;
   }
-  state = crc32_update(state, l3.subspan(pos));
-  return crc32_final(state);
+  const std::span<const std::uint8_t> pseudo_head(block.data(),
+                                                  kPrefixSize + head);
+  const std::uint32_t state = crc32_update(kCrcInit, pseudo_head);
+  return crc32_final(crc32_update(state, l3.subspan(head)));
 }
 
 // ---- Reference implementations ------------------------------------------

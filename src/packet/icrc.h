@@ -17,9 +17,11 @@
 //     one 8-byte step per iteration) everywhere else. Both engines are
 //     exported for differential testing; -DLUMINA_DISABLE_CLMUL=ON
 //     builds without the CLMUL path entirely.
-//   - compute_icrc() is copy-free: it streams the frame's unmasked spans
-//     through the CRC state and substitutes the handful of masked bytes
-//     inline, instead of materializing the masked pseudo packet.
+//   - compute_icrc() never materializes the whole masked pseudo packet:
+//     it copies only its first 64 bytes (the 0xff prefix and the start of
+//     L3, which holds every masked byte) into a stack block, masks them
+//     there, and runs one CRC update over the block and one over the rest
+//     of the frame in place.
 //   - crc32_combine()/crc32_zero_advance() implement the GF(2) matrix
 //     trick, letting single-byte rewrites (MigReq) patch a trailing CRC in
 //     O(log n) instead of recomputing over the whole frame.

@@ -37,7 +37,7 @@ bool PcapWriter::open(const std::string& path, std::uint32_t snaplen) {
   return std::fwrite(header.data(), header.size(), 1, file_) == 1;
 }
 
-bool PcapWriter::write(const Packet& pkt, Tick timestamp,
+bool PcapWriter::write(std::span<const std::uint8_t> frame, Tick timestamp,
                        std::size_t orig_len) {
   if (file_ == nullptr) return false;
   const auto ts_sec = static_cast<std::uint32_t>(timestamp / kSecond);
@@ -45,12 +45,12 @@ bool PcapWriter::write(const Packet& pkt, Tick timestamp,
   std::array<std::uint8_t, 16> rec{};
   put_u32le(&rec[0], ts_sec);
   put_u32le(&rec[4], ts_nsec);
-  put_u32le(&rec[8], static_cast<std::uint32_t>(pkt.size()));
+  put_u32le(&rec[8], static_cast<std::uint32_t>(frame.size()));
   put_u32le(&rec[12], static_cast<std::uint32_t>(
-                          orig_len == 0 ? pkt.size() : orig_len));
+                          orig_len == 0 ? frame.size() : orig_len));
   if (std::fwrite(rec.data(), rec.size(), 1, file_) != 1) return false;
-  if (pkt.size() > 0 &&
-      std::fwrite(pkt.bytes.data(), pkt.size(), 1, file_) != 1) {
+  if (!frame.empty() &&
+      std::fwrite(frame.data(), frame.size(), 1, file_) != 1) {
     return false;
   }
   ++packets_;

@@ -4,10 +4,11 @@
 // can be inspected with tcpdump/wireshark, matching the real Lumina flow.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 
-#include "packet/roce_packet.h"
 #include "util/time.h"
 
 namespace lumina {
@@ -23,9 +24,11 @@ class PcapWriter {
   /// Opens `path` and writes the global header. Returns false on I/O error.
   bool open(const std::string& path, std::uint32_t snaplen = 65535);
 
-  /// Appends one packet with the given capture timestamp. `orig_len` lets
-  /// trimmed packets record their true on-wire length.
-  bool write(const Packet& pkt, Tick timestamp, std::size_t orig_len = 0);
+  /// Appends one frame's bytes with the given capture timestamp.
+  /// `orig_len` lets trimmed frames record their true on-wire length (0:
+  /// the frame is whole).
+  bool write(std::span<const std::uint8_t> frame, Tick timestamp,
+             std::size_t orig_len = 0);
 
   void close();
   bool is_open() const { return file_ != nullptr; }

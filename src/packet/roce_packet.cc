@@ -1,6 +1,7 @@
 #include "packet/roce_packet.h"
 
 #include <algorithm>
+#include <array>
 
 #include "packet/bytes.h"
 #include "packet/icrc.h"
@@ -12,6 +13,19 @@ namespace {
 constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
 constexpr std::uint8_t kIpProtoUdp = 17;
 constexpr std::size_t kCnpPayloadLen = 16;  // 16 reserved bytes per RoCEv2
+
+/// The payload pattern's source: kPattern[j] == j & 0xff, so the window
+/// that starts at offset psn & 0xff reads psn, psn + 1, ... (mod 256) for
+/// up to kPatternChunk bytes; longer payloads append it chunk by chunk.
+constexpr std::size_t kPatternChunk = 4096;
+constexpr auto kPattern = [] {
+  std::array<std::uint8_t, 256 + kPatternChunk> table{};
+  for (std::size_t j = 0; j < table.size(); ++j) {
+    table[j] = static_cast<std::uint8_t>(j);
+  }
+  return table;
+}();
+static_assert(kPatternChunk % 256 == 0);
 
 /// Whether this opcode carries a RETH immediately after the BTH.
 bool has_reth(IbOpcode op) {
@@ -169,31 +183,17 @@ std::string to_string(EventType t) {
   return "unknown";
 }
 
-void Packet::clone_into(Packet& out, std::size_t max_bytes) const {
-  const std::size_t n = std::min(bytes.size(), max_bytes);
-  out.bytes.assign(bytes.begin(),
-                   bytes.begin() + static_cast<std::ptrdiff_t>(n));
-  if (n == bytes.size()) {
-    // Identical bytes -> identical parse: the copy inherits the cache
-    // verbatim, whatever state it is in.
-    out.view = view;
-    out.view_state = view_state;
-    return;
-  }
-  if (view_state == ViewCacheState::kFull && n >= view.payload_offset) {
-    // The headers survive the trim, so the full view still describes the
-    // copy — except the iCRC, which the trimmed parser reports as 0.
-    out.view = view;
-    out.view.icrc = 0;
-    out.view_state = ViewCacheState::kTrimmed;
-  } else {
-    out.view_state = ViewCacheState::kUnknown;
-  }
+void Packet::clone_into(Packet& out) const {
+  // Identical bytes -> identical parse: the copy inherits the cache
+  // verbatim, whatever state it is in.
+  out.bytes.assign(bytes.begin(), bytes.end());
+  out.view = view;
+  out.view_state = view_state;
 }
 
-Packet Packet::clone_arena(std::size_t max_bytes) const {
+Packet Packet::clone_arena() const {
   Packet out{PacketArena::acquire_current()};
-  clone_into(out, max_bytes);
+  clone_into(out);
   return out;
 }
 
@@ -261,14 +261,16 @@ Packet build_roce_packet(const RocePacketSpec& spec) {
   if (spec.atomic_ack_eth) {
     w.u64(spec.atomic_ack_eth->original);
   }
-  // Deterministic payload pattern (content is irrelevant to the analyzers,
-  // but the bytes must exist so iCRC/corruption behave like hardware).
-  // Bulk-fill: this loop writes up to an MTU per packet.
-  const std::size_t payload_at = pkt.bytes.size();
-  pkt.bytes.resize(payload_at + payload_len);
-  std::uint8_t* payload = pkt.bytes.data() + payload_at;
-  for (std::size_t i = 0; i < payload_len; ++i) {
-    payload[i] = static_cast<std::uint8_t>(spec.psn + i);
+  // Deterministic payload pattern: byte i is uint8(psn + i). The content
+  // is irrelevant to the analyzers, but the bytes must exist so iCRC and
+  // corruption behave like hardware. Every chunk but the last is a whole
+  // number of 256-byte periods, so each one starts at the same table offset.
+  const std::size_t start = spec.psn & 0xff;
+  for (std::size_t left = payload_len; left > 0;) {
+    const std::size_t n = std::min(left, kPatternChunk);
+    const auto* from = kPattern.data() + start;
+    pkt.bytes.insert(pkt.bytes.end(), from, from + n);
+    left -= n;
   }
 
   refresh_ip_checksum(pkt);

@@ -135,19 +135,17 @@ struct Packet {
   /// that pokes raw bytes outside them needs this (docs/packet.md).
   void invalidate_view() const { view_state = ViewCacheState::kUnknown; }
 
-  /// Copies this frame — bytes and parse-view cache — into `out`, reusing
-  /// whatever buffer capacity `out` already holds (e.g. an arena-recycled
-  /// vector). `max_bytes` truncates the copy (the dumper's header trim): a
-  /// kFull view whose headers survive the cut downgrades to kTrimmed with
-  /// icrc 0, matching what the trimmed parser would report; any other
-  /// truncated copy resets to kUnknown. The mirror clone, the dumper trim,
-  /// and the injector's duplicate event all share this.
-  void clone_into(Packet& out, std::size_t max_bytes = SIZE_MAX) const;
+  /// Copies this whole frame — bytes and parse-view cache — into `out`,
+  /// reusing whatever buffer capacity `out` already holds (e.g. an
+  /// arena-recycled vector). The mirror clone and the injector's duplicate
+  /// event share this; the dumper's header trim copies into its capture
+  /// slab instead (dumper/dumper.h).
+  void clone_into(Packet& out) const;
 
   /// Arena-aware clone: acquires a recycled buffer from the thread's
   /// current PacketArena (a plain vector without one) and clone_into()s
   /// this frame.
-  Packet clone_arena(std::size_t max_bytes = SIZE_MAX) const;
+  Packet clone_arena() const;
 
   // Parse-view cache, owned by parse_roce() and the mutators below. Copies
   // and moves carry it (bytes and view travel together, so a copy stays

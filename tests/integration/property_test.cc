@@ -11,6 +11,7 @@
 //       tool's core promise).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "analyzers/counter_analyzer.h"
@@ -131,7 +132,9 @@ TEST_P(RandomScenarioTest, RerunsAreBitIdentical) {
   const TestResult& rb = b.run();
   ASSERT_EQ(ra.trace.size(), rb.trace.size());
   for (std::size_t i = 0; i < ra.trace.size(); ++i) {
-    EXPECT_EQ(ra.trace[i].pkt.bytes, rb.trace[i].pkt.bytes) << "packet " << i;
+    EXPECT_TRUE(
+        std::ranges::equal(ra.trace[i].pkt.bytes, rb.trace[i].pkt.bytes))
+        << "packet " << i;
     EXPECT_EQ(ra.trace[i].time(), rb.trace[i].time());
   }
   EXPECT_EQ(ra.duration, rb.duration);

@@ -112,14 +112,14 @@ class TraceBuilder {
   }
 
   void push(const RocePacketSpec& spec, Tick t, EventType event) {
+    const Packet pkt = build_roce_packet(spec);
     TracePacket tp;
-    tp.pkt = build_roce_packet(spec);
-    tp.view = *parse_roce(tp.pkt);
+    tp.view = *parse_roce(pkt);
     tp.meta.mirror_seq = seq_++;
     tp.meta.ingress_timestamp = t;
     tp.meta.event = event;
-    tp.orig_len = tp.pkt.size();
-    trace_.packets.push_back(std::move(tp));
+    tp.orig_len = pkt.size();
+    trace_.append(pkt.span(), tp);
   }
 
   PacketTrace trace_;

@@ -1,6 +1,8 @@
 // Unit tests for typed test-configuration loading (config/test_config).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "config/test_config.h"
 #include "rnic/verbs.h"
 
@@ -233,6 +235,63 @@ TEST(Config, RejectsBadConnectionSpecs) {
   TestConfig self_loop =
       load_test_config(parse_yaml("connections:\n- {src: 1, dst: 1}\n"));
   EXPECT_THROW(self_loop.normalize(), YamlError);
+}
+
+/// The YamlError message `load` throws, or "" when it does not throw.
+template <typename Load>
+std::string yaml_error(Load load) {
+  try {
+    load();
+  } catch (const YamlError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Config, RejectsHostIndexOutsideIntRange) {
+  // Digits that overflow int must fail as a YamlError naming the key, not
+  // escape as std::out_of_range.
+  for (const char* index : {"99999999999999999999", "4294967297",
+                            "2147483648"}) {
+    const std::string src = std::string("connections:\n- {src: ") + index +
+                            ", dst: 1}\n";
+    EXPECT_NE(yaml_error([&] { load_test_config(parse_yaml(src)); })
+                  .find("src"),
+              std::string::npos)
+        << index;
+    const std::string dst = std::string("connections:\n- {src: 0, dst: ") +
+                            index + "}\n";
+    EXPECT_NE(yaml_error([&] { load_test_config(parse_yaml(dst)); })
+                  .find("dst"),
+              std::string::npos)
+        << index;
+  }
+  // The largest int still loads; normalize() then rejects it as a host
+  // the config does not have.
+  TestConfig max_int = load_test_config(
+      parse_yaml("connections:\n- {src: 0, dst: 2147483647}\n"));
+  EXPECT_EQ(max_int.connections.at(0).dst_host, 2147483647);
+  EXPECT_THROW(max_int.normalize(), YamlError);
+}
+
+TEST(Config, RejectsZeroMtu) {
+  // The RNIC divides messages by the MTU: 0, and values that wrap to 0 as
+  // a uint32, must fail at load as a YamlError naming the key.
+  for (const char* mtu : {"0", "-1", "4294967296"}) {
+    const std::string text = std::string("traffic:\n  mtu: ") + mtu + "\n";
+    EXPECT_NE(yaml_error([&] { load_test_config(parse_yaml(text)); })
+                  .find("mtu"),
+              std::string::npos)
+        << mtu;
+    TestConfig swept;
+    EXPECT_NE(yaml_error([&] {
+                apply_traffic_override(swept, "mtu", YamlNode::scalar(mtu));
+              }).find("mtu"),
+              std::string::npos)
+        << mtu;
+  }
+  EXPECT_EQ(load_test_config(parse_yaml("traffic:\n  mtu: 1\n")).traffic.mtu,
+            1u);
 }
 
 TEST(Config, NormalizeRejectsDuplicateHostNames) {

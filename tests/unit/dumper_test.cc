@@ -26,6 +26,13 @@ Packet mirrored_packet(std::uint64_t seq, Tick ts, std::uint16_t udp_port,
   return pkt;
 }
 
+/// The `i`-th capture's kept bytes, as a frame the parser can read.
+Packet captured(const TrafficDumper& dumper, std::size_t i) {
+  const CaptureStore& store = dumper.capture();
+  const auto bytes = store.frame(store.records.at(i));
+  return Packet{{bytes.begin(), bytes.end()}};
+}
+
 /// Feeds packets into a dumper directly (bypassing a link).
 void feed(Simulator& sim, TrafficDumper& dumper, int count,
           Tick inter_arrival, bool randomize_ports, std::uint64_t seed = 1) {
@@ -48,9 +55,9 @@ TEST(Dumper, CapturesAndExtractsMetadata) {
   Simulator sim;
   TrafficDumper dumper(&sim, "d0", {});
   dumper.handle_packet(0, mirrored_packet(7, 12345, 4000));
-  ASSERT_EQ(dumper.packets().size(), 1u);
-  EXPECT_EQ(dumper.packets()[0].meta.mirror_seq, 7u);
-  EXPECT_EQ(dumper.packets()[0].meta.ingress_timestamp, 12345);
+  ASSERT_EQ(dumper.capture().records.size(), 1u);
+  EXPECT_EQ(dumper.capture().records[0].meta.mirror_seq, 7u);
+  EXPECT_EQ(dumper.capture().records[0].meta.ingress_timestamp, 12345);
   EXPECT_EQ(dumper.counters().captured, 1u);
   EXPECT_EQ(dumper.counters().discarded, 0u);
 }
@@ -61,11 +68,11 @@ TEST(Dumper, TrimsTo128BytesKeepingOriginalLength) {
   const Packet big = mirrored_packet(0, 0, 4000, 4096);
   const std::size_t orig = big.size();
   dumper.handle_packet(0, big);
-  ASSERT_EQ(dumper.packets().size(), 1u);
-  EXPECT_EQ(dumper.packets()[0].pkt.size(), 128u);
-  EXPECT_EQ(dumper.packets()[0].orig_len, orig);
+  ASSERT_EQ(dumper.capture().records.size(), 1u);
+  EXPECT_EQ(captured(dumper, 0).size(), 128u);
+  EXPECT_EQ(dumper.capture().records[0].orig_len, orig);
   // Headers still parse from the trimmed capture.
-  const auto view = parse_roce(dumper.packets()[0].pkt, true);
+  const auto view = parse_roce(captured(dumper, 0), true);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->payload_len, 4096u);
 }
@@ -74,7 +81,21 @@ TEST(Dumper, SmallPacketsNotPadded) {
   Simulator sim;
   TrafficDumper dumper(&sim, "d0", {});
   dumper.handle_packet(0, mirrored_packet(0, 0, 4000, 8));
-  EXPECT_LT(dumper.packets()[0].pkt.size(), 128u);
+  EXPECT_LT(captured(dumper, 0).size(), 128u);
+}
+
+TEST(Dumper, CutInsideTheHeadersStoresNoView) {
+  // A record stores a view only when the kept bytes hold every header;
+  // otherwise the trimmed parser (which rejects such a cut) is the judge.
+  Simulator sim;
+  TrafficDumper::Options options;
+  options.trim_bytes = 40;
+  TrafficDumper dumper(&sim, "d0", options);
+  dumper.handle_packet(0, mirrored_packet(0, 0, 4000));
+  ASSERT_EQ(dumper.capture().records.size(), 1u);
+  EXPECT_EQ(captured(dumper, 0).size(), 40u);
+  EXPECT_FALSE(dumper.capture().records[0].view.has_value());
+  EXPECT_FALSE(parse_roce(captured(dumper, 0), true).has_value());
 }
 
 TEST(Dumper, SingleFlowWithoutRandomizationOverloadsOneCore) {
@@ -119,13 +140,16 @@ TEST(Dumper, TerminateRestoresUdpPortsAndStopsCapture) {
   TrafficDumper dumper(&sim, "d0", {});
   dumper.handle_packet(0, mirrored_packet(0, 0, 31337));
   dumper.terminate();
-  ASSERT_EQ(dumper.packets().size(), 1u);
-  const auto view = parse_roce(dumper.packets()[0].pkt, true);
+  ASSERT_EQ(dumper.capture().records.size(), 1u);
+  const auto view = parse_roce(captured(dumper, 0), true);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->udp_dst_port, kRoceUdpPort);  // restored (§3.4)
+  // The record's stored view is restored along with the bytes.
+  ASSERT_TRUE(dumper.capture().records[0].view.has_value());
+  EXPECT_EQ(*dumper.capture().records[0].view, *view);
   // Post-TERM arrivals are ignored.
   dumper.handle_packet(0, mirrored_packet(1, 1, 4000));
-  EXPECT_EQ(dumper.packets().size(), 1u);
+  EXPECT_EQ(dumper.capture().records.size(), 1u);
 }
 
 TEST(Dumper, WritesPcapAfterTerminate) {

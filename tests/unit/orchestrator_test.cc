@@ -3,6 +3,8 @@
 // result collection (Table 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "orchestrator/orchestrator.h"
 
 namespace lumina {
@@ -78,7 +80,8 @@ TEST(Orchestrator, TraceTakesEveryCaptureOutOfTheDumpers) {
   const TestResult& result = orch.run();
   std::uint64_t captured = 0;
   for (const auto& dumper : orch.dumpers()) {
-    EXPECT_TRUE(dumper->packets().empty());
+    EXPECT_TRUE(dumper->capture().records.empty());
+    EXPECT_TRUE(dumper->capture().bytes.empty());
     captured += dumper->counters().captured;
   }
   EXPECT_EQ(result.trace.size(), captured);
@@ -142,6 +145,24 @@ TEST(Orchestrator, RunIsIdempotent) {
   const std::size_t trace_size = first.trace.size();
   const TestResult& second = orch.run();  // returns cached result
   EXPECT_EQ(second.trace.size(), trace_size);
+}
+
+TEST(Orchestrator, ResultCopyOutlivesOrchestrator) {
+  // Trace records view the capture slabs through a store that copies of
+  // the trace share, so a copied result stays readable after its run.
+  TestConfig cfg = small_config();
+  cfg.traffic.data_pkt_events.push_back(
+      DataPacketEvent{2, 3, EventType::kDrop, 1});
+  const TestResult copy = Orchestrator(cfg).run();
+  Orchestrator again(cfg);
+  const TestResult& want = again.run();
+  ASSERT_GT(want.trace.size(), 0u);
+  ASSERT_EQ(copy.trace.size(), want.trace.size());
+  for (std::size_t i = 0; i < want.trace.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(copy.trace[i].pkt.bytes,
+                                   want.trace[i].pkt.bytes))
+        << "record " << i;
+  }
 }
 
 TEST(Orchestrator, DeterministicAcrossIdenticalRuns) {

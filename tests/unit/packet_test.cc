@@ -170,6 +170,35 @@ TEST(RocePacket, BuildParseRoundTripWriteOnly) {
   EXPECT_TRUE(verify_icrc(pkt));
 }
 
+TEST(RocePacket, PayloadIsPsnPlusIndexPattern) {
+  // The builder copies the payload from a 256-periodic table in chunks of
+  // at most 4096 bytes. These lengths straddle the period and the chunk
+  // edge; these PSNs move the table offset and cross the 24-bit wrap.
+  for (const std::uint32_t psn : {0x0u, 0x7fu, 0xffu, 0xfffffeu, 0xffffffu}) {
+    for (const std::uint32_t payload :
+         {0u, 1u, 255u, 256u, 257u, 4095u, 4096u, 4097u, 9000u}) {
+      RocePacketSpec spec = base_spec();
+      spec.opcode = IbOpcode::kWriteOnly;
+      spec.reth = Reth{0x1000, 0x55, payload};
+      spec.payload_len = payload;
+      spec.psn = psn;
+      const Packet pkt = build_roce_packet(spec);
+      const auto view = parse_roce(pkt);
+      ASSERT_TRUE(view.has_value());
+      ASSERT_EQ(view->payload_len, payload);
+      std::size_t wrong = 0;
+      for (std::size_t i = 0; i < payload; ++i) {
+        if (pkt.bytes[view->payload_offset + i] !=
+            static_cast<std::uint8_t>(psn + i)) {
+          ++wrong;
+        }
+      }
+      EXPECT_EQ(wrong, 0u) << "psn " << psn << " payload " << payload;
+      EXPECT_TRUE(verify_icrc(pkt)) << "psn " << psn << " payload " << payload;
+    }
+  }
+}
+
 TEST(RocePacket, AckCarriesAeth) {
   RocePacketSpec spec = base_spec();
   spec.opcode = IbOpcode::kAcknowledge;
@@ -430,6 +459,32 @@ TEST(Icrc, CopyFreeComputeMatchesPseudoPacketReference) {
   }
 }
 
+TEST(Icrc, HeadBlockMatchesReferenceAtEveryShortLength) {
+  // compute_icrc masks the first 56 bytes of L3 in a stack block. Every
+  // cut from no L3 at all to 80 bytes of it crosses each masked offset
+  // and the block edge.
+  RocePacketSpec spec = base_spec();
+  spec.opcode = IbOpcode::kWriteOnly;
+  spec.reth = Reth{0x5000, 0x77, 1024};
+  spec.payload_len = 1024;
+  const Packet pkt = build_roce_packet(spec);
+  for (std::size_t l3_len = 0; l3_len <= 80; ++l3_len) {
+    const auto frame = pkt.span().first(off::kIp + l3_len);
+    EXPECT_EQ(compute_icrc(frame, off::kIp),
+              compute_icrc_reference(frame, off::kIp))
+        << "l3 length " << l3_len;
+  }
+  // Any L3 offset, over bytes that are no frame at all.
+  Rng rng(35);
+  std::vector<std::uint8_t> buf(1024);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t l3_offset = 0; l3_offset <= 16; ++l3_offset) {
+    EXPECT_EQ(compute_icrc(buf, l3_offset),
+              compute_icrc_reference(buf, l3_offset))
+        << "l3_offset " << l3_offset;
+  }
+}
+
 TEST(Icrc, IncrementalMigReqPatchEqualsRebuild) {
   for (const bool initial : {false, true}) {
     RocePacketSpec spec = base_spec();
@@ -518,8 +573,8 @@ TEST(PcapWriter, WritesValidHeaderAndRecords) {
   {
     PcapWriter writer;
     ASSERT_TRUE(writer.open(path));
-    writer.write(data_packet(), 1'500'000'123);
-    writer.write(data_packet(), 2'000'000'456, /*orig_len=*/4096);
+    writer.write(data_packet().span(), 1'500'000'123);
+    writer.write(data_packet().span(), 2'000'000'456, /*orig_len=*/4096);
     EXPECT_EQ(writer.packets_written(), 2u);
   }
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -547,7 +602,7 @@ TEST(PcapWriter, WritesValidHeaderAndRecords) {
 TEST(PcapWriter, OpenFailureReturnsFalse) {
   PcapWriter writer;
   EXPECT_FALSE(writer.open("/nonexistent-dir/foo.pcap"));
-  EXPECT_FALSE(writer.write(data_packet(), 0));
+  EXPECT_FALSE(writer.write(data_packet().span(), 0));
 }
 
 }  // namespace

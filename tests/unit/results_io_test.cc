@@ -4,6 +4,7 @@
 // cases, and failures must name the artifact that could not be written.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -42,7 +43,8 @@ void expect_round_trip(const TestResult& result, const ReadResults& read) {
     const std::size_t orig =
         expect.orig_len == 0 ? expect.pkt.size() : expect.orig_len;
     EXPECT_EQ(read.trace[i].orig_len, orig) << "packet " << i;
-    EXPECT_EQ(read.trace[i].bytes, expect.pkt.bytes) << "packet " << i;
+    EXPECT_TRUE(std::ranges::equal(read.trace[i].bytes, expect.pkt.bytes))
+        << "packet " << i;
   }
 
   EXPECT_EQ(read.integrity, result.integrity.to_string());

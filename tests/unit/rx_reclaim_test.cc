@@ -1,10 +1,12 @@
 // Node-level packet-arena accounting: every rx exit path of the injector
 // switch, the RNIC and the dumper recycles the delivered frame's buffer
-// exactly once, except a path that moved the frame onward (into the event
-// kernel or a capture store), which recycles nothing. Arena counters never
-// reach a run report, so the goldens cannot see a lost or doubled reclaim.
+// exactly once, except a path that moved the frame onward into the event
+// kernel, which recycles nothing. The dumper never moves a frame: its
+// capture stage copies into the capture slab. Arena counters never reach a
+// run report, so the goldens cannot see a lost or doubled reclaim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "dumper/dumper.h"
@@ -82,27 +84,28 @@ TEST(RxReclaim, RnicRecyclesEveryFrame) {
   EXPECT_EQ(nic.counters().rx_packets, 3u);
 }
 
-TEST(RxReclaim, DumperRecyclesUnlessTheStoreKeepsTheFrame) {
+TEST(RxReclaim, DumperRecyclesEveryFrame) {
   PacketArena arena;
   PacketArena::Scope scope(&arena);
   Simulator sim;
   TrafficDumper dumper(&sim, "d0",
                        TrafficDumper::Options{.cores = 1, .ring_capacity = 1});
 
-  // Trimmed capture: the store keeps a copy of the headers.
+  // Trimmed capture: the slab keeps a copy of the headers.
   EXPECT_EQ(recycled_by(dumper, roce_frame(kFlow.dst_qpn, 0)), 1u);
   // The one-slot ring is still busy at the same instant: discarded.
   EXPECT_EQ(recycled_by(dumper, roce_frame(kFlow.dst_qpn, 1)), 1u);
   EXPECT_EQ(dumper.counters().captured, 1u);
   EXPECT_EQ(dumper.counters().discarded, 1u);
 
-  // A frame of at most trim_bytes moves into the store whole.
+  // A frame of at most trim_bytes is copied whole, so it recycles too.
   TrafficDumper roomy(&sim, "d1", TrafficDumper::Options{});
   const Packet small = roce_frame(kFlow.dst_qpn, 2, /*payload=*/8);
   ASSERT_LE(small.size(), TrafficDumper::Options{}.trim_bytes);
-  EXPECT_EQ(recycled_by(roomy, small), 0u);
-  ASSERT_EQ(roomy.packets().size(), 1u);
-  EXPECT_EQ(roomy.packets()[0].pkt.bytes, small.bytes);
+  EXPECT_EQ(recycled_by(roomy, small), 1u);
+  const CaptureStore& store = roomy.capture();
+  ASSERT_EQ(store.records.size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(store.frame(store.records[0]), small.bytes));
 }
 
 }  // namespace

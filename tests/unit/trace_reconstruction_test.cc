@@ -3,7 +3,9 @@
 // stable-sorts the concatenated captures by mirror_seq and recomputes the
 // integrity report on its own. Inputs cover in-order runs with holes,
 // one dumper, no frames, duplicated and out-of-range sequence numbers,
-// unparseable frames, and runs that are not in mirror order.
+// unparseable frames, records with and without a stored view, and runs
+// that are not in mirror order. A last test checks the stored views of
+// real runs against the trimmed parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,26 +13,50 @@
 #include <vector>
 
 #include "dumper/dumper.h"
+#include "orchestrator/orchestrator.h"
 #include "orchestrator/trace.h"
 #include "util/random.h"
 
 namespace lumina {
 namespace {
 
-using Captures = std::vector<std::vector<DumpedPacket>>;
+/// One captured frame as a dumper stores it: its record and its kept
+/// bytes. The tests reorder and edit runs of these; stores() lays each run
+/// out as a CaptureStore.
+struct Captured {
+  CaptureRecord record;
+  std::vector<std::uint8_t> bytes;
+};
+
+using Captures = std::vector<std::vector<Captured>>;
+
+std::vector<CaptureStore> stores(const Captures& captures) {
+  std::vector<CaptureStore> out(captures.size());
+  for (std::size_t d = 0; d < captures.size(); ++d) {
+    for (const Captured& c : captures[d]) {
+      CaptureRecord& record = out[d].records.emplace_back(c.record);
+      record.offset = out[d].bytes.size();
+      record.length = c.bytes.size();
+      out[d].bytes.insert(out[d].bytes.end(), c.bytes.begin(),
+                          c.bytes.end());
+    }
+  }
+  return out;
+}
 
 /// One captured frame. `tag` lands in orig_len, which reconstruction copies
 /// verbatim, so the test can follow every frame through the merge.
-/// Unparseable frames are 64 zero bytes (ethertype 0).
-DumpedPacket capture(std::uint64_t seq, std::size_t tag, bool parseable,
-                     Rng& rng) {
-  DumpedPacket dumped;
-  dumped.meta.mirror_seq = seq;
-  dumped.meta.ingress_timestamp = static_cast<Tick>(seq * 100);
-  dumped.orig_len = tag;
+/// Unparseable frames are 64 zero bytes (ethertype 0) and carry no view.
+Captured capture(std::uint64_t seq, std::size_t tag, bool parseable,
+                 Rng& rng) {
+  Captured captured;
+  CaptureRecord& record = captured.record;
+  record.meta.mirror_seq = seq;
+  record.meta.ingress_timestamp = static_cast<Tick>(seq * 100);
+  record.orig_len = tag;
   if (!parseable) {
-    dumped.pkt.bytes.assign(64, 0);
-    return dumped;
+    captured.bytes.assign(64, 0);
+    return captured;
   }
   RocePacketSpec spec;
   spec.src_ip = Ipv4Address::from_octets(10, 0, 0, 1);
@@ -40,12 +66,18 @@ DumpedPacket capture(std::uint64_t seq, std::size_t tag, bool parseable,
   spec.reth = Reth{0, 0, payload};
   spec.payload_len = payload;
   spec.psn = static_cast<std::uint32_t>(seq);
-  // Parse, then trim to 128 B, as the dumper's admit and capture stages do,
-  // so the stored frame carries the cached view reconstruction reuses.
+  // Parse, then keep 128 B, as the dumper's admit and capture stages do:
+  // the record stores the full view, with icrc 0 when the frame was cut.
+  // Every fourth record stores no view, so reconstruction decodes it.
   const Packet full = build_roce_packet(spec);
-  parse_roce(full);
-  full.clone_into(dumped.pkt, 128);
-  return dumped;
+  const std::size_t kept = std::min<std::size_t>(full.size(), 128);
+  captured.bytes.assign(full.bytes.begin(),
+                        full.bytes.begin() + static_cast<std::ptrdiff_t>(kept));
+  if (tag % 4 != 3) {
+    record.view = parse_roce(full);
+    if (kept < full.size()) record.view->icrc = 0;
+  }
+  return captured;
 }
 
 struct Expected {
@@ -55,22 +87,22 @@ struct Expected {
 
 Expected oracle(const Captures& captures, std::uint64_t mirrored,
                 std::uint64_t roce_rx) {
-  std::vector<const DumpedPacket*> all;
+  std::vector<const Captured*> all;
   for (const auto& run : captures) {
-    for (const auto& dumped : run) all.push_back(&dumped);
+    for (const auto& captured : run) all.push_back(&captured);
   }
   std::stable_sort(all.begin(), all.end(),
-                   [](const DumpedPacket* a, const DumpedPacket* b) {
-                     return a->meta.mirror_seq < b->meta.mirror_seq;
+                   [](const Captured* a, const Captured* b) {
+                     return a->record.meta.mirror_seq <
+                            b->record.meta.mirror_seq;
                    });
   Expected want;
   std::vector<std::uint64_t> seqs;
-  for (const DumpedPacket* dumped : all) {
-    Packet copy = dumped->pkt;
-    copy.invalidate_view();
+  for (const Captured* captured : all) {
+    const Packet copy{captured->bytes};
     if (!parse_roce(copy, /*allow_trimmed=*/true)) continue;
-    want.tags.push_back(dumped->orig_len);
-    seqs.push_back(dumped->meta.mirror_seq);
+    want.tags.push_back(captured->record.orig_len);
+    seqs.push_back(captured->record.meta.mirror_seq);
   }
   IntegrityReport& r = want.integrity;
   r.trace_packets = seqs.size();
@@ -95,23 +127,25 @@ IntegrityReport expect_matches_oracle(const Captures& captures,
                                       std::uint64_t mirrored,
                                       std::uint64_t roce_rx) {
   const Expected want = oracle(captures, mirrored, roce_rx);
-  std::map<std::size_t, const DumpedPacket*> by_tag;
+  std::map<std::size_t, const Captured*> by_tag;
   for (const auto& run : captures) {
-    for (const auto& dumped : run) by_tag[dumped.orig_len] = &dumped;
+    for (const auto& captured : run) {
+      by_tag[captured.record.orig_len] = &captured;
+    }
   }
 
   PacketTrace trace;
   const IntegrityReport got =
-      reconstruct_trace(captures, mirrored, roce_rx, trace);
+      reconstruct_trace(stores(captures), mirrored, roce_rx, trace);
   std::vector<std::size_t> tags;
   for (const TracePacket& tp : trace) {
     tags.push_back(tp.orig_len);
-    const DumpedPacket& source = *by_tag.at(tp.orig_len);
-    EXPECT_EQ(tp.pkt.bytes, source.pkt.bytes);
-    EXPECT_EQ(tp.meta.mirror_seq, source.meta.mirror_seq);
-    EXPECT_EQ(tp.meta.ingress_timestamp, source.meta.ingress_timestamp);
-    Packet fresh = source.pkt;
-    fresh.invalidate_view();
+    const Captured& source = *by_tag.at(tp.orig_len);
+    EXPECT_TRUE(std::ranges::equal(tp.pkt.bytes, source.bytes));
+    EXPECT_EQ(tp.meta.mirror_seq, source.record.meta.mirror_seq);
+    EXPECT_EQ(tp.meta.ingress_timestamp,
+              source.record.meta.ingress_timestamp);
+    const Packet fresh{source.bytes};
     EXPECT_EQ(tp.view, *parse_roce(fresh, /*allow_trimmed=*/true));
     EXPECT_EQ(tp.released_at, 0);
   }
@@ -171,7 +205,7 @@ TEST(TraceReconstruction, DuplicateSequenceNumbersKeepDumperOrder) {
   captures[1].push_back(capture(1, 20, true, rng));
   captures[1].push_back(capture(2, 21, true, rng));
   PacketTrace trace;
-  reconstruct_trace(captures, 3, 3, trace);
+  reconstruct_trace(stores(captures), 3, 3, trace);
   std::vector<std::size_t> tags;
   for (const TracePacket& tp : trace) tags.push_back(tp.orig_len);
   EXPECT_EQ(tags, (std::vector<std::size_t>{10, 11, 12, 20, 21}));
@@ -245,6 +279,45 @@ TEST(TraceReconstruction, MatchesOracleOnRandomCaptures) {
     const std::uint64_t roce_rx = rng.next_bool(0.5) ? mirrored : frames;
     SCOPED_TRACE("iteration " + std::to_string(iter));
     expect_matches_oracle(captures, mirrored, roce_rx);
+  }
+}
+
+TEST(TraceReconstruction, RecordViewEqualsTrimmedDecode) {
+  // The dumper stores the admit stage's full view (icrc 0 when cut) and
+  // reconstruction reuses it. On the golden gbn_drop and cnp_inject runs,
+  // every record's view must be exactly what the trimmed parser decodes
+  // from the record's bytes.
+  for (const bool cnp : {false, true}) {
+    TestConfig cfg;
+    cfg.requester().nic_type = NicType::kCx6Dx;
+    cfg.responder().nic_type = NicType::kCx6Dx;
+    cfg.traffic.num_connections = cnp ? 1 : 2;
+    cfg.traffic.num_msgs_per_qp = 4;
+    cfg.traffic.message_size = 10240;
+    cfg.traffic.mtu = 1024;
+    if (cnp) {
+      for (const std::uint32_t psn : {2u, 5u, 8u}) {
+        cfg.traffic.data_pkt_events.push_back(
+            DataPacketEvent{1, psn, EventType::kEcn, 1});
+      }
+    } else {
+      cfg.traffic.data_pkt_events.push_back(
+          DataPacketEvent{1, 3, EventType::kDrop, 1});
+    }
+    Orchestrator orch(cfg);
+    const TestResult& result = orch.run();
+    ASSERT_TRUE(result.integrity.ok());
+    std::size_t cut = 0;
+    for (const TracePacket& tp : result.trace) {
+      const Packet fresh{{tp.pkt.bytes.begin(), tp.pkt.bytes.end()}};
+      const auto view = parse_roce(fresh, /*allow_trimmed=*/true);
+      ASSERT_TRUE(view.has_value()) << "mirror_seq " << tp.meta.mirror_seq;
+      EXPECT_EQ(tp.view, *view) << "mirror_seq " << tp.meta.mirror_seq;
+      if (tp.pkt.size() < tp.orig_len) ++cut;
+    }
+    // Both kinds occur: cut data frames and whole ACKs (and CNPs).
+    EXPECT_GT(cut, 0u);
+    EXPECT_LT(cut, result.trace.size());
   }
 }
 

@@ -16,12 +16,16 @@ compares the per-layer metrics instead of the end-to-end ones.
 
 Each root builds its own benchmark: run.py brings the root's .bench_build up
 to date before it measures, so the first pair also builds. This script only
-reads the benchmark's output; `--out FILE` saves every result line as JSON.
+reads the benchmark's output. `--out FILE` saves, per workload, every result
+line (each with perfbench's `machine` fingerprint and the host-probe median
+of its `unscaled` line) and the printed comparison: per metric, each side's
+median and quartiles, the pairs the change won, and the gap>IQR flag.
 Exits 0 when every run printed a result line, 1 otherwise.
 """
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -42,6 +46,17 @@ def run_once(root, workload, seed, seconds, trace):
     if result is None:
         sys.stderr.write(f"  {root}: no result line (exit {proc.returncode})"
                          f"\n{proc.stderr[-2000:]}\n")
+        return None
+    for line in lines:
+        if line.startswith("machine "):
+            # nproc=4 clmul=yes build=Release compiler=gcc-12.2.0; only the
+            # last value may hold spaces (a clang version string).
+            result["machine"] = dict(re.findall(
+                r"(\w+)=(.*?)(?= \w+=|$)", line[len("machine "):]))
+        elif line.startswith("unscaled "):
+            probe = re.search(r"host probe median ([0-9.]+) ms", line)
+            if probe:
+                result["host_probe_ms"] = float(probe.group(1))
     return result
 
 
@@ -53,18 +68,12 @@ def quartiles(values):
     return q1, med, q3
 
 
-def report(workload, seeds, results, spec):
-    """Prints the comparison table of one workload."""
+def summarize(results, spec):
+    """Statistics of the complete pairs, per metric in the result lines."""
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     pairs = [(p, c) for p, c in zip(results["parent"], results["change"])
              if p is not None and c is not None]
-    print(f"\n{workload}: {len(pairs)} complete pairs, seeds "
-          f"{seeds[0]}-{seeds[-1]}")
-    header = (f"{'metric':<34} {'parent median [q1-q3]':>28} "
-              f"{'change median [q1-q3]':>28} {'ratio':>7} {'wins':>6} "
-              f"{'gap>IQR':>7} {'bound':>6}")
-    print(header)
-    print("-" * len(header))
+    summary = {"pairs": len(pairs), "metrics": {}, "runs": {}}
     names = [n for n in (pairs[0][1]["metrics"] if pairs else {})
              if n in metrics]
     for name in names:
@@ -73,27 +82,63 @@ def report(workload, seeds, results, spec):
         change = [c["metrics"][name]["value"] for _, c in pairs]
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
-        wins = sum((c > p) if higher else (c < p)
-                   for p, c in zip(parent, change))
-        gap = abs(cmed - pmed) > pq3 - pq1
-        ratio = f"{cmed / pmed:.3f}" if pmed else "-"
         bound = metrics[name].get("bound")
-        within = "-"
+        within = None
         if bound is not None and pmed:
             worse = (pmed - cmed) / pmed if higher else (cmed - pmed) / pmed
-            within = "ok" if worse <= bound else "WORSE"
-        print(f"{name:<34} {f'{pmed:.4g} [{pq1:.4g}-{pq3:.4g}]':>28} "
-              f"{f'{cmed:.4g} [{cq1:.4g}-{cq3:.4g}]':>28} {ratio:>7} "
-              f"{f'{wins}/{len(pairs)}':>6} {'yes' if gap else 'no':>7} "
-              f"{within:>6}")
+            within = worse <= bound
+        summary["metrics"][name] = {
+            "parent": {"median": pmed, "q1": pq1, "q3": pq3},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3},
+            "ratio": cmed / pmed if pmed else None,
+            "wins": sum((c > p) if higher else (c < p)
+                        for p, c in zip(parent, change)),
+            "gap_gt_iqr": abs(cmed - pmed) > pq3 - pq1,
+            "within_bound": within,
+        }
     for side in ("parent", "change"):
         done = [r for r in results[side] if r is not None]
-        failed = sum(r["failed"] for r in done)
-        attempted = sum(r["attempted"] for r in done)
-        missing = len(results[side]) - len(done)
-        print(f"{side}: {failed} of {attempted} runs failed"
-              + (f", {missing} invocation(s) without a result line"
-                 if missing else ""))
+        probes = [r["host_probe_ms"] for r in done if "host_probe_ms" in r]
+        summary["runs"][side] = {
+            "failed": sum(r["failed"] for r in done),
+            "attempted": sum(r["attempted"] for r in done),
+            "missing": len(results[side]) - len(done),
+            "host_probe_ms": statistics.median(probes) if probes else None,
+            "machine": done[0].get("machine") if done else None,
+        }
+    return summary
+
+
+def report(workload, seeds, summary):
+    """Prints the comparison table of one workload."""
+    def spread(side):
+        return f"{side['median']:.4g} [{side['q1']:.4g}-{side['q3']:.4g}]"
+
+    print(f"\n{workload}: {summary['pairs']} complete pairs, seeds "
+          f"{seeds[0]}-{seeds[-1]}")
+    header = (f"{'metric':<34} {'parent median [q1-q3]':>28} "
+              f"{'change median [q1-q3]':>28} {'ratio':>7} {'wins':>6} "
+              f"{'gap>IQR':>7} {'bound':>6}")
+    print(header)
+    print("-" * len(header))
+    for name, row in summary["metrics"].items():
+        ratio = f"{row['ratio']:.3f}" if row["ratio"] is not None else "-"
+        wins = f"{row['wins']}/{summary['pairs']}"
+        gap = "yes" if row["gap_gt_iqr"] else "no"
+        within = {None: "-", True: "ok", False: "WORSE"}[row["within_bound"]]
+        print(f"{name:<34} {spread(row['parent']):>28} "
+              f"{spread(row['change']):>28} {ratio:>7} {wins:>6} {gap:>7} "
+              f"{within:>6}")
+    for side, runs in summary["runs"].items():
+        probe = runs["host_probe_ms"]
+        print(f"{side}: {runs['failed']} of {runs['attempted']} runs failed"
+              + (f", {runs['missing']} invocation(s) without a result line"
+                 if runs["missing"] else "")
+              + (f"; host probe median {probe:.3f} ms"
+                 if probe is not None else ""))
+    machine = summary["runs"]["change"]["machine"]
+    if machine:
+        print("machine " + " ".join(f"{k}={v}" for k, v in machine.items()))
 
 
 def main():
@@ -108,7 +153,8 @@ def main():
     parser.add_argument("--seed", type=int, default=101,
                         help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", help="write every result line here as JSON")
+    parser.add_argument("--out", help="write every result line and the "
+                        "per-metric comparison here as JSON")
     args = parser.parse_args()
 
     roots = {"parent": os.path.abspath(args.parent_root),
@@ -131,8 +177,9 @@ def main():
                                   args.trace)
                 complete = complete and result is not None
                 results[side].append(result)
-        report(workload, seeds, results, spec)
-        saved[workload] = {"seeds": seeds, **results}
+        summary = summarize(results, spec)
+        report(workload, seeds, summary)
+        saved[workload] = {"seeds": seeds, "summary": summary, **results}
 
     if args.out:
         with open(args.out, "w") as f:
