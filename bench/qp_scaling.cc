@@ -2,10 +2,11 @@
 // connection bookkeeping carries before it becomes the wall.
 //
 // For each scale n in 1e2 → 1e5 (1e6 with --full, nightly CI only) the
-// bench drives the million-QP machinery end to end on one host NIC:
+// bench drives QP creation and the retransmission timers end to end on
+// one host NIC:
 //
-//   Phase A (setup)  — reserve_qps(n) then create n RC QPs in the slab;
-//                      measures slab construction and qpn-map fill.
+//   Phase A (setup)  — create n RC QPs in the NIC's QP store; measures QP
+//                      construction and qpn-map fill.
 //   Phase B (churn)  — every QP holds one armed retransmission timer and
 //                      an ACK-paced workload cancels + re-arms it for
 //                      several rounds, the steady state of a healthy
@@ -16,7 +17,7 @@
 //                      inside one narrow window and ALL of them expire,
 //                      cascading through the wheel levels at once.
 //
-// Deterministic counters (slab occupancy, wheel arm/fire/reclaim/cascade
+// Deterministic counters (live QPs, wheel arm/fire/reclaim/cascade
 // totals, simulator events) are a pure function of n — the CI bench gate
 // diffs them against bench/baselines/qp_scaling_baseline.json at zero
 // tolerance. Wall-clock per-op costs land in the report's "wall" section,
@@ -53,8 +54,7 @@ constexpr int kChurnRounds = 4;
 struct Sample {
   std::size_t qps = 0;
   // Deterministic (pure function of n).
-  std::size_t slab_live = 0;
-  std::size_t slab_capacity = 0;
+  std::size_t qps_live = 0;
   std::uint64_t wheel_armed = 0;
   std::uint64_t wheel_fired = 0;
   std::uint64_t wheel_reclaimed = 0;
@@ -75,17 +75,13 @@ Sample run_scale(std::size_t n) {
   Rnic nic(&sim, "qp-scaling-nic", DeviceProfile::get(NicType::kCx6Dx),
            RoceParameters{}, MacAddress::from_u48(0x0200000000aaULL));
 
-  // Phase A: bulk QP creation. reserve_qps pre-sizes the slab chunks and
-  // the qpn map so the create loop measures slot construction, not vector
-  // growth.
+  // Phase A: bulk QP creation.
   QpConfig qc;
   qc.timeout = kRto;
   auto start = std::chrono::steady_clock::now();
-  nic.reserve_qps(n);
   for (std::size_t i = 0; i < n; ++i) nic.create_qp(qc);
   s.setup_ms = ms_since(start);
-  s.slab_live = nic.qp_count();
-  s.slab_capacity = nic.qp_slab().capacity();
+  s.qps_live = nic.qp_count();
 
   // Phase B: ACK-paced timer churn. Each "ACK" cancels the QP's armed RTO
   // and re-arms it one RTT later — the dominant timer pattern on a healthy
@@ -155,7 +151,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  heading("QP scaling: slab setup, timer churn, retransmission storm");
+  heading("QP scaling: QP setup, timer churn, retransmission storm");
 
   // The per-PR sweep stops at 1e5 (and so does the checked-in baseline);
   // --full appends the 1e6 point for the nightly job. The big point's
@@ -180,8 +176,7 @@ int main(int argc, char** argv) {
                    std::to_string(s.wheel_cascades)});
     if (s.qps > 100'000) continue;  // nightly-only point: wall-clock only
     const std::string prefix = "qp_scaling.n" + std::to_string(s.qps) + ".";
-    report.deterministic.counters[prefix + "slab_live"] = s.slab_live;
-    report.deterministic.counters[prefix + "slab_capacity"] = s.slab_capacity;
+    report.deterministic.counters[prefix + "qps_live"] = s.qps_live;
     report.deterministic.counters[prefix + "wheel_armed"] = s.wheel_armed;
     report.deterministic.counters[prefix + "wheel_fired"] = s.wheel_fired;
     report.deterministic.counters[prefix + "wheel_reclaimed"] =
@@ -201,16 +196,15 @@ int main(int argc, char** argv) {
   table.print();
 
   ShapeCheck check;
-  bool slab_exact = true, conserved = true;
+  bool qps_exact = true, conserved = true;
   for (const Sample& s : samples) {
-    slab_exact = slab_exact && s.slab_live == s.qps &&
-                 s.slab_capacity >= s.qps;
+    qps_exact = qps_exact && s.qps_live == s.qps;
     // Every armed timer either fired (storm + the churn stragglers the
     // ACKs raced) or was reclaimed as a tombstone; none may leak.
     conserved =
         conserved && s.wheel_armed == s.wheel_fired + s.wheel_reclaimed;
   }
-  check.expect(slab_exact, "slab holds exactly n live QPs at every scale");
+  check.expect(qps_exact, "the NIC holds exactly n live QPs at every scale");
   check.expect(conserved,
                "every armed timer is accounted for (fired or reclaimed)");
   check.expect(samples.back().wheel_max_stored >= samples.back().qps,

@@ -2,7 +2,7 @@
 //
 // Two angles:
 //   micro — ns/op for the hot-path primitives (counter inc, gauge
-//           high-water update, sharded histogram observe, trace-ring
+//           high-water update, histogram observe, trace-ring
 //           record), measured over a few million iterations;
 //   macro — the same orchestrator experiment run with telemetry enabled
 //           and disabled (Orchestrator::Options::enable_telemetry),
@@ -169,7 +169,7 @@ int main() {
   check.expect(sink.recorded() == kOps &&
                    sink.dropped() == kOps - sink.size(),
                "trace ring stays bounded and accounts for drops");
-  // Generous sanity bounds: these are relaxed atomic ops / a ring store;
+  // Generous sanity bounds: these are plain integer updates / a ring store;
   // even a heavily shared CI core should land far below 1 microsecond.
   check.expect(counter_ns < 1000.0 && histogram_ns < 1000.0 &&
                    trace_ns < 1000.0,

@@ -120,6 +120,13 @@ void expand_experiment(const YamlNode& node, const std::string& base_dir,
   }
 
   for (const Combo& combo : combos) {
+    // A sweep can strand an event (num-connections below its qpn): fail at
+    // load and name the run, not mid-campaign.
+    try {
+      combo.config.check_event_qpns();
+    } catch (const YamlError& error) {
+      throw YamlError("run " + combo.label + ": " + error.what());
+    }
     for (std::int64_t i = 0; i < repeat; ++i) {
       CampaignRunSpec spec;
       spec.kind = CampaignRunKind::kExperiment;

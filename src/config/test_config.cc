@@ -26,6 +26,23 @@ std::uint32_t checked_mtu(std::int64_t mtu) {
   return static_cast<std::uint32_t>(mtu);
 }
 
+std::string event_qpn_key(std::size_t i) {
+  return "data-pkt-events[" + std::to_string(i) + "].qpn";
+}
+
+/// An event `qpn` is a 1-based connection index. It is read as int64 so a
+/// value past int range fails here instead of wrapping onto a valid
+/// connection; check_event_qpns() checks it against the connection count.
+int checked_event_qpn(std::int64_t qpn, std::size_t i) {
+  if (qpn < std::numeric_limits<int>::min() ||
+      qpn > std::numeric_limits<int>::max()) {
+    throw YamlError(event_qpn_key(i) +
+                    " must be in [1, number of connections], got " +
+                    std::to_string(qpn));
+  }
+  return static_cast<int>(qpn);
+}
+
 }  // namespace
 
 std::optional<EventType> parse_event_type(const std::string& text) {
@@ -94,6 +111,21 @@ void TestConfig::normalize() {
     if (conn.src_host == conn.dst_host) {
       throw YamlError("connection src and dst are both host " +
                       std::to_string(conn.src_host));
+    }
+  }
+  check_event_qpns();
+}
+
+void TestConfig::check_event_qpns() const {
+  const auto n = connections.empty()
+                     ? std::max(1, traffic.num_connections)
+                     : static_cast<int>(connections.size());
+  for (std::size_t i = 0; i < traffic.data_pkt_events.size(); ++i) {
+    const int qpn = traffic.data_pkt_events[i].qpn;
+    if (qpn < 1 || qpn > n) {
+      throw YamlError(event_qpn_key(i) + " must be in [1, " +
+                      std::to_string(n) + "] (the number of connections), " +
+                      "got " + std::to_string(qpn));
     }
   }
 }
@@ -217,7 +249,7 @@ TrafficConfig load_traffic_config(const YamlNode& node) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const YamlNode& ev = events[i];
     DataPacketEvent out;
-    out.qpn = static_cast<int>(ev["qpn"].as_int_or(1));
+    out.qpn = checked_event_qpn(ev["qpn"].as_int_or(1), i);
     out.psn = static_cast<std::uint32_t>(ev["psn"].as_int_or(1));
     out.type = parse_event_type_or_throw(ev["type"].as_string_or("drop"));
     out.iter = static_cast<std::uint32_t>(ev["iter"].as_int_or(1));

@@ -148,9 +148,17 @@ struct TestConfig {
   /// fills default host names, derives collision-free default GIDs
   /// (10.0.0.<host_index+1>, skipping addresses the config already
   /// claims), reconciles `connections` with traffic.num_connections, and
-  /// validates connection host indices. Idempotent; throws YamlError on an
-  /// invalid connection spec or duplicate host name.
+  /// validates connection host indices and event qpns. Idempotent; throws
+  /// YamlError on an invalid connection spec, a duplicate host name, or an
+  /// event qpn outside [1, number of connections].
   void normalize();
+
+  /// Throws a YamlError naming `data-pkt-events[i].qpn` unless every event
+  /// qpn is in [1, number of connections]. The connections are the explicit
+  /// list or, without one, traffic.num_connections copies of the default
+  /// pair (at least one), as normalize() resolves them; so the check also
+  /// holds on a config normalize() has not seen yet.
+  void check_event_qpns() const;
 };
 
 /// Default name of host `index`: "requester", "responder", "host<i>".

@@ -17,11 +17,7 @@ TrafficGenerator::TrafficGenerator(Simulator* sim, std::vector<Rnic*> nics,
       conn_specs_(std::move(connections)),
       traffic_(std::move(traffic)),
       ets_(std::move(ets)),
-      rng_(seed),
-      cq_(sim) {
-  cq_.set_handler([this](std::uint64_t user_data, const WorkCompletion& wc) {
-    on_completion(static_cast<int>(user_data), wc);
-  });
+      rng_(seed) {
   if (conn_specs_.empty()) {
     conn_specs_.assign(
         static_cast<std::size_t>(std::max(1, traffic_.num_connections)),
@@ -110,7 +106,8 @@ void TrafficGenerator::setup() {
     req_qp->connect(meta.requester, meta.responder);
     resp_qp->connect(meta.responder, meta.requester);
 
-    req_qp->bind_cq(&cq_, static_cast<std::uint64_t>(i));
+    req_qp->set_completion_callback(
+        [this, i](const WorkCompletion& wc) { on_completion(i, wc); });
 
     if (traffic_.verb == RdmaVerb::kSendRecv ||
         traffic_.secondary_verb == RdmaVerb::kSendRecv) {
@@ -133,18 +130,10 @@ void TrafficGenerator::start() {
 }
 
 void TrafficGenerator::post_burst_all() {
-  // One tx_depth-deep burst on every connection. With doorbell batching
-  // the whole burst rings each source NIC once instead of once per
-  // post_send — the egress pump sees all the work at end-of-burst.
+  // One tx_depth-deep burst on every connection.
   const int burst = std::max(1, traffic_.tx_depth);
-  if (doorbell_batching_) {
-    for (Rnic* nic : nics_) nic->doorbell_batch_begin();
-  }
   for (int i = 0; i < num_connections(); ++i) {
     for (int k = 0; k < burst; ++k) post_next(i);
-  }
-  if (doorbell_batching_) {
-    for (Rnic* nic : nics_) nic->doorbell_batch_end();
   }
 }
 

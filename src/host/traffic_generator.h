@@ -20,7 +20,6 @@
 
 #include "config/test_config.h"
 #include "host/metrics.h"
-#include "rnic/cq.h"
 #include "rnic/rnic.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
@@ -54,20 +53,6 @@ class TrafficGenerator {
                    const HostConfig& requester_cfg,
                    const HostConfig& responder_cfg, TrafficConfig traffic,
                    EtsConfig ets, std::uint64_t seed = 0xBEEF);
-
-  /// Batches completion dispatch through the shared CQ (one zero-delay
-  /// drain event per completion burst) instead of the default synchronous
-  /// per-completion dispatch. Inserts simulator events, so leave off for
-  /// golden/byte-identity runs. Call before setup().
-  void set_cq_batching(bool on) { cq_.set_batching(on); }
-
-  /// Coalesces the egress-engine kicks of a posting burst (start() and
-  /// each barrier round) into one doorbell per source NIC. Off by
-  /// default; purely an event-count optimization for the qp_scaling
-  /// regime.
-  void set_doorbell_batching(bool on) { doorbell_batching_ = on; }
-
-  const CompletionQueue& cq() const { return cq_; }
 
   /// Creates and connects QPs, exchanges metadata. Must run before start().
   void setup();
@@ -119,11 +104,6 @@ class TrafficGenerator {
   TrafficConfig traffic_;
   EtsConfig ets_;
   Rng rng_;
-
-  /// Shared CQ for all requester QPs: bound with the connection index as
-  /// user_data, so one handler demultiplexes every flow's completions.
-  CompletionQueue cq_;
-  bool doorbell_batching_ = false;
 
   std::vector<QueuePair*> req_qps_;
   std::vector<QueuePair*> resp_qps_;

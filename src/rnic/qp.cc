@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rnic/cq.h"
 #include "rnic/rnic.h"
 #include "util/logging.h"
 
@@ -26,8 +25,9 @@ std::uint32_t packets_for(std::uint64_t len, std::uint32_t mtu) {
 
 }  // namespace
 
-QueuePair::QueuePair(Rnic* rnic, std::uint32_t qpn, QpConfig config)
-    : rnic_(rnic), qpn_(qpn), config_(config) {}
+QueuePair::QueuePair(Rnic* rnic, std::uint32_t qpn, QpConfig config,
+                     std::uint32_t slot)
+    : rnic_(rnic), qpn_(qpn), slot_(slot), config_(config) {}
 
 void QueuePair::connect(const QpEndpointInfo& local,
                         const QpEndpointInfo& remote) {
@@ -854,11 +854,7 @@ void QueuePair::complete_wqe(std::size_t index, WcStatus status) {
 }
 
 void QueuePair::deliver_completion(const WorkCompletion& wc) {
-  if (cq_ != nullptr) {
-    cq_->post(cq_user_data_, wc);
-  } else if (completion_cb_) {
-    completion_cb_(wc);
-  }
+  if (completion_cb_) completion_cb_(wc);
 }
 
 }  // namespace lumina

@@ -30,11 +30,12 @@
 namespace lumina {
 
 class Rnic;
-class CompletionQueue;
 
 class QueuePair {
  public:
-  QueuePair(Rnic* rnic, std::uint32_t qpn, QpConfig config);
+  /// `slot` is the QP's index in the owning Rnic's QP store.
+  QueuePair(Rnic* rnic, std::uint32_t qpn, QpConfig config,
+            std::uint32_t slot);
 
   QueuePair(const QueuePair&) = delete;
   QueuePair& operator=(const QueuePair&) = delete;
@@ -44,14 +45,6 @@ class QueuePair {
 
   void set_completion_callback(CompletionCallback cb) {
     completion_cb_ = std::move(cb);
-  }
-
-  /// Routes completions to a shared CompletionQueue (rnic/cq.h) tagged
-  /// with `user_data`, instead of a per-QP callback closure. Takes
-  /// precedence over set_completion_callback when both are set.
-  void bind_cq(CompletionQueue* cq, std::uint64_t user_data) {
-    cq_ = cq;
-    cq_user_data_ = user_data;
   }
 
   /// Posts a work request (requester role). Packets enter the TX stream
@@ -64,6 +57,9 @@ class QueuePair {
 
   // -- identity ------------------------------------------------------------
   std::uint32_t qpn() const { return qpn_; }
+  /// Index in the owning Rnic's QP store (its creation order), where the
+  /// egress pump keeps this QP's pacing gate and traffic-class position.
+  std::uint32_t slot() const { return slot_; }
   const QpEndpointInfo& local() const { return local_; }
   const QpEndpointInfo& remote() const { return remote_; }
   const QpConfig& config() const { return config_; }
@@ -102,13 +98,6 @@ class QueuePair {
   /// Builds and consumes the next packet. Returns nullopt if nothing is
   /// ready at `now`.
   std::optional<Packet> build_next_packet(Tick now);
-
-  // -- slab identity (rnic/qp_slab.h) ----------------------------------------
-  /// The QP's handle in the owning Rnic's slab; set once at creation.
-  /// Scheduler-hot fields (DCQCN pacing gate, TC membership) live in the
-  /// slab's QpHot row behind this index, not in the QueuePair itself.
-  void set_self_index(QpIndex index) { self_ = index; }
-  QpIndex self_index() const { return self_; }
 
  private:
   // One packet of the requester's PSN stream (data packet or read request).
@@ -170,13 +159,11 @@ class QueuePair {
 
   Rnic* rnic_;
   std::uint32_t qpn_;
+  std::uint32_t slot_;
   QpConfig config_;
   QpEndpointInfo local_;
   QpEndpointInfo remote_;
   CompletionCallback completion_cb_;
-  CompletionQueue* cq_ = nullptr;  ///< Preferred completion path when set.
-  std::uint64_t cq_user_data_ = 0;
-  QpIndex self_{};                 ///< This QP's slab handle.
   bool connected_ = false;
   bool error_ = false;
 

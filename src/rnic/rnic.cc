@@ -200,70 +200,21 @@ Rnic::~Rnic() = default;
 QueuePair* Rnic::create_qp(const QpConfig& config) {
   const std::uint32_t qpn = next_qpn_;
   next_qpn_ = (next_qpn_ + 0x11) & kPsnMask;
-  const QpIndex index =
-      slab_.create(this, qpn, config, sim_, profile_.dcqcn,
-                   profile_.link_gbps, roce_.dcqcn_rp_enable);
-  QueuePair* raw = &slab_.qp_at(index.slot);
-  raw->set_self_index(index);
-  slot_by_qpn_[qpn] = index.slot;
+  const auto slot = static_cast<std::uint32_t>(qps_.size());
+  QpSlot& s = qps_.emplace_back(this, slot, qpn, config);
+  slot_by_qpn_[qpn] = slot;
 
   const auto tc = static_cast<std::size_t>(std::max(0, config.traffic_class));
   if (tc >= tcs_.size()) tcs_.resize(tc + 1);
-  QpHot& hot = slab_.hot(index.slot);
-  hot.tc = static_cast<std::int32_t>(tc);
-  hot.tc_pos = static_cast<std::uint32_t>(tcs_[tc].members.size());
-  tcs_[tc].members.push_back(index.slot);
-  return raw;
+  s.tc = static_cast<std::uint32_t>(tc);
+  s.tc_pos = static_cast<std::uint32_t>(tcs_[tc].members.size());
+  tcs_[tc].members.push_back(slot);
+  return &s.qp;
 }
 
 QueuePair* Rnic::find_qp(std::uint32_t qpn) {
   const auto it = slot_by_qpn_.find(qpn);
-  return it == slot_by_qpn_.end() ? nullptr : &slab_.qp_at(it->second);
-}
-
-void Rnic::destroy_qp(QpIndex index) {
-  QueuePair* qp = slab_.get(index);
-  if (qp == nullptr) return;
-  const QpHot& hot = slab_.hot(index.slot);
-  TcState& tc = tcs_[static_cast<std::size_t>(hot.tc)];
-  tc.members[hot.tc_pos] = QpIndex::kInvalidSlot;
-  ++tc.tombstones;
-  tc.work.erase(hot.tc_pos);
-  slot_by_qpn_.erase(qp->qpn());
-  slab_.destroy(index);
-  // Heavy create/destroy churn (the qp_scaling bench's recycling phase)
-  // would otherwise grow the member table without bound.
-  if (tc.tombstones >= 64 && tc.tombstones * 2 > tc.members.size()) {
-    compact_tc(tc);
-  }
-}
-
-void Rnic::compact_tc(TcState& tc) {
-  std::vector<std::uint32_t> members;
-  members.reserve(tc.members.size() - tc.tombstones);
-  std::size_t new_cursor = 0;
-  for (std::size_t pos = 0; pos < tc.members.size(); ++pos) {
-    const std::uint32_t slot = tc.members[pos];
-    if (slot == QpIndex::kInvalidSlot) continue;
-    if (pos < tc.cursor) ++new_cursor;
-    slab_.hot(slot).tc_pos = static_cast<std::uint32_t>(members.size());
-    members.push_back(slot);
-  }
-  std::set<std::uint32_t> work;
-  for (const std::uint32_t pos : tc.work) {
-    const std::uint32_t slot = tc.members[pos];
-    if (slot == QpIndex::kInvalidSlot) continue;
-    work.insert(slab_.hot(slot).tc_pos);
-  }
-  tc.members = std::move(members);
-  tc.work = std::move(work);
-  tc.cursor = tc.members.empty() ? 0 : new_cursor % tc.members.size();
-  tc.tombstones = 0;
-}
-
-void Rnic::reserve_qps(std::size_t n) {
-  slab_.reserve(n);
-  slot_by_qpn_.reserve(n);
+  return it == slot_by_qpn_.end() ? nullptr : &qps_[it->second].qp;
 }
 
 void Rnic::configure_ets(const std::vector<int>& weights) {
@@ -288,7 +239,7 @@ Tick Rnic::min_cnp_interval() const {
 
 DcqcnRp& Rnic::rp_for(std::uint32_t qpn) {
   const auto slot_it = slot_by_qpn_.find(qpn);
-  if (slot_it != slot_by_qpn_.end()) return slab_.rp_at(slot_it->second);
+  if (slot_it != slot_by_qpn_.end()) return qps_[slot_it->second].rp;
   auto it = orphan_rps_.find(qpn);
   if (it == orphan_rps_.end()) {
     auto rp =
@@ -346,24 +297,11 @@ void Rnic::enqueue_control(Packet pkt) {
   pump();
 }
 
-void Rnic::notify_tx_ready() {
-  if (doorbell_batch_depth_ > 0) {
-    doorbell_kick_pending_ = true;
-    return;
-  }
-  pump();
-}
-
-void Rnic::doorbell_batch_end() {
-  if (--doorbell_batch_depth_ == 0 && doorbell_kick_pending_) {
-    doorbell_kick_pending_ = false;
-    pump();
-  }
-}
+void Rnic::notify_tx_ready() { pump(); }
 
 void Rnic::mark_tx_work(QueuePair& qp) {
-  const QpHot& hot = slab_.hot(qp.self_index().slot);
-  tcs_[static_cast<std::size_t>(hot.tc)].work.insert(hot.tc_pos);
+  const QpSlot& s = qps_[qp.slot()];
+  tcs_[s.tc].work.insert(s.tc_pos);
 }
 
 void Rnic::read_slow_path_begin() {
@@ -479,7 +417,7 @@ void Rnic::pump() {
   const std::size_t ntc = tcs_.size();
   std::vector<bool>& active = pump_active_;
   std::vector<std::size_t>& bytes = pump_bytes_;
-  std::vector<QueuePair*>& chosen = pump_chosen_;
+  std::vector<QpSlot*>& chosen = pump_chosen_;
   std::vector<std::uint32_t>& chosen_pos = pump_chosen_pos_;
   active.assign(ntc, false);
   bytes.assign(ntc, 0);
@@ -504,21 +442,18 @@ void Rnic::pump() {
                           std::set<std::uint32_t>::iterator end) {
       while (it != end) {
         const std::uint32_t pos = *it;
-        const std::uint32_t slot = tc.members[pos];
-        const Tick ready = slot == QpIndex::kInvalidSlot
-                               ? std::numeric_limits<Tick>::max()
-                               : slab_.qp_at(slot).tx_ready_time();
+        QpSlot& s = qps_[tc.members[pos]];
+        const Tick ready = s.qp.tx_ready_time();
         if (ready == std::numeric_limits<Tick>::max()) {
           it = tc.work.erase(it);
           continue;
         }
-        const Tick tt = std::max(ready, slab_.hot(slot).pacing_next);
+        const Tick tt = std::max(ready, s.pacing_next);
         if (tt <= now) {
           active[t] = true;
-          chosen[t] = &slab_.qp_at(slot);
+          chosen[t] = &s;
           chosen_pos[t] = pos;
-          bytes[t] = chosen[t]->next_packet_bytes() +
-                     Packet::kWireOverheadBytes;
+          bytes[t] = s.qp.next_packet_bytes() + Packet::kWireOverheadBytes;
           return true;
         }
         earliest = std::min(earliest, tt);
@@ -539,16 +474,14 @@ void Rnic::pump() {
     const auto pick = ets_.pick(now, active, bytes);
     if (pick) {
       const auto tci = static_cast<std::size_t>(*pick);
-      QueuePair* qp = chosen[tci];
-      auto pkt = qp->build_next_packet(now);
+      QpSlot& s = *chosen[tci];
+      auto pkt = s.qp.build_next_packet(now);
       if (pkt) {
         const std::size_t wire = pkt->wire_size();
-        const std::uint32_t slot = qp->self_index().slot;
-        DcqcnRp& rp = slab_.rp_at(slot);
-        const double rate = rp.rate_gbps();
-        slab_.hot(slot).pacing_next =
+        const double rate = s.rp.rate_gbps();
+        s.pacing_next =
             now + static_cast<Tick>(static_cast<double>(wire) * 8.0 / rate);
-        rp.on_packet_sent(wire);
+        s.rp.on_packet_sent(wire);
         ets_.on_sent(*pick, wire, now);
         // Advance the round-robin cursor past the QP just served.
         TcState& tc = tcs_[tci];

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,7 +22,6 @@
 #include "rnic/device_profile.h"
 #include "rnic/ets.h"
 #include "rnic/qp.h"
-#include "rnic/qp_slab.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
@@ -73,27 +73,11 @@ class Rnic : public Node {
   MacAddress mac() const { return mac_; }
 
   // -- verbs-ish control path -------------------------------------------------
-  /// Creates an RC QP in the slab. The returned pointer remains owned by
-  /// the Rnic and stays valid until destroy_qp; the slab handle is
-  /// available as qp->self_index().
+  /// Creates an RC QP. The returned pointer remains owned by the Rnic and
+  /// stays valid for the Rnic's lifetime; qp->slot() is its creation index.
   QueuePair* create_qp(const QpConfig& config);
   QueuePair* find_qp(std::uint32_t qpn);
-
-  /// Resolves a slab handle; nullptr if the QP was destroyed (or the slot
-  /// recycled under a newer generation).
-  QueuePair* qp(QpIndex index) { return slab_.get(index); }
-
-  /// Destroys a QP and recycles its slab slot. Any in-flight packets or
-  /// timers referencing it must already be quiesced (host layer's job, as
-  /// with real verbs).
-  void destroy_qp(QpIndex index);
-
-  /// Pre-sizes the slab (and qpn map) for `n` QPs: bulk setup at the
-  /// qp_scaling scale pays no growth reallocations.
-  void reserve_qps(std::size_t n);
-
-  std::size_t qp_count() const { return slab_.live_count(); }
-  const QpSlab& qp_slab() const { return slab_; }
+  std::size_t qp_count() const { return qps_.size(); }
 
   /// Configures ETS traffic-class weights. QPs map to classes via
   /// QpConfig::traffic_class. With the CX6 Dx profile and more than one
@@ -126,11 +110,6 @@ class Rnic : public Node {
   /// transition that creates (or re-creates) transmittable work; idle QPs
   /// drop out of the set lazily when a scan finds them exhausted.
   void mark_tx_work(QueuePair& qp);
-  /// Defers pump kicks from notify_tx_ready while a doorbell batch is
-  /// open, coalescing a burst of post_sends into one egress-engine pass.
-  /// Balanced begin/end; a pending kick fires when the depth hits zero.
-  void doorbell_batch_begin() { ++doorbell_batch_depth_; }
-  void doorbell_batch_end();
   /// Requester read-OOO slow-path episode accounting (§6.2.2).
   void read_slow_path_begin();
   void read_slow_path_end();
@@ -155,20 +134,33 @@ class Rnic : public Node {
 
  private:
   friend struct RnicPipeline;
-  // Per traffic class: a position-stable member table of slab slots
-  // (destroy leaves a kInvalidSlot tombstone so round-robin positions
-  // stay put), the work set of member positions that may have TX work,
-  // and the round-robin cursor.
+  // One QP, its DCQCN reaction point, and the egress pump's state for it.
+  // A QP's slot is its index in qps_, i.e. its creation order.
+  struct QpSlot {
+    QpSlot(Rnic* nic, std::uint32_t slot, std::uint32_t qpn,
+           const QpConfig& config)
+        : qp(nic, qpn, config, slot),
+          rp(nic->sim_, nic->profile_.dcqcn, nic->profile_.link_gbps) {
+      rp.set_enabled(nic->roce_.dcqcn_rp_enable);
+    }
+    QueuePair qp;
+    DcqcnRp rp;
+    Tick pacing_next = 0;      ///< DCQCN pacing: earliest next TX time.
+    std::uint32_t tc = 0;      ///< ETS traffic class.
+    std::uint32_t tc_pos = 0;  ///< Position in the class's member table.
+  };
+
+  // Per traffic class: the member table of QP slots in creation order, the
+  // work set of member positions that may have TX work, and the
+  // round-robin cursor.
   struct TcState {
     std::vector<std::uint32_t> members;
     std::set<std::uint32_t> work;
     std::size_t cursor = 0;
-    std::size_t tombstones = 0;
   };
 
   void pump();
   void schedule_pump(Tick when);
-  void compact_tc(TcState& tc);
   void maybe_send_cnp(QueuePair& qp);
   void on_pause_frame(const PfcFrame& frame);
 
@@ -182,10 +174,12 @@ class Rnic : public Node {
   std::unique_ptr<Port> port_;
   RnicCounters counters_;
 
-  QpSlab slab_;
+  // emplace_back never moves existing elements, so QueuePair pointers stay
+  // valid as QPs are added.
+  std::deque<QpSlot> qps_;
   std::unordered_map<std::uint32_t, std::uint32_t> slot_by_qpn_;
-  /// rp_for() on a qpn with no slab QP (possible in unit tests poking at
-  /// the DCQCN surface directly) still auto-creates, as it always did.
+  /// rp_for() on a qpn with no QP (possible in unit tests poking at
+  /// the DCQCN surface directly) auto-creates a standalone reaction point.
   std::unordered_map<std::uint32_t, std::unique_ptr<DcqcnRp>> orphan_rps_;
   std::uint32_t next_qpn_;
 
@@ -199,11 +193,9 @@ class Rnic : public Node {
   // requires never fires the drained callback.
   std::vector<bool> pump_active_;
   std::vector<std::size_t> pump_bytes_;
-  std::vector<QueuePair*> pump_chosen_;
+  std::vector<QpSlot*> pump_chosen_;
   std::vector<std::uint32_t> pump_chosen_pos_;
   Tick pump_scheduled_for_ = -1;
-  int doorbell_batch_depth_ = 0;
-  bool doorbell_kick_pending_ = false;
 
   // Recycled RoceView boxes for the RX dispatch callback: the view is too
   // large to capture inline, so it rides in a pooled heap box instead of a

@@ -45,23 +45,6 @@ struct WorkCompletion {
 
 using CompletionCallback = std::function<void(const WorkCompletion&)>;
 
-/// Stable, generation-checked handle into the owning Rnic's QP slab
-/// (rnic/qp_slab.h). Slots are recycled through a free list; the
-/// generation detects use of a handle whose QP has since been destroyed.
-struct QpIndex {
-  static constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
-  std::uint32_t slot = kInvalidSlot;
-  std::uint32_t gen = 0;
-
-  bool valid() const { return slot != kInvalidSlot; }
-  friend bool operator==(const QpIndex& a, const QpIndex& b) {
-    return a.slot == b.slot && a.gen == b.gen;
-  }
-  friend bool operator!=(const QpIndex& a, const QpIndex& b) {
-    return !(a == b);
-  }
-};
-
 /// Everything needed to transition a QP to RTR/RTS — the metadata the two
 /// traffic generators exchange over their out-of-band TCP connection
 /// (§3.2) and share with the event injector (§3.3).

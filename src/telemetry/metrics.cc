@@ -3,18 +3,6 @@
 #include <algorithm>
 
 namespace lumina::telemetry {
-namespace {
-
-/// Process-wide dense thread slot: the first kShards distinct threads get
-/// distinct shards; later threads wrap around (still correct, atomics).
-std::size_t thread_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
-}  // namespace
 
 BucketBounds BucketBounds::exponential(std::int64_t first, double factor,
                                        int count) {
@@ -49,57 +37,26 @@ std::size_t BucketBounds::bucket_for(std::int64_t v) const {
   return static_cast<std::size_t>(it - upper.begin());
 }
 
-Histogram::Shard::Shard(std::size_t buckets)
-    : counts(new std::atomic<std::uint64_t>[buckets]) {
-  for (std::size_t i = 0; i < buckets; ++i) {
-    counts[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-Histogram::Histogram(BucketBounds bounds) : bounds_(std::move(bounds)) {
-  shards_.reserve(kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(bounds_.num_buckets()));
-  }
-}
-
-Histogram::Shard& Histogram::shard_for_current_thread() {
-  return *shards_[thread_slot() % kShards];
-}
+Histogram::Histogram(BucketBounds bounds)
+    : bounds_(std::move(bounds)), counts_(bounds_.num_buckets(), 0) {}
 
 void Histogram::observe(std::int64_t v) {
-  Shard& shard = shard_for_current_thread();
-  shard.counts[bounds_.bucket_for(v)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(v, std::memory_order_relaxed);
-  std::int64_t cur = shard.min.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !shard.min.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-  cur = shard.max.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !shard.max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
+  ++counts_[bounds_.bucket_for(v)];
+  ++count_;
+  sum_ += v;
+  min_ = std::min(min_, v);
+  max_ = std::max(max_, v);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
   snap.bounds = bounds_.upper;
-  snap.counts.assign(bounds_.num_buckets(), 0);
-  std::int64_t min = std::numeric_limits<std::int64_t>::max();
-  std::int64_t max = std::numeric_limits<std::int64_t>::min();
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      snap.counts[i] += shard->counts[i].load(std::memory_order_relaxed);
-    }
-    snap.count += shard->count.load(std::memory_order_relaxed);
-    snap.sum += shard->sum.load(std::memory_order_relaxed);
-    min = std::min(min, shard->min.load(std::memory_order_relaxed));
-    max = std::max(max, shard->max.load(std::memory_order_relaxed));
-  }
-  if (snap.count > 0) {
-    snap.min = min;
-    snap.max = max;
+  snap.counts = counts_;
+  snap.count = count_;
+  snap.sum = sum_;
+  if (count_ > 0) {
+    snap.min = min_;
+    snap.max = max_;
   }
   return snap;
 }
@@ -137,14 +94,12 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
@@ -152,14 +107,12 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const BucketBounds& bounds) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>(bounds);
   return *slot;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) {
     snap.counters[name] = counter->value();

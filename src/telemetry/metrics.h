@@ -3,31 +3,28 @@
 // Three metric kinds, all integer-valued so snapshots serialize without any
 // floating-point formatting ambiguity:
 //
-//   Counter   — monotonically increasing event count (atomic u64);
-//   Gauge     — a level or high-water mark (atomic i64);
-//   Histogram — fixed-bucket latency/size distribution. Observations land
-//               in per-thread shards (a small fixed pool indexed by a
-//               thread slot) and are merged only at snapshot() time, so the
-//               hot path is a relaxed atomic add with no locks.
+//   Counter   — monotonically increasing event count (u64);
+//   Gauge     — a level or high-water mark (i64);
+//   Histogram — fixed-bucket latency/size distribution: one bucket-count
+//               vector plus count, sum, min and max.
 //
 // A MetricsRegistry owns named metrics; handles returned by counter() /
 // gauge() / histogram() are stable for the registry's lifetime, so hot
-// paths resolve a name once and then touch only the atomic. snapshot()
-// flattens everything into sorted std::maps — the deterministic section of
-// report.json is a pure serialization of that snapshot.
+// paths resolve a name once and then touch only a plain integer.
+// snapshot() flattens everything into sorted std::maps — the deterministic
+// section of report.json is a pure serialization of that snapshot.
 //
-// Registries are per-run: a campaign's worker threads each populate their
-// own run's registry, and the campaign layer merges the resulting
-// snapshots in spec order, which keeps aggregated artifacts byte-identical
-// for any --jobs value (integer sums are order-independent).
+// Registries are per-run and single-threaded: a run is one thread and owns
+// its registry. A campaign's worker threads each populate their own run's
+// registry, and the campaign layer merges the resulting snapshots in spec
+// order, which keeps aggregated artifacts byte-identical for any --jobs
+// value (integer sums are order-independent).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -35,31 +32,28 @@ namespace lumina::telemetry {
 
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 class Gauge {
  public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  void set(std::int64_t v) { v_ = v; }
+  void add(std::int64_t d) { v_ += d; }
 
   /// Raises the gauge to `v` if `v` exceeds the current value (high-water
-  /// mark semantics; lock-free CAS loop).
+  /// mark semantics).
   void record_max(std::int64_t v) {
-    std::int64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+    if (v > v_) v_ = v;
   }
 
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
+  std::int64_t value() const { return v_; }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  std::int64_t v_ = 0;
 };
 
 /// Inclusive upper bucket bounds, strictly increasing. A histogram with
@@ -96,36 +90,20 @@ class Histogram {
  public:
   explicit Histogram(BucketBounds bounds);
 
-  /// Records one observation. Lock-free: a relaxed atomic add on the
-  /// calling thread's shard (plus CAS loops for min/max).
+  /// Records one observation.
   void observe(std::int64_t v);
 
   const BucketBounds& bounds() const { return bounds_; }
 
-  /// Merges every shard. Safe to call while other threads observe; the
-  /// result is a consistent-enough point-in-time view (exact once writers
-  /// have quiesced, which is when the orchestrator scrapes).
   HistogramSnapshot snapshot() const;
 
  private:
-  // Threads map onto a fixed shard pool via a process-wide thread slot.
-  // Collisions (more live threads than shards) are correct — the shard is
-  // all atomics — they only add contention.
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    explicit Shard(std::size_t buckets);
-    std::unique_ptr<std::atomic<std::uint64_t>[]> counts;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::int64_t> sum{0};
-    std::atomic<std::int64_t> min{std::numeric_limits<std::int64_t>::max()};
-    std::atomic<std::int64_t> max{std::numeric_limits<std::int64_t>::min()};
-  };
-
-  Shard& shard_for_current_thread();
-
   const BucketBounds bounds_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // fixed size kShards
+  std::vector<std::uint64_t> counts_;  ///< bounds_.num_buckets() entries.
+  std::uint64_t count_ = 0;
+  std::int64_t sum_ = 0;
+  std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
 };
 
 /// Sorted, plain-data view of a whole registry — the deterministic section
@@ -152,8 +130,8 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Returns the metric named `name`, creating it on first use. The
-  /// reference stays valid for the registry's lifetime. Registration takes
-  /// a mutex; cache the handle rather than re-resolving on a hot path.
+  /// reference stays valid for the registry's lifetime. Registration is a
+  /// map lookup; cache the handle rather than re-resolving on a hot path.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   /// `bounds` applies on first registration; later calls return the
@@ -163,7 +141,6 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

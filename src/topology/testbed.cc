@@ -52,9 +52,6 @@ void Testbed::build() {
             LinkParams{profile.link_gbps, spec_.link_propagation});
     // Routes: every GID of a host resolves to its switch port.
     for (const auto& ip : host.ip_list) switch_->add_route(ip, host_port(i));
-    if (spec_.qp_reserve_per_host > 0) {
-      nic->reserve_qps(spec_.qp_reserve_per_host);
-    }
     nics_.push_back(std::move(nic));
   }
 

@@ -38,10 +38,6 @@ struct TestbedSpec {
   /// Keep full (untrimmed) mirror copies; the stock tool trims to 128 B.
   bool trim_mirrors = true;
   bool enable_telemetry = true;
-  /// Pre-sizes every host NIC's QP slab (rnic.md): a large fan-out run
-  /// (qp_scaling regime) pays no slab growth during connection setup.
-  /// Zero keeps lazy growth.
-  std::size_t qp_reserve_per_host = 0;
 };
 
 class Testbed {

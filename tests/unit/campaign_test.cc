@@ -216,6 +216,31 @@ TEST(CampaignConfig, RejectsBadDocuments) {
       YamlError);
 }
 
+TEST(Campaign, SweepThatStrandsAnEventQpnFailsAtLoad) {
+  // num-connections: 1 leaves the qpn-2 event without a connection: the
+  // campaign must fail at load and name the run, not abort mid-campaign.
+  const std::string error = [] {
+    try {
+      load_campaign(parse_yaml("runs:\n"
+                               "  - kind: experiment\n"
+                               "    name: strand\n"
+                               "    config:\n"
+                               "      traffic:\n"
+                               "        num-connections: 2\n"
+                               "        data-pkt-events:\n"
+                               "        - {qpn: 2, psn: 3, type: drop}\n"
+                               "    sweep:\n"
+                               "      num-connections: [2, 1]\n"));
+    } catch (const YamlError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  }();
+  EXPECT_NE(error.find("strand/num-connections=1"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("data-pkt-events[0].qpn"), std::string::npos) << error;
+}
+
 TEST(CampaignConfig, AppliesTrafficOverrides) {
   TestConfig cfg;
   apply_traffic_override(cfg, "message-size", YamlNode::scalar("4096"));

@@ -294,6 +294,34 @@ TEST(Config, RejectsZeroMtu) {
             1u);
 }
 
+TEST(Config, RejectsEventQpnOutOfRange) {
+  // An event qpn is a 1-based connection index. 0, n+1, and a value that
+  // wraps to 1 as an int must each fail as a YamlError naming the key,
+  // not throw mid-run or move the event onto another connection.
+  for (const char* qpn : {"0", "3", "4294967297"}) {
+    const std::string text =
+        std::string("traffic:\n"
+                    "  num-connections: 2\n"
+                    "  data-pkt-events:\n"
+                    "  - {qpn: 1, psn: 4, type: ecn}\n"
+                    "  - {qpn: ") +
+        qpn + ", psn: 5, type: drop}\n";
+    EXPECT_NE(yaml_error([&] {
+                load_test_config(parse_yaml(text)).normalize();
+              }).find("data-pkt-events[1].qpn"),
+              std::string::npos)
+        << qpn;
+  }
+  // The connection count an explicit list implies bounds qpn too.
+  TestConfig listed = load_test_config(parse_yaml(
+      "connections:\n- {src: 0, dst: 1, count: 3}\n"
+      "traffic:\n  data-pkt-events:\n  - {qpn: 3, psn: 1}\n"));
+  listed.normalize();
+  EXPECT_EQ(listed.traffic.data_pkt_events.at(0).qpn, 3);
+  listed.traffic.data_pkt_events.at(0).qpn = 4;
+  EXPECT_THROW(listed.normalize(), YamlError);
+}
+
 TEST(Config, NormalizeRejectsDuplicateHostNames) {
   TestConfig cfg;
   cfg.host_at(0).name = "twin";

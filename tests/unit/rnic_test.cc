@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "rnic/rnic.h"
 
@@ -556,6 +557,59 @@ TEST_F(RnicTest, QpnsAreUniquePerNic) {
   EXPECT_EQ(req->find_qp(a->qpn()), a);
   EXPECT_EQ(req->find_qp(b->qpn()), b);
   EXPECT_EQ(req->find_qp(0xdead), nullptr);
+}
+
+TEST_F(RnicTest, QpPointersStayValidAsQpsAreAdded) {
+  // Every pointer create_qp hands out must survive the QPs created after
+  // it: the host layer keeps them for the NIC's lifetime.
+  build(NicType::kCx6Dx, NicType::kCx6Dx);
+  constexpr std::size_t kN = 1000;
+  std::vector<QueuePair*> ptrs;
+  for (std::size_t i = 0; i < kN; ++i) ptrs.push_back(req->create_qp({}));
+  EXPECT_EQ(req->qp_count(), kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(req->find_qp(ptrs[i]->qpn()), ptrs[i]);
+    EXPECT_EQ(ptrs[i]->slot(), i);
+  }
+}
+
+TEST_F(RnicTest, PumpRoundRobinsQpsWithinAClass) {
+  // Five QPs, created interleaved across two equal-weight ETS classes on a
+  // work-conserving NIC, each with one 4-packet Write. Within a class the
+  // egress pump must serve the class's QPs in creation order, cyclically.
+  build(NicType::kCx5, NicType::kCx5);
+  req->configure_ets({50, 50});
+  const std::vector<int> tc_of = {0, 1, 0, 1, 0};
+  std::vector<QueuePair*> requesters;
+  std::vector<std::uint32_t> responder_qpns;
+  for (const int tc : tc_of) {
+    auto [rq, rs] = make_qps(QpConfig{.mtu = 1024, .traffic_class = tc});
+    requesters.push_back(rq);
+    responder_qpns.push_back(rs->qpn());
+  }
+  for (QueuePair* rq : requesters) {
+    rq->post_send({1, RdmaVerb::kWrite, 4096, 0x2000, 0x22});
+  }
+  sim.run();
+
+  // Data frames in wire order, as creation indices, split by class.
+  std::vector<std::vector<std::size_t>> served(2);
+  for (const auto& v : wire.log) {
+    if (!is_data_opcode(v.bth.opcode)) continue;
+    const auto it = std::find(responder_qpns.begin(), responder_qpns.end(),
+                              v.bth.dest_qpn);
+    ASSERT_NE(it, responder_qpns.end());
+    const auto qp = static_cast<std::size_t>(it - responder_qpns.begin());
+    served[static_cast<std::size_t>(tc_of[qp])].push_back(qp);
+  }
+  const std::vector<std::vector<std::size_t>> members = {{0, 2, 4}, {1, 3}};
+  for (std::size_t tc = 0; tc < members.size(); ++tc) {
+    ASSERT_EQ(served[tc].size(), 4 * members[tc].size()) << "class " << tc;
+    for (std::size_t k = 0; k < served[tc].size(); ++k) {
+      EXPECT_EQ(served[tc][k], members[tc][k % members[tc].size()])
+          << "class " << tc << ", frame " << k;
+    }
+  }
 }
 
 }  // namespace

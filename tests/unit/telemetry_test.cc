@@ -1,13 +1,11 @@
 // Unit tests for the telemetry layer (docs/telemetry.md): histogram bucket
-// math, shard merging under concurrent writers, snapshot ordering and
-// campaign merging, the bounded trace ring, the JSON reader, and the
-// report.json serializer round-trip.
+// math, snapshot ordering and campaign merging, the bounded trace ring,
+// the JSON reader, and the report.json serializer round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "telemetry/json_lite.h"
@@ -88,28 +86,6 @@ TEST(Histogram, EmptySnapshotIsAllZero) {
   EXPECT_EQ(snap.sum, 0);
   EXPECT_EQ(snap.min, 0);
   EXPECT_EQ(snap.max, 0);
-}
-
-TEST(Histogram, ConcurrentObserversLoseNothing) {
-  // Eight threads hammer one histogram; shard collisions (more threads than
-  // slots would be needed) must stay exact because shards are atomic.
-  Histogram h(BucketBounds::exponential(64, 2.0, 10));
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&h, t] {
-      for (int i = 0; i < kPerThread; ++i) h.observe(t * 100 + i % 100);
-    });
-  }
-  for (auto& w : workers) w.join();
-  const HistogramSnapshot snap = h.snapshot();
-  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads * kPerThread));
-  std::uint64_t bucket_total = 0;
-  for (const auto c : snap.counts) bucket_total += c;
-  EXPECT_EQ(bucket_total, snap.count);
-  EXPECT_EQ(snap.min, 0);
-  EXPECT_EQ(snap.max, 7 * 100 + 99);
 }
 
 // -- registry and snapshots -----------------------------------------------

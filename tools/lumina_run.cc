@@ -526,7 +526,16 @@ int main(int argc, char** argv) {
   std::printf("   injected events: %zu\n", cfg.traffic.data_pkt_events.size());
 
   Orchestrator orch(cfg);
-  const TestResult& result = orch.run();
+  const TestResult* run_result = nullptr;
+  try {
+    run_result = &orch.run();
+  } catch (const std::exception& error) {
+    // Backstop for a config that loaded but cannot run (YamlError
+    // included): a typed error and exit 1, never an abort.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
+  }
+  const TestResult& result = *run_result;
 
   std::printf("\n== Integrity check (Section 3.5)\n   %s\n",
               result.integrity.to_string().c_str());
