@@ -28,9 +28,8 @@ struct DumperPipeline {
   using FrameMeta = pipeline::FrameMeta;
   using StageContract = pipeline::StageContract;
 
-  /// NIC/ring admission: RSS core selection and the finite per-core
-  /// service model. Ring overflow -> NIC discard. Stores the admitted
-  /// frame's core in the frame metadata.
+  /// NIC/ring admission: the chain's one decode, RSS core selection and
+  /// the finite per-core service model. Ring overflow -> NIC discard.
   class Admit : public pipeline::Stage {
    public:
     explicit Admit(TrafficDumper& dumper) : dumper_(dumper) {}
@@ -41,10 +40,10 @@ struct DumperPipeline {
       if (d.terminated_) return false;
       ++d.counters_.received;
 
-      const auto view = parse_roce(pkt);
+      meta.view = parse_roce(pkt);
       const Tick now = meta.ingress_ts;
       const std::size_t core =
-          view ? rss_hash(*view) % d.core_busy_until_.size() : 0;
+          meta.view ? rss_hash(*meta.view) % d.core_busy_until_.size() : 0;
 
       // Finite per-core processing: ring overflow -> NIC discard.
       Tick& busy = d.core_busy_until_[core];
@@ -56,7 +55,6 @@ struct DumperPipeline {
         return false;
       }
       busy = std::max(busy, now) + service;
-      meta.core = core;
       return true;
     }
 
@@ -83,14 +81,13 @@ struct DumperPipeline {
       record.orig_len = pkt.size();
       record.captured_at = meta.ingress_ts;
       record.meta = extract_mirror_meta(pkt);
-      // The admit stage's full parse is a cache hit here. When the cut
-      // keeps every header, the trimmed parser would decode the same view
-      // from the kept bytes, except the iCRC, which it reports as 0.
+      // The admit stage decoded the full frame. When the cut keeps every
+      // header, the trimmed parser would decode the same view from the
+      // kept bytes, except the iCRC, which it reports as 0.
       const bool cut = kept < pkt.size();
-      if (auto view = parse_roce(pkt);
-          view && (!cut || kept >= view->payload_offset)) {
-        if (cut) view->icrc = 0;
-        record.view = view;
+      if (meta.view && (!cut || kept >= meta.view->payload_offset)) {
+        record.view = meta.view;
+        if (cut) record.view->icrc = 0;
       }
       store.records.push_back(record);
       const std::span<const std::uint8_t> head = pkt.span().first(kept);

@@ -23,8 +23,6 @@ void MirrorEngine::set_targets(std::vector<Target> targets) {
 MirrorEngine::Mirrored MirrorEngine::mirror(const Packet& original,
                                             EventType event,
                                             Tick ingress_ts) {
-  // clone_arena carries the view cache along with the bytes, so the
-  // mutators below patch it and the mirror path never re-decodes.
   Mirrored out{original.clone_arena(), pick_target()};
   Packet& clone = out.clone;
   // Embed metadata into iCRC-masked fields; see file comment.

@@ -14,9 +14,9 @@ struct SwitchPipeline {
   using FrameMeta = pipeline::FrameMeta;
   using StageContract = pipeline::StageContract;
 
-  /// Parse + RoCE classification. Non-RoCE frames L2-forward after the
-  /// base pipeline latency and leave the chain; RoCE frames get their
-  /// base latency and data/control discrimination recorded.
+  /// Parse + RoCE classification: the chain's one decode. Non-RoCE frames
+  /// have nothing to route by and leave the chain; RoCE frames get their
+  /// view, base latency and data/control discrimination recorded.
   class Classify : public pipeline::Stage {
    public:
     explicit Classify(EventInjectorSwitch& sw) : sw_(sw) {}
@@ -24,18 +24,20 @@ struct SwitchPipeline {
     StageContract contract() const override { return {.provides_view = true}; }
     bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      const auto view = parse_roce(pkt);
-      if (!view) {
-        // Not RoCE-shaped: plain L2/L3 forward after base latency.
-        sw.sim_->schedule_after(sw.options_.l2_pipeline_latency,
-                                [s = &sw, p = std::move(pkt)]() mutable {
-                                  s->forward(std::move(p));
-                                });
+      meta.view = parse_roce(pkt);
+      if (!meta.view) {
+        // Not RoCE-shaped: nothing to route by, so the frame is dropped.
+        // The warning still fires from an event after the base pipeline
+        // latency, as a forward would, so later event ids do not depend
+        // on where the switch decides the drop.
+        sw.sim_->schedule_after(sw.options_.l2_pipeline_latency, [] {
+          LUMINA_LOG(kWarn) << "switch: dropping unroutable non-IP packet";
+        });
         return false;
       }
       ++sw.counters_.roce_rx;
       meta.base_latency = sw.options_.l2_pipeline_latency;
-      meta.is_data = is_data_opcode(view->bth.opcode);
+      meta.is_data = is_data_opcode(meta.view->bth.opcode);
       return true;
     }
 
@@ -52,14 +54,14 @@ struct SwitchPipeline {
     explicit EventMatch(EventInjectorSwitch& sw) : sw_(sw) {}
     const char* name() const override { return "event-match"; }
     StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
+    bool process(Packet&, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
       if (!sw.options_.enable_event_injection) return true;
       meta.base_latency += sw.options_.event_stage_latency;
       // ITER tracking + event matching apply to data-carrying packets
       // only (ACK/NACK/CNP are not injectable, §3.3 fn 2).
       if (!meta.is_data) return true;
-      const auto view = parse_roce(pkt);
+      const auto& view = meta.view;
       const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
       // Stateful-discovery ablation: the first packet of a new flow
       // binds pending relative rules, taking its PSN as the IPSN.
@@ -137,10 +139,12 @@ struct SwitchPipeline {
         default:
           break;
       }
-      if (sw.options_.rewrite_mig_req && meta.is_data &&
-          !parse_roce(pkt)->bth.mig_req) {
-        set_mig_req(pkt, true);
-      }
+      // MigReq := 1 on the packet a rewrite-migreq event matched, and on
+      // every data packet under the §6.2.3 fix. Neither case above writes
+      // the BTH flags byte, so the classify view still shows the bit.
+      const bool rewrite = meta.event == EventType::kRewriteMigReq ||
+                           (sw.options_.rewrite_mig_req && meta.is_data);
+      if (rewrite && !meta.view->bth.mig_req) set_mig_req(pkt, true);
       return true;
     }
 
@@ -196,7 +200,7 @@ struct SwitchPipeline {
     StageContract contract() const override { return {.needs_view = true}; }
     bool process(Packet& pkt, FrameMeta& meta) override {
       EventInjectorSwitch& sw = sw_;
-      const auto view = parse_roce(pkt);
+      const auto& view = meta.view;
       if (sw.options_.enable_event_injection) {
         telemetry::observe(sw.m_added_latency_,
                            sw.options_.event_stage_latency + meta.event_delay);
@@ -214,8 +218,8 @@ struct SwitchPipeline {
 
       // §7 extension: hold the packet so it leaves AFTER its flow's next
       // data packet (adjacent-pair reordering).
+      const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
       if (meta.event == EventType::kReorder && meta.is_data) {
-        const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
         EventInjectorSwitch::ReorderSlot slot;
         slot.pkt = std::move(pkt);
         // Safety valve: flush if no successor shows up (tail packet).
@@ -228,21 +232,24 @@ struct SwitchPipeline {
 
       ++sw.counters_.roce_tx;
       const Tick depart = meta.base_latency + meta.event_delay;
-      const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
+      // Each departure carries the routing inputs the classify stage
+      // decoded (a duplicated or held frame is data, like this one).
+      const auto send_at = [&sw, dst = flow.dst_ip, data = meta.is_data](
+                               Tick delay, Packet frame) {
+        sw.sim_->schedule_after(
+            delay, [s = &sw, p = std::move(frame), dst, data]() mutable {
+              s->forward(std::move(p), dst, data);
+            });
+      };
       // Duplication: a byte-identical clone chases the original one tick
       // behind — the receiver sees the same PSN twice back to back.
       if (meta.event == EventType::kDuplicate) {
         Packet clone = pkt.clone_arena();
         ++sw.counters_.roce_tx;
         ++sw.fault_stats_.duplicates_emitted;
-        sw.sim_->schedule_after(depart + 1,
-                                [s = &sw, p = std::move(clone)]() mutable {
-                                  s->forward(std::move(p));
-                                });
+        send_at(depart + 1, std::move(clone));
       }
-      sw.sim_->schedule_after(depart, [s = &sw, p = std::move(pkt)]() mutable {
-        s->forward(std::move(p));
-      });
+      send_at(depart, std::move(pkt));
       // A held (reordered) predecessor departs right behind this packet.
       if (meta.is_data) {
         if (const auto it = sw.reorder_slots_.find(flow);
@@ -251,10 +258,7 @@ struct SwitchPipeline {
           Packet held = std::move(it->second.pkt);
           sw.reorder_slots_.erase(it);
           ++sw.counters_.roce_tx;
-          sw.sim_->schedule_after(depart + 1,
-                                  [s = &sw, p = std::move(held)]() mutable {
-                                    s->forward(std::move(p));
-                                  });
+          send_at(depart + 1, std::move(held));
         }
       }
       return false;
@@ -424,24 +428,19 @@ void EventInjectorSwitch::flush_reorder(const FlowKey& flow) {
   Packet held = std::move(it->second.pkt);
   reorder_slots_.erase(it);
   ++counters_.roce_tx;
-  forward(std::move(held));
+  forward(std::move(held), flow.dst_ip, /*is_data=*/true);
 }
 
-void EventInjectorSwitch::forward(Packet pkt) {
-  const auto view = parse_roce(pkt);
-  if (!view) {
-    LUMINA_LOG(kWarn) << "switch: dropping unroutable non-IP packet";
-    return;
-  }
-  const auto it = routes_.find(view->dst_ip);
+void EventInjectorSwitch::forward(Packet pkt, Ipv4Address dst_ip,
+                                  bool is_data) {
+  const auto it = routes_.find(dst_ip);
   if (it == routes_.end()) {
-    LUMINA_LOG(kWarn) << "switch: no route for " << view->dst_ip.to_string();
+    LUMINA_LOG(kWarn) << "switch: no route for " << dst_ip.to_string();
     return;
   }
   Port& egress = port(it->second);
   // Congestion-driven ECN (extension): step marking at the egress queue.
-  if (options_.ecn_marking_threshold_bytes > 0 &&
-      is_data_opcode(view->bth.opcode) &&
+  if (options_.ecn_marking_threshold_bytes > 0 && is_data &&
       egress.queued_bytes() > options_.ecn_marking_threshold_bytes) {
     set_ecn_ce(pkt);
     ++counters_.ecn_marked_by_queue;

@@ -156,7 +156,10 @@ class EventInjectorSwitch : public Node {
  private:
   friend struct SwitchPipeline;
 
-  void forward(Packet pkt);
+  /// Sends a frame out of the port routed to `dst_ip`; `is_data` gates the
+  /// congestion ECN mark. The caller passes what the classify stage
+  /// decoded, so forwarding never parses the frame again.
+  void forward(Packet pkt, Ipv4Address dst_ip, bool is_data);
   void flush_reorder(const FlowKey& flow);
 
   // Stateful fault models (docs/fuzzing.md).

@@ -61,6 +61,9 @@ void Port::start_transmission() {
 
   Port* peer = peer_;
   const Tick arrive = done + params_.propagation;
+  // A frame-carrying closure must fit the inline callback buffer, or every
+  // hop allocates.
+  static_assert(sizeof(Packet) + sizeof(Port*) <= InlineCallback::kInlineBytes);
   sim_->schedule_at(arrive, [peer, p = std::move(pkt)]() mutable {
     peer->deliver(std::move(p));
   });

@@ -1,13 +1,12 @@
 // A FIFO of frames that keeps its storage.
 //
-// A Packet is about 200 bytes (the bytes vector plus its cached parse
-// view), so std::deque<Packet> fits two per block: a FIFO streaming frames
-// through it allocates a block on every second push and frees one on every
-// second pop. PacketFifo is a power-of-two ring instead. It keeps its
-// capacity across pops and doubles when a push finds it full, so it
-// allocates only when its backlog reaches a new high-water mark. A popped
-// slot holds the moved-from Packet, whose vector owns no buffer, until a
-// later push overwrites it.
+// std::deque<Packet> allocates a block every few pushes and frees one
+// every few pops while frames stream through it. PacketFifo is a
+// power-of-two ring instead. It keeps its capacity across pops and
+// doubles when a push finds it full, so it allocates only when its
+// backlog reaches a new high-water mark. A popped slot holds the
+// moved-from Packet, whose vector owns no buffer, until a later push
+// overwrites it.
 #pragma once
 
 #include <cstddef>

@@ -79,7 +79,6 @@ IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
     std::optional<RoceView> view = record.view;
     if (!view) {
       frame.bytes.assign(bytes.begin(), bytes.end());
-      frame.invalidate_view();
       view = parse_roce(frame, /*allow_trimmed=*/true);
       if (!view) continue;
     }

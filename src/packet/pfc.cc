@@ -44,7 +44,6 @@ Packet build_pfc_frame(const MacAddress& src_mac, const PfcFrame& frame) {
     put_u16(pkt.bytes, at, q);
     at += 2;
   }
-  pkt.invalidate_view();
   return pkt;
 }
 

@@ -52,118 +52,6 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes) {
   return static_cast<std::uint16_t>(~sum);
 }
 
-/// True when the packet's cached view is valid (for some parse mode).
-bool view_cached(const Packet& pkt) {
-  return pkt.view_state == ViewCacheState::kFull ||
-         pkt.view_state == ViewCacheState::kTrimmed;
-}
-
-/// The actual decoder. `short_frame` reports whether the frame is shorter
-/// than the IP total length (success then required allow_trimmed).
-std::optional<RoceView> decode_roce(const Packet& pkt, bool allow_trimmed,
-                                    bool* short_frame) {
-  ByteReader r(pkt.span());
-  RoceView v;
-  *short_frame = false;
-
-  // Ethernet.
-  for (auto& o : v.eth_dst.octets) o = r.u8();
-  for (auto& o : v.eth_src.octets) o = r.u8();
-  if (r.u16() != kEtherTypeIpv4) return std::nullopt;
-  // IPv4.
-  if (r.u8() != 0x45) return std::nullopt;
-  const std::uint8_t tos = r.u8();
-  v.dscp = tos >> 2;
-  v.ecn = tos & 0b11;
-  const std::uint16_t total_len = r.u16();
-  r.skip(4);  // id, flags/frag
-  v.ttl = r.u8();
-  if (r.u8() != kIpProtoUdp) return std::nullopt;
-  r.skip(2);  // checksum
-  v.src_ip.value = r.u32();
-  v.dst_ip.value = r.u32();
-  const std::size_t declared_size = total_len + 14u;
-  if (declared_size != pkt.size() &&
-      !(allow_trimmed && declared_size > pkt.size())) {
-    return std::nullopt;
-  }
-  // UDP.
-  v.udp_src_port = r.u16();
-  v.udp_dst_port = r.u16();
-  r.skip(4);  // length, checksum
-  // BTH.
-  const std::uint8_t opcode = r.u8();
-  v.bth.opcode = static_cast<IbOpcode>(opcode);
-  const std::uint8_t flags = r.u8();
-  v.bth.solicited = (flags & 0x80) != 0;
-  v.bth.mig_req = (flags & 0x40) != 0;
-  v.bth.pad_count = (flags >> 4) & 0b11;
-  v.bth.tver = flags & 0x0f;
-  v.bth.pkey = r.u16();
-  r.skip(1);  // resv8a
-  v.bth.dest_qpn = r.u24();
-  v.bth.ack_req = (r.u8() & 0x80) != 0;
-  v.bth.psn = r.u24();
-  if (!r.ok()) return std::nullopt;
-
-  if (has_reth(v.bth.opcode)) {
-    Reth reth;
-    reth.vaddr = r.u64();
-    reth.rkey = r.u32();
-    reth.dma_len = r.u32();
-    v.reth = reth;
-  }
-  if (has_aeth(v.bth.opcode)) {
-    Aeth aeth;
-    aeth.syndrome = r.u8();
-    aeth.msn = r.u24();
-    v.aeth = aeth;
-  }
-  if (is_atomic(v.bth.opcode)) {
-    AtomicEth atomic;
-    atomic.vaddr = r.u64();
-    atomic.rkey = r.u32();
-    atomic.swap_add = r.u64();
-    atomic.compare = r.u64();
-    v.atomic_eth = atomic;
-  }
-  if (v.bth.opcode == IbOpcode::kAtomicAck) {
-    v.atomic_ack_eth = AtomicAckEth{r.u64()};
-  }
-  if (!r.ok()) return std::nullopt;
-
-  v.payload_offset = r.offset();
-  if (declared_size == pkt.size()) {
-    if (r.remaining() < 4) return std::nullopt;
-    v.payload_len = r.remaining() - 4;
-    ByteReader tail(pkt.span().subspan(pkt.size() - 4));
-    v.icrc = tail.u32();
-  } else {
-    // Trimmed capture: derive the payload length from the IP header.
-    if (declared_size < v.payload_offset + 4) return std::nullopt;
-    v.payload_len = declared_size - v.payload_offset - 4;
-    v.icrc = 0;
-    *short_frame = true;
-  }
-  return v;
-}
-
-/// Decodes on a cache miss and records the outcome in the packet's cache.
-std::optional<RoceView> decode_and_cache(const Packet& pkt,
-                                         bool allow_trimmed) {
-  bool short_frame = false;
-  const auto v = decode_roce(pkt, allow_trimmed, &short_frame);
-  if (v) {
-    pkt.view = *v;
-    pkt.view_state =
-        short_frame ? ViewCacheState::kTrimmed : ViewCacheState::kFull;
-  } else {
-    pkt.view_state = allow_trimmed ? ViewCacheState::kUnparseable
-                                   : ViewCacheState::kNotFull;
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string to_string(EventType t) {
@@ -183,17 +71,9 @@ std::string to_string(EventType t) {
   return "unknown";
 }
 
-void Packet::clone_into(Packet& out) const {
-  // Identical bytes -> identical parse: the copy inherits the cache
-  // verbatim, whatever state it is in.
-  out.bytes.assign(bytes.begin(), bytes.end());
-  out.view = view;
-  out.view_state = view_state;
-}
-
 Packet Packet::clone_arena() const {
   Packet out{PacketArena::acquire_current()};
-  clone_into(out);
+  out.bytes.assign(bytes.begin(), bytes.end());
   return out;
 }
 
@@ -280,23 +160,88 @@ Packet build_roce_packet(const RocePacketSpec& spec) {
 }
 
 std::optional<RoceView> parse_roce(const Packet& pkt, bool allow_trimmed) {
-  switch (pkt.view_state) {
-    case ViewCacheState::kFull:
-      return pkt.view;
-    case ViewCacheState::kTrimmed:
-      if (allow_trimmed) return pkt.view;
-      return std::nullopt;
-    case ViewCacheState::kUnparseable:
-      return std::nullopt;
-    case ViewCacheState::kNotFull:
-      // The full parse was rejected; a trimmed parse is more permissive and
-      // still has to run once.
-      if (!allow_trimmed) return std::nullopt;
-      return decode_and_cache(pkt, /*allow_trimmed=*/true);
-    case ViewCacheState::kUnknown:
-      break;
+  ByteReader r(pkt.span());
+  RoceView v;
+
+  // Ethernet.
+  for (auto& o : v.eth_dst.octets) o = r.u8();
+  for (auto& o : v.eth_src.octets) o = r.u8();
+  if (r.u16() != kEtherTypeIpv4) return std::nullopt;
+  // IPv4.
+  if (r.u8() != 0x45) return std::nullopt;
+  const std::uint8_t tos = r.u8();
+  v.dscp = tos >> 2;
+  v.ecn = tos & 0b11;
+  const std::uint16_t total_len = r.u16();
+  r.skip(4);  // id, flags/frag
+  v.ttl = r.u8();
+  if (r.u8() != kIpProtoUdp) return std::nullopt;
+  r.skip(2);  // checksum
+  v.src_ip.value = r.u32();
+  v.dst_ip.value = r.u32();
+  const std::size_t declared_size = total_len + 14u;
+  if (declared_size != pkt.size() &&
+      !(allow_trimmed && declared_size > pkt.size())) {
+    return std::nullopt;
   }
-  return decode_and_cache(pkt, allow_trimmed);
+  // UDP.
+  v.udp_src_port = r.u16();
+  v.udp_dst_port = r.u16();
+  r.skip(4);  // length, checksum
+  // BTH.
+  const std::uint8_t opcode = r.u8();
+  v.bth.opcode = static_cast<IbOpcode>(opcode);
+  const std::uint8_t flags = r.u8();
+  v.bth.solicited = (flags & 0x80) != 0;
+  v.bth.mig_req = (flags & 0x40) != 0;
+  v.bth.pad_count = (flags >> 4) & 0b11;
+  v.bth.tver = flags & 0x0f;
+  v.bth.pkey = r.u16();
+  r.skip(1);  // resv8a
+  v.bth.dest_qpn = r.u24();
+  v.bth.ack_req = (r.u8() & 0x80) != 0;
+  v.bth.psn = r.u24();
+  if (!r.ok()) return std::nullopt;
+
+  if (has_reth(v.bth.opcode)) {
+    Reth reth;
+    reth.vaddr = r.u64();
+    reth.rkey = r.u32();
+    reth.dma_len = r.u32();
+    v.reth = reth;
+  }
+  if (has_aeth(v.bth.opcode)) {
+    Aeth aeth;
+    aeth.syndrome = r.u8();
+    aeth.msn = r.u24();
+    v.aeth = aeth;
+  }
+  if (is_atomic(v.bth.opcode)) {
+    AtomicEth atomic;
+    atomic.vaddr = r.u64();
+    atomic.rkey = r.u32();
+    atomic.swap_add = r.u64();
+    atomic.compare = r.u64();
+    v.atomic_eth = atomic;
+  }
+  if (v.bth.opcode == IbOpcode::kAtomicAck) {
+    v.atomic_ack_eth = AtomicAckEth{r.u64()};
+  }
+  if (!r.ok()) return std::nullopt;
+
+  v.payload_offset = r.offset();
+  if (declared_size == pkt.size()) {
+    if (r.remaining() < 4) return std::nullopt;
+    v.payload_len = r.remaining() - 4;
+    ByteReader tail(pkt.span().subspan(pkt.size() - 4));
+    v.icrc = tail.u32();
+  } else {
+    // Trimmed capture: derive the payload length from the IP header.
+    if (declared_size < v.payload_offset + 4) return std::nullopt;
+    v.payload_len = declared_size - v.payload_offset - 4;
+    v.icrc = 0;
+  }
+  return v;
 }
 
 bool verify_icrc(const Packet& pkt) {
@@ -314,34 +259,28 @@ void refresh_icrc(Packet& pkt) {
   const std::uint32_t icrc = frame_icrc(pkt);
   poke_u16(pkt.span(), pkt.size() - 4, static_cast<std::uint16_t>(icrc >> 16));
   poke_u16(pkt.span(), pkt.size() - 2, static_cast<std::uint16_t>(icrc));
-  if (pkt.view_state == ViewCacheState::kFull) pkt.view.icrc = icrc;
 }
 
 void set_ecn_ce(Packet& pkt) {
   pkt.bytes[off::kIpTos] |= 0b11;
   refresh_ip_checksum(pkt);
-  if (view_cached(pkt)) pkt.view.ecn = 0b11;
 }
 
 void set_ttl(Packet& pkt, std::uint8_t ttl) {
   pkt.bytes[off::kIpTtl] = ttl;
   refresh_ip_checksum(pkt);
-  if (view_cached(pkt)) pkt.view.ttl = ttl;
 }
 
 void set_src_mac(Packet& pkt, std::uint64_t value48) {
   poke_u48(pkt.span(), off::kEthSrc, value48);
-  if (view_cached(pkt)) pkt.view.eth_src = MacAddress::from_u48(value48);
 }
 
 void set_dst_mac(Packet& pkt, std::uint64_t value48) {
   poke_u48(pkt.span(), off::kEthDst, value48);
-  if (view_cached(pkt)) pkt.view.eth_dst = MacAddress::from_u48(value48);
 }
 
 void set_udp_dst_port(Packet& pkt, std::uint16_t port) {
   poke_u16(pkt.span(), off::kUdpDstPort, port);
-  if (view_cached(pkt)) pkt.view.udp_dst_port = port;
 }
 
 void set_mig_req(Packet& pkt, bool mig_req) {
@@ -368,26 +307,15 @@ void set_mig_req(Packet& pkt, bool mig_req) {
   const std::uint32_t icrc = tail.u32() ^ delta_crc;
   poke_u16(pkt.span(), pkt.size() - 4, static_cast<std::uint16_t>(icrc >> 16));
   poke_u16(pkt.span(), pkt.size() - 2, static_cast<std::uint16_t>(icrc));
-
-  if (view_cached(pkt)) {
-    pkt.view.bth.mig_req = mig_req;
-    // Trimmed parses always report icrc 0; only full views track the
-    // trailer.
-    if (pkt.view_state == ViewCacheState::kFull) pkt.view.icrc = icrc;
-  }
 }
 
 void corrupt_payload_bit(Packet& pkt, std::size_t bit_index) {
   const auto view = parse_roce(pkt);
   std::size_t byte_at;
   if (view && view->payload_len > 0) {
-    // Payload bytes are invisible to the parse view: the cache stays valid.
     byte_at = view->payload_offset + (bit_index / 8) % view->payload_len;
   } else {
-    // Header-byte fallback (or an unparseable frame): the flip lands where
-    // the cache cannot describe it — drop it.
     byte_at = pkt.size() - 5;  // last byte before the iCRC
-    pkt.invalidate_view();
   }
   pkt.bytes[byte_at] ^= static_cast<std::uint8_t>(1u << (bit_index % 8));
 }

@@ -7,10 +7,9 @@
 // so header-rewriting tricks (metadata embedding, ECN marking, MigReq
 // rewriting) behave exactly as they do on the Tofino.
 //
-// Each Packet carries a cached parse view (docs/packet.md): the first
-// parse_roce() populates it, later hops reuse it, and the in-place
-// mutators patch or invalidate exactly the fields they touch — so the
-// switch→RNIC→dumper chain decodes each frame once, not once per hop.
+// A Packet is its bytes and nothing else. Each node decodes a frame once,
+// in its classifying stage, and hands that view to its later stages
+// (docs/packet.md, "One decode per node").
 #pragma once
 
 #include <cstdint>
@@ -104,18 +103,6 @@ struct RoceView {
   bool operator==(const RoceView&) const = default;
 };
 
-/// What the cached view in a Packet is known to represent. The states
-/// distinguish full-length frames from dumper-trimmed ones (which only the
-/// allow_trimmed parser accepts) and remember parse rejections, so repeat
-/// parses of non-RoCE frames are also free.
-enum class ViewCacheState : std::uint8_t {
-  kUnknown = 0,   ///< Never parsed (or invalidated) — must decode.
-  kFull,          ///< Full-length frame; view valid for either parse mode.
-  kTrimmed,       ///< Short frame; view valid only for allow_trimmed.
-  kUnparseable,   ///< Rejected even by the trimmed parser.
-  kNotFull,       ///< Full parse rejected; trimmed outcome unknown.
-};
-
 /// A frame on the wire. `bytes` is the full L2 frame excluding preamble and
 /// FCS; `kWireOverheadBytes` accounts for those plus the inter-frame gap
 /// when computing serialization delay.
@@ -130,29 +117,14 @@ struct Packet {
   std::span<std::uint8_t> span() { return bytes; }
   std::span<const std::uint8_t> span() const { return bytes; }
 
-  /// Drops the cached parse view. Mandatory after writing `bytes` directly;
-  /// the roce_packet.h mutators maintain the cache themselves, so only code
-  /// that pokes raw bytes outside them needs this (docs/packet.md).
-  void invalidate_view() const { view_state = ViewCacheState::kUnknown; }
-
-  /// Copies this whole frame — bytes and parse-view cache — into `out`,
-  /// reusing whatever buffer capacity `out` already holds (e.g. an
-  /// arena-recycled vector). The mirror clone and the injector's duplicate
-  /// event share this; the dumper's header trim copies into its capture
-  /// slab instead (dumper/dumper.h).
-  void clone_into(Packet& out) const;
-
-  /// Arena-aware clone: acquires a recycled buffer from the thread's
-  /// current PacketArena (a plain vector without one) and clone_into()s
-  /// this frame.
+  /// Copies this frame into a buffer from the thread's current PacketArena
+  /// (a plain vector without one). The mirror clone and the injector's
+  /// duplicate event share this; the dumper's header trim copies into its
+  /// capture slab instead (dumper/dumper.h).
   Packet clone_arena() const;
-
-  // Parse-view cache, owned by parse_roce() and the mutators below. Copies
-  // and moves carry it (bytes and view travel together, so a copy stays
-  // consistent). `view` is meaningful only in the kFull/kTrimmed states.
-  mutable RoceView view{};
-  mutable ViewCacheState view_state = ViewCacheState::kUnknown;
 };
+// Nothing rides along with the bytes, so moving a frame moves one vector.
+static_assert(sizeof(Packet) == sizeof(std::vector<std::uint8_t>));
 
 /// Everything needed to build one RoCEv2 packet.
 struct RocePacketSpec {
@@ -210,8 +182,8 @@ Packet build_roce_packet(const RocePacketSpec& spec);
 /// (the traffic dumper keeps only the first 128 bytes, §5); payload length
 /// is then derived from the IP header and the iCRC is reported as 0.
 ///
-/// The result is served from the packet's view cache when one is valid;
-/// a miss decodes the bytes and populates the cache.
+/// Every call decodes the bytes; a node's classifying stage calls it once
+/// per frame and passes the view on in pipeline::FrameMeta.
 std::optional<RoceView> parse_roce(const Packet& pkt,
                                    bool allow_trimmed = false);
 
@@ -230,7 +202,6 @@ void refresh_icrc(Packet& pkt);
 // ECN / TTL / MAC rewrites never touch the iCRC (those fields are masked,
 // see packet/icrc.h). MigReq is covered by the iCRC, so rewriting it must
 // update the trailing CRC, mirroring what a NIC-tolerated rewrite does.
-// Every mutator keeps the packet's cached parse view consistent.
 
 void set_ecn_ce(Packet& pkt);
 void set_ttl(Packet& pkt, std::uint8_t ttl);

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,12 @@ struct FrameMeta {
   int in_port = 0;
   Tick ingress_ts = 0;
 
+  /// The frame's RoCE parse, decoded once by the chain's classifying
+  /// stage; empty when the frame is not RoCE. It describes the bytes as
+  /// they arrived: a later stage that rewrites a header field reads that
+  /// field from the bytes, not from here.
+  std::optional<RoceView> view;
+
   // Injector-switch scratch (classify -> match -> transform -> mirror ->
   // emit).
   Tick base_latency = 0;   ///< Pipeline latency accumulated so far.
@@ -35,19 +42,16 @@ struct FrameMeta {
   EventType event = EventType::kNone;
   bool is_data = false;    ///< Data-carrying opcode (set by classify).
   bool burst_dropped = false;  ///< Gilbert–Elliott channel verdict.
-
-  // Dumper scratch: RSS-selected capture core.
-  std::size_t core = 0;
 };
 
 /// What a stage requires from the frames it receives. Checked when the
 /// stage is appended to a chain, so an ill-formed assembly fails at
 /// construction, not as silent garbage mid-run.
 struct StageContract {
-  /// Requires frames to have been through a classifying stage (the parse
-  /// view attempted and cached, data/control discriminated).
+  /// Runs on classified frames only: it may read `FrameMeta::view`, so a
+  /// classifying stage must precede it.
   bool needs_view = false;
-  /// Performs classification: parses frames and seeds frame metadata.
+  /// Classifies: decodes the frame once and sets `FrameMeta::view`.
   bool provides_view = false;
 };
 

@@ -29,7 +29,8 @@ struct RnicPipeline {
   using StageContract = pipeline::StageContract;
 
   /// MAC-layer admission: PFC pause handling, rx accounting, the
-  /// noisy-neighbor rx stall window, and the RoCE parse.
+  /// noisy-neighbor rx stall window, and the RoCE parse (the chain's one
+  /// decode). Non-RoCE frames stop here.
   class RxClassify : public pipeline::Stage {
    public:
     explicit RxClassify(Rnic& nic) : nic_(nic) {}
@@ -55,7 +56,8 @@ struct RnicPipeline {
         return false;
       }
 
-      return parse_roce(pkt).has_value();
+      meta.view = parse_roce(pkt);
+      return meta.view.has_value();
     }
 
    private:
@@ -83,18 +85,18 @@ struct RnicPipeline {
 
   /// QP lookup, the APM MigReq=0 slow path, the DCQCN notification point,
   /// and the delayed dispatch into the QP state machines. The dispatch
-  /// captures a boxed copy of the parse view, not the frame bytes, so the
-  /// frame's buffer stays behind for handle_packet to recycle. Retires
+  /// captures a boxed copy of the classify view, not the frame bytes, so
+  /// the frame's buffer stays behind for handle_packet to recycle. Retires
   /// every frame.
   class RxDispatch : public pipeline::Stage {
    public:
     explicit RxDispatch(Rnic& nic) : nic_(nic) {}
     const char* name() const override { return "rx-dispatch"; }
     StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
+    bool process(Packet&, FrameMeta& meta) override {
       Rnic& nic = nic_;
       const Tick now = meta.ingress_ts;
-      const auto view = parse_roce(pkt);
+      const auto& view = meta.view;
 
       QueuePair* qp = nic.find_qp(view->bth.dest_qpn);
       if (qp == nullptr) return false;

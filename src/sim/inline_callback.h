@@ -5,9 +5,9 @@
 // made every timer and self-scheduling event an allocator round trip. This
 // type stores captures up to kInlineBytes in place — large enough for the
 // common "this + a couple of scalars" closures — and falls back to the heap
-// for oversized captures. A moved-in Packet is one of those: with its
-// cached parse view it is about 200 bytes, so the closures that carry a
-// frame (port delivery, the switch's forward and mirror emits) spill.
+// for oversized captures. A moved-in Packet is one 24-byte vector, so the
+// closures that carry a frame (port delivery, the switch's forward and
+// mirror emits) fit inline too.
 //
 // Move-only: events are scheduled once and fired once; copyability would
 // force every capture to be copyable and invite accidental duplication.
@@ -23,11 +23,8 @@ namespace lumina {
 class InlineCallback {
  public:
   /// Inline capture budget. 48 bytes covers a `this` pointer plus several
-  /// scalars, while keeping the whole event slot within one cache line. It
-  /// does not cover a moved-in Packet (about 200 bytes since the parse-view
-  /// cache). Moving those captures inline — a per-port in-flight FIFO, so
-  /// the delivery event captures only the port — measured about 1.5% end
-  /// to end and was not done.
+  /// scalars, or a moved-in Packet plus a pointer and a few routing
+  /// scalars, while keeping the whole event slot within one cache line.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineCallback() = default;

@@ -8,8 +8,8 @@
 //   - pending events live in a calendar queue tuned to the clustered
 //     timestamps links and timers produce (sim/calendar_queue.h);
 //   - callbacks are small-buffer-optimized (sim/inline_callback.h) —
-//     captures of a few pointers and scalars fire without a heap
-//     allocation; closures carrying a whole Packet spill to the heap;
+//     captures of a few pointers and scalars, or of a moved-in Packet,
+//     fire without a heap allocation;
 //   - cancel() flips a liveness bit in a chunked id table
 //     (sim/event_id_table.h) — O(1), no hash set;
 //   - high-churn timers (RNIC retransmission timeouts) live in a

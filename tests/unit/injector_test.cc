@@ -368,6 +368,48 @@ TEST_F(SwitchTest, RewriteMigReqAction) {
   EXPECT_TRUE(verify_icrc(host_b.packets[0]));
 }
 
+using Injector = SwitchTest;
+
+TEST_F(Injector, RewriteMigReqEventSetsMigReqOnTheMatchedPacketOnly) {
+  // docs/fuzzing.md: a rewrite-migreq event acts on exactly the matched
+  // packet. E810-style frames (MigReq 0) at PSN k-1, k and k+1; only k
+  // leaves with MigReq 1, on the wire and in its mirror copy.
+  const std::uint32_t k = 42;
+  sw.register_flow(kFlow, k - 1);
+  EventRule rule;
+  rule.flow = kFlow;
+  rule.psn = k;
+  rule.action = EventType::kRewriteMigReq;
+  sw.install_rule(rule);
+  for (const std::uint32_t psn : {k - 1, k, k + 1}) {
+    RocePacketSpec spec;
+    spec.src_ip = kFlow.src_ip;
+    spec.dst_ip = kFlow.dst_ip;
+    spec.opcode = IbOpcode::kSendOnly;
+    spec.payload_len = 256;
+    spec.dest_qpn = kFlow.dst_qpn;
+    spec.psn = psn;
+    spec.mig_req = false;
+    host_a.port().send(build_roce_packet(spec));
+  }
+  sim.run();
+  EXPECT_EQ(sw.roce_counters().events_applied, 1u);
+  ASSERT_EQ(host_b.packets.size(), 3u);
+  ASSERT_EQ(dumper.packets.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto forwarded = parse_roce(host_b.packets[i]);
+    const auto mirrored = parse_roce(dumper.packets[i]);
+    ASSERT_TRUE(forwarded.has_value() && mirrored.has_value());
+    const bool matched = forwarded->bth.psn == k;
+    EXPECT_EQ(forwarded->bth.mig_req, matched) << "psn " << forwarded->bth.psn;
+    EXPECT_EQ(mirrored->bth.psn, forwarded->bth.psn);
+    EXPECT_EQ(mirrored->bth.mig_req, matched) << "psn " << mirrored->bth.psn;
+    EXPECT_TRUE(verify_icrc(host_b.packets[i])) << "psn " << forwarded->bth.psn;
+  }
+  EXPECT_EQ(extract_mirror_meta(dumper.packets[1]).event,
+            EventType::kRewriteMigReq);
+}
+
 TEST_F(SwitchTest, EventStageAddsLatency) {
   // Compare arrival times with and without the event-injection stages.
   host_a.port().send(sample_packet());

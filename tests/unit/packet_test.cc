@@ -228,6 +228,7 @@ TEST(RocePacket, RejectsGarbage) {
   Packet junk;
   junk.bytes.assign(64, 0xcc);
   EXPECT_FALSE(parse_roce(junk).has_value());
+  EXPECT_FALSE(parse_roce(junk, /*allow_trimmed=*/true).has_value());
   EXPECT_FALSE(verify_icrc(junk));
 }
 
@@ -243,6 +244,7 @@ TEST(RocePacket, RejectsTruncatedUnlessAllowed) {
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->payload_len, 1024u);  // derived from the IP header
   EXPECT_EQ(view->bth.psn, spec.psn);
+  EXPECT_EQ(view->icrc, 0u);  // the trailer was cut off
 }
 
 using OpcodePayload = std::tuple<IbOpcode, std::uint32_t>;
@@ -320,6 +322,7 @@ TEST(Icrc, MacRewritesDoNotInvalidate) {
   set_dst_mac(pkt, 0x123456789abc);  // switch timestamp
   EXPECT_TRUE(verify_icrc(pkt));
   EXPECT_EQ(parse_roce(pkt)->eth_src.to_u48(), 123456u);
+  EXPECT_EQ(parse_roce(pkt)->eth_dst.to_u48(), 0x123456789abcu);
 }
 
 TEST(Icrc, UdpPortRewriteDoesNotInvalidate) {

@@ -49,7 +49,6 @@ class Scramble : public Stage {
     for (auto& b : pkt.bytes) {
       b ^= static_cast<std::uint8_t>(key_);
     }
-    pkt.invalidate_view();
     log_.push_back(key_);
     return true;
   }

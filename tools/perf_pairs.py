@@ -146,8 +146,9 @@ def main():
         description="Alternating parent/change runs of perfbench.")
     parser.add_argument("parent_root")
     parser.add_argument("change_root")
-    parser.add_argument("--workloads", default="table2,campaign,incast64",
-                        help="comma-separated workload names")
+    parser.add_argument("--workloads", nargs="+",
+                        default=["table2,campaign,incast64"],
+                        help="workload names, space- or comma-separated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=101,
@@ -164,7 +165,8 @@ def main():
 
     saved = {}
     complete = True
-    for workload in args.workloads.split(","):
+    workloads = [w for arg in args.workloads for w in arg.split(",") if w]
+    for workload in workloads:
         seeds = [args.seed + i for i in range(args.pairs)]
         results = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
