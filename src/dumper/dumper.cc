@@ -9,14 +9,21 @@
 namespace lumina {
 namespace {
 
-/// Toeplitz-flavored RSS stand-in: mixes the fields real RSS hashes.
-std::uint32_t rss_hash(const RoceView& v) {
-  std::uint64_t h = v.src_ip.value;
-  h = h * 0x9e3779b97f4a7c15ULL + v.dst_ip.value;
-  h = h * 0x9e3779b97f4a7c15ULL + v.udp_src_port;
-  h = h * 0x9e3779b97f4a7c15ULL + v.udp_dst_port;
+/// Toeplitz-flavored RSS stand-in: mixes the fields real RSS hashes, read
+/// at their fixed offsets. A frame that is not IPv4/UDP, or too short to
+/// carry both UDP ports, has no tuple and goes to core 0.
+std::size_t rss_core(std::span<const std::uint8_t> frame, std::size_t cores) {
+  if (frame.size() < off::kUdpDstPort + 2 ||
+      peek_u16(frame, off::kEthType) != kEtherTypeIpv4 ||
+      frame[off::kIp] != 0x45 || frame[off::kIpProto] != kIpProtoUdp) {
+    return 0;
+  }
+  std::uint64_t h = peek_u32(frame, off::kIpSrc);
+  h = h * 0x9e3779b97f4a7c15ULL + peek_u32(frame, off::kIpDst);
+  h = h * 0x9e3779b97f4a7c15ULL + peek_u16(frame, off::kUdpSrcPort);
+  h = h * 0x9e3779b97f4a7c15ULL + peek_u16(frame, off::kUdpDstPort);
   h ^= h >> 33;
-  return static_cast<std::uint32_t>(h);
+  return static_cast<std::uint32_t>(h) % cores;
 }
 
 }  // namespace
@@ -28,22 +35,21 @@ struct DumperPipeline {
   using FrameMeta = pipeline::FrameMeta;
   using StageContract = pipeline::StageContract;
 
-  /// NIC/ring admission: the chain's one decode, RSS core selection and
+  /// NIC/ring admission: RSS core selection from the frame's bytes and
   /// the finite per-core service model. Ring overflow -> NIC discard.
+  /// Nothing in the dumper decodes a frame; reconstruct_trace does.
   class Admit : public pipeline::Stage {
    public:
     explicit Admit(TrafficDumper& dumper) : dumper_(dumper) {}
     const char* name() const override { return "admit"; }
-    StageContract contract() const override { return {.provides_view = true}; }
+    StageContract contract() const override { return {}; }
     bool process(Packet& pkt, FrameMeta& meta) override {
       TrafficDumper& d = dumper_;
       if (d.terminated_) return false;
       ++d.counters_.received;
 
-      meta.view = parse_roce(pkt);
       const Tick now = meta.ingress_ts;
-      const std::size_t core =
-          meta.view ? rss_hash(*meta.view) % d.core_busy_until_.size() : 0;
+      const std::size_t core = rss_core(pkt.span(), d.core_busy_until_.size());
 
       // Finite per-core processing: ring overflow -> NIC discard.
       Tick& busy = d.core_busy_until_[core];
@@ -63,33 +69,25 @@ struct DumperPipeline {
   };
 
   /// Trim + store: appends the first trim_bytes of the frame to the
-  /// capture slab and a record carrying the embedded mirror metadata and
-  /// the trimmed parse view. Retires every frame; its wire buffer stays
-  /// behind for the node's guard to recycle.
+  /// capture slab and a record carrying the embedded mirror metadata.
+  /// Retires every frame; its wire buffer stays behind for the node's
+  /// guard to recycle.
   class Capture : public pipeline::Stage {
    public:
     explicit Capture(TrafficDumper& dumper) : dumper_(dumper) {}
     const char* name() const override { return "capture"; }
-    StageContract contract() const override { return {.needs_view = true}; }
+    StageContract contract() const override { return {}; }
     bool process(Packet& pkt, FrameMeta& meta) override {
       TrafficDumper& d = dumper_;
       CaptureStore& store = d.capture_;
       const std::size_t kept = std::min(pkt.size(), d.options_.trim_bytes);
-      CaptureRecord record;
-      record.offset = store.bytes.size();
-      record.length = kept;
-      record.orig_len = pkt.size();
-      record.captured_at = meta.ingress_ts;
-      record.meta = extract_mirror_meta(pkt);
-      // The admit stage decoded the full frame. When the cut keeps every
-      // header, the trimmed parser would decode the same view from the
-      // kept bytes, except the iCRC, which it reports as 0.
-      const bool cut = kept < pkt.size();
-      if (meta.view && (!cut || kept >= meta.view->payload_offset)) {
-        record.view = meta.view;
-        if (cut) record.view->icrc = 0;
-      }
-      store.records.push_back(record);
+      store.records.push_back(CaptureRecord{
+          .offset = store.bytes.size(),
+          .length = kept,
+          .orig_len = pkt.size(),
+          .captured_at = meta.ingress_ts,
+          .meta = extract_mirror_meta(pkt),
+      });
       const std::span<const std::uint8_t> head = pkt.span().first(kept);
       store.bytes.insert(store.bytes.end(), head.begin(), head.end());
       ++d.counters_.captured;
@@ -134,7 +132,6 @@ void TrafficDumper::terminate() {
     if (record.length >= off::kUdpDstPort + 2) {
       poke_u16(capture_.bytes, record.offset + off::kUdpDstPort,
                kRoceUdpPort);
-      if (record.view) record.view->udp_dst_port = kRoceUdpPort;
     }
   }
 }

@@ -8,11 +8,13 @@
 // two-host design). Because the mirror engine randomizes the UDP
 // destination port, RSS spreads even a single flow across all cores.
 //
-// Captures land in a CaptureStore: the kept bytes of every frame back to
-// back in one slab, plus one record per frame that locates them and
-// carries the parse view the admit stage already decoded (docs/packet.md,
-// "Capture store and trace records"). A capture copies at most
-// `trim_bytes` into the slab, so every delivered wire buffer recycles.
+// The dumper copies and never decodes: RSS reads its tuple at fixed
+// offsets. Captures land in a CaptureStore: the kept bytes of every frame
+// back to back in one slab, plus one record per frame that locates them
+// and carries its mirror metadata; reconstruct_trace() decodes each
+// record's kept bytes (docs/packet.md, "Capture store and trace records").
+// A capture copies at most `trim_bytes` into the slab, so every delivered
+// wire buffer recycles.
 //
 // On TERM the dumper restores the UDP destination port of every captured
 // packet to 4791 and can persist the capture as a pcap file.
@@ -20,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -38,19 +39,16 @@ namespace lumina {
 struct DumperPipeline;
 
 /// One captured frame: where its kept bytes sit in the slab, and what the
-/// dumper learned about it on arrival.
+/// dumper learned about it on arrival. reconstruct_trace() decodes the
+/// kept bytes.
 struct CaptureRecord {
   std::size_t offset = 0;    ///< First kept byte in CaptureStore::bytes.
   std::size_t length = 0;    ///< Bytes kept: min(orig_len, trim_bytes).
   std::size_t orig_len = 0;  ///< Length on the wire.
   Tick captured_at = 0;      ///< Host capture time (not the switch timestamp).
   MirrorMeta meta;           ///< Metadata embedded by the mirror engine.
-  /// What parse_roce(..., allow_trimmed=true) decodes from the kept bytes:
-  /// the admit stage's full view, with icrc 0 when the frame was cut.
-  /// Empty when the full parse failed or the cut fell inside the headers;
-  /// reconstruct_trace() then decodes the kept bytes itself.
-  std::optional<RoceView> view;
 };
+static_assert(sizeof(CaptureRecord) <= 56);
 
 /// A dumper's captures in arrival order, which is mirror order: mirror
 /// copies leave the switch in sequence order through FIFO ports.
@@ -88,7 +86,7 @@ class TrafficDumper : public Node {
   std::string name() const override { return name_; }
 
   /// TERM from the orchestrator: restores the UDP destination port of
-  /// every capture, in the slab and in the record's view.
+  /// every capture in the slab.
   void terminate();
 
   const CaptureStore& capture() const { return capture_; }

@@ -37,8 +37,6 @@ void EventTable::install(const EventRule& rule) {
       EventAction{rule.action, rule.delay, rule.fault};
 }
 
-void EventTable::clear() { rules_.clear(); }
-
 std::optional<EventAction> EventTable::match(const FlowKey& flow,
                                              std::uint32_t psn,
                                              std::uint32_t iter) {

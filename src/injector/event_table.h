@@ -87,7 +87,6 @@ class IterTracker {
 class EventTable {
  public:
   void install(const EventRule& rule);
-  void clear();
   std::size_t size() const { return rules_.size(); }
 
   /// Looks up and *consumes* a matching rule (each rule fires once, like a

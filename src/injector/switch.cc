@@ -305,13 +305,6 @@ void EventInjectorSwitch::install_rule(const EventRule& rule) {
   table_.install(rule);
 }
 
-void EventInjectorSwitch::clear_rules() {
-  table_.clear();
-  relative_rules_.clear();
-  discovery_index_.clear();
-  discovered_ = 0;
-}
-
 void EventInjectorSwitch::install_relative_rule(const RelativeEventRule& rule) {
   relative_rules_.push_back(rule);
 }

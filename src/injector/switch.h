@@ -100,7 +100,6 @@ class EventInjectorSwitch : public Node {
   // -- control plane (populated by the orchestrator) -----------------------
   void register_flow(const FlowKey& flow, std::uint32_t ipsn);
   void install_rule(const EventRule& rule);
-  void clear_rules();
 
   // -- stateful-discovery ablation (§3.3 "one straightforward solution") ----
   // Instead of the stock stateless design (runtime metadata pushed through

@@ -59,7 +59,6 @@ IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
   IntegrityReport integrity;
   integrity.seqnums_consecutive = true;
   std::vector<std::size_t> next(captures.size(), 0);
-  Packet frame;  // decodes the rare record that carries no view
   for (;;) {
     // The run whose head has the lowest mirror_seq; ties go to the
     // earlier dumper, which keeps the merge stable.
@@ -76,12 +75,9 @@ IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
     const CaptureRecord& record = captures[pick].records[next[pick]++];
     const auto bytes =
         std::span(*trace.slabs[pick]).subspan(record.offset, record.length);
-    std::optional<RoceView> view = record.view;
-    if (!view) {
-      frame.bytes.assign(bytes.begin(), bytes.end());
-      view = parse_roce(frame, /*allow_trimmed=*/true);
-      if (!view) continue;
-    }
+    const std::optional<RoceView> view =
+        parse_roce(bytes, /*allow_trimmed=*/true);
+    if (!view) continue;
     if (record.meta.mirror_seq != packets.size()) {
       integrity.seqnums_consecutive = false;
     }

@@ -101,8 +101,8 @@ struct CaptureStore;  // dumper/dumper.h
 /// Builds `trace` from the dumpers' capture stores, one store per dumper,
 /// and returns the §3.5 integrity report against the injector's mirrored
 /// and RoCE-received counts. The stores' byte slabs move into the trace.
-/// Each record's view is the store's, decoded with the trimmed parser only
-/// when the store has none; frames that parser rejects are left out. The
+/// Each record's view is the trimmed parser's decode of its kept bytes,
+/// read in place in the slab; frames that parser rejects are left out. The
 /// order equals a stable sort of the concatenated stores by mirror_seq: a
 /// store that is not already in mirror order is stably sorted first, and
 /// equal sequence numbers keep dumper order.

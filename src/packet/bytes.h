@@ -111,6 +111,15 @@ inline void poke_u48(std::span<std::uint8_t> buf, std::size_t at,
     buf[at + i] = static_cast<std::uint8_t>(v >> (8 * (5 - i)));
   }
 }
+inline std::uint16_t peek_u16(std::span<const std::uint8_t> buf,
+                              std::size_t at) {
+  return static_cast<std::uint16_t>(buf[at] << 8 | buf[at + 1]);
+}
+inline std::uint32_t peek_u32(std::span<const std::uint8_t> buf,
+                              std::size_t at) {
+  return static_cast<std::uint32_t>(peek_u16(buf, at)) << 16 |
+         peek_u16(buf, at + 2);
+}
 inline std::uint64_t peek_u48(std::span<const std::uint8_t> buf,
                               std::size_t at) {
   std::uint64_t v = 0;

@@ -46,8 +46,4 @@ std::optional<PfcFrame> parse_pfc_frame(const Packet& pkt);
 /// Converts a quanta count to nanoseconds at `link_gbps`.
 std::int64_t pfc_quanta_to_ns(std::uint16_t quanta, double link_gbps);
 
-/// Largest pause a single frame can carry at `link_gbps`, in ns (65535
-/// quanta); a storm longer than this keeps refreshing frames.
-std::int64_t pfc_max_pause_ns(double link_gbps);
-
 }  // namespace lumina

@@ -10,8 +10,6 @@
 namespace lumina {
 namespace {
 
-constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
-constexpr std::uint8_t kIpProtoUdp = 17;
 constexpr std::size_t kCnpPayloadLen = 16;  // 16 reserved bytes per RoCEv2
 
 /// The payload pattern's source: kPattern[j] == j & 0xff, so the window
@@ -159,8 +157,9 @@ Packet build_roce_packet(const RocePacketSpec& spec) {
   return pkt;
 }
 
-std::optional<RoceView> parse_roce(const Packet& pkt, bool allow_trimmed) {
-  ByteReader r(pkt.span());
+std::optional<RoceView> parse_roce(std::span<const std::uint8_t> bytes,
+                                   bool allow_trimmed) {
+  ByteReader r(bytes);
   RoceView v;
 
   // Ethernet.
@@ -180,8 +179,8 @@ std::optional<RoceView> parse_roce(const Packet& pkt, bool allow_trimmed) {
   v.src_ip.value = r.u32();
   v.dst_ip.value = r.u32();
   const std::size_t declared_size = total_len + 14u;
-  if (declared_size != pkt.size() &&
-      !(allow_trimmed && declared_size > pkt.size())) {
+  if (declared_size != bytes.size() &&
+      !(allow_trimmed && declared_size > bytes.size())) {
     return std::nullopt;
   }
   // UDP.
@@ -230,10 +229,10 @@ std::optional<RoceView> parse_roce(const Packet& pkt, bool allow_trimmed) {
   if (!r.ok()) return std::nullopt;
 
   v.payload_offset = r.offset();
-  if (declared_size == pkt.size()) {
+  if (declared_size == bytes.size()) {
     if (r.remaining() < 4) return std::nullopt;
     v.payload_len = r.remaining() - 4;
-    ByteReader tail(pkt.span().subspan(pkt.size() - 4));
+    ByteReader tail(bytes.subspan(bytes.size() - 4));
     v.icrc = tail.u32();
   } else {
     // Trimmed capture: derive the payload length from the IP header.

@@ -2,14 +2,15 @@
 //
 // Packets travel through the simulated testbed as real wire bytes
 // (Ethernet / IPv4 / UDP:4791 / BTH [/RETH|AETH] / payload / iCRC). Every
-// on-path component — RNIC, event-injector switch, traffic dumper — parses
+// on-path component — RNIC, event-injector switch, traffic dumper — reads
 // and rewrites the same byte image a hardware implementation would see,
 // so header-rewriting tricks (metadata embedding, ECN marking, MigReq
 // rewriting) behave exactly as they do on the Tofino.
 //
-// A Packet is its bytes and nothing else. Each node decodes a frame once,
-// in its classifying stage, and hands that view to its later stages
-// (docs/packet.md, "One decode per node").
+// A Packet is its bytes and nothing else. The switch and the RNIC decode a
+// frame once, in their classifying stage, and hand that view to their
+// later stages; the dumper only copies, and the collector decodes its
+// captures (docs/packet.md, "One decode per node").
 #pragma once
 
 #include <cstdint>
@@ -157,6 +158,7 @@ inline constexpr std::size_t kEthType = 12;
 inline constexpr std::size_t kIp = 14;
 inline constexpr std::size_t kIpTos = kIp + 1;
 inline constexpr std::size_t kIpTtl = kIp + 8;
+inline constexpr std::size_t kIpProto = kIp + 9;
 inline constexpr std::size_t kIpCsum = kIp + 10;
 inline constexpr std::size_t kIpSrc = kIp + 12;
 inline constexpr std::size_t kIpDst = kIp + 16;
@@ -168,6 +170,8 @@ inline constexpr std::size_t kBthFlags = kBth + 1;  // SE|M|Pad|TVer
 inline constexpr std::size_t kBthPsn = kBth + 9;
 }  // namespace off
 
+inline constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
+inline constexpr std::uint8_t kIpProtoUdp = 17;
 inline constexpr std::uint16_t kRoceUdpPort = 4791;
 
 /// Builds a fully serialized frame (headers, payload pattern, iCRC).
@@ -183,9 +187,15 @@ Packet build_roce_packet(const RocePacketSpec& spec);
 /// is then derived from the IP header and the iCRC is reported as 0.
 ///
 /// Every call decodes the bytes; a node's classifying stage calls it once
-/// per frame and passes the view on in pipeline::FrameMeta.
-std::optional<RoceView> parse_roce(const Packet& pkt,
+/// per frame and passes the view on in pipeline::FrameMeta. The span form
+/// decodes bytes that are not a Packet, such as a capture record's kept
+/// head inside its dumper's slab (reconstruct_trace).
+std::optional<RoceView> parse_roce(std::span<const std::uint8_t> bytes,
                                    bool allow_trimmed = false);
+inline std::optional<RoceView> parse_roce(const Packet& pkt,
+                                          bool allow_trimmed = false) {
+  return parse_roce(pkt.span(), allow_trimmed);
+}
 
 /// Recomputes and verifies the trailing iCRC. Corrupted packets fail.
 bool verify_icrc(const Packet& pkt);

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 namespace lumina::telemetry {
@@ -292,14 +291,6 @@ class Parser {
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
-}
-
-JsonValue parse_json_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw JsonError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_json(buf.str());
 }
 
 }  // namespace lumina::telemetry

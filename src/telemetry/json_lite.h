@@ -66,7 +66,4 @@ class JsonValue {
 /// Parses one JSON document; throws JsonError with position context.
 JsonValue parse_json(const std::string& text);
 
-/// Reads and parses a file; throws JsonError (including for I/O failure).
-JsonValue parse_json_file(const std::string& path);
-
 }  // namespace lumina::telemetry

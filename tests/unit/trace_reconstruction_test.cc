@@ -3,9 +3,8 @@
 // stable-sorts the concatenated captures by mirror_seq and recomputes the
 // integrity report on its own. Inputs cover in-order runs with holes,
 // one dumper, no frames, duplicated and out-of-range sequence numbers,
-// unparseable frames, records with and without a stored view, and runs
-// that are not in mirror order. A last test checks the stored views of
-// real runs against the trimmed parser.
+// unparseable frames, and runs that are not in mirror order. A last test
+// checks what reconstruction decodes from the records of real runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include "dumper/dumper.h"
 #include "orchestrator/orchestrator.h"
 #include "orchestrator/trace.h"
+#include "packet/bytes.h"
 #include "util/random.h"
 
 namespace lumina {
@@ -46,7 +46,7 @@ std::vector<CaptureStore> stores(const Captures& captures) {
 
 /// One captured frame. `tag` lands in orig_len, which reconstruction copies
 /// verbatim, so the test can follow every frame through the merge.
-/// Unparseable frames are 64 zero bytes (ethertype 0) and carry no view.
+/// Unparseable frames are 64 zero bytes (ethertype 0).
 Captured capture(std::uint64_t seq, std::size_t tag, bool parseable,
                  Rng& rng) {
   Captured captured;
@@ -66,17 +66,11 @@ Captured capture(std::uint64_t seq, std::size_t tag, bool parseable,
   spec.reth = Reth{0, 0, payload};
   spec.payload_len = payload;
   spec.psn = static_cast<std::uint32_t>(seq);
-  // Parse, then keep 128 B, as the dumper's admit and capture stages do:
-  // the record stores the full view, with icrc 0 when the frame was cut.
-  // Every fourth record stores no view, so reconstruction decodes it.
+  // Keep 128 B, as the dumper's capture stage does.
   const Packet full = build_roce_packet(spec);
   const std::size_t kept = std::min<std::size_t>(full.size(), 128);
   captured.bytes.assign(full.bytes.begin(),
                         full.bytes.begin() + static_cast<std::ptrdiff_t>(kept));
-  if (tag % 4 != 3) {
-    record.view = parse_roce(full);
-    if (kept < full.size()) record.view->icrc = 0;
-  }
   return captured;
 }
 
@@ -99,8 +93,7 @@ Expected oracle(const Captures& captures, std::uint64_t mirrored,
   Expected want;
   std::vector<std::uint64_t> seqs;
   for (const Captured* captured : all) {
-    const Packet copy{captured->bytes};
-    if (!parse_roce(copy, /*allow_trimmed=*/true)) continue;
+    if (!parse_roce(captured->bytes, /*allow_trimmed=*/true)) continue;
     want.tags.push_back(captured->record.orig_len);
     seqs.push_back(captured->record.meta.mirror_seq);
   }
@@ -145,8 +138,7 @@ IntegrityReport expect_matches_oracle(const Captures& captures,
     EXPECT_EQ(tp.meta.mirror_seq, source.record.meta.mirror_seq);
     EXPECT_EQ(tp.meta.ingress_timestamp,
               source.record.meta.ingress_timestamp);
-    const Packet fresh{source.bytes};
-    EXPECT_EQ(tp.view, *parse_roce(fresh, /*allow_trimmed=*/true));
+    EXPECT_EQ(tp.view, *parse_roce(source.bytes, /*allow_trimmed=*/true));
     EXPECT_EQ(tp.released_at, 0);
   }
   EXPECT_EQ(tags, want.tags);
@@ -282,11 +274,11 @@ TEST(TraceReconstruction, MatchesOracleOnRandomCaptures) {
   }
 }
 
-TEST(TraceReconstruction, RecordViewEqualsTrimmedDecode) {
-  // The dumper stores the admit stage's full view (icrc 0 when cut) and
-  // reconstruction reuses it. On the golden gbn_drop and cnp_inject runs,
-  // every record's view must be exactly what the trimmed parser decodes
-  // from the record's bytes.
+TEST(TraceReconstruction, DecodedRecordsCarryTrailerCutLengthAndPort4791) {
+  // Reconstruction decodes each record's kept bytes with the trimmed
+  // parser. On the golden gbn_drop and cnp_inject runs, a whole frame must
+  // read its real trailer, a cut one icrc 0 and the payload length its IP
+  // header declares, and every frame port 4791, restored at TERM (§3.4).
   for (const bool cnp : {false, true}) {
     TestConfig cfg;
     cfg.requester().nic_type = NicType::kCx6Dx;
@@ -309,11 +301,18 @@ TEST(TraceReconstruction, RecordViewEqualsTrimmedDecode) {
     ASSERT_TRUE(result.integrity.ok());
     std::size_t cut = 0;
     for (const TracePacket& tp : result.trace) {
-      const Packet fresh{{tp.pkt.bytes.begin(), tp.pkt.bytes.end()}};
-      const auto view = parse_roce(fresh, /*allow_trimmed=*/true);
-      ASSERT_TRUE(view.has_value()) << "mirror_seq " << tp.meta.mirror_seq;
-      EXPECT_EQ(tp.view, *view) << "mirror_seq " << tp.meta.mirror_seq;
-      if (tp.pkt.size() < tp.orig_len) ++cut;
+      SCOPED_TRACE("mirror_seq " + std::to_string(tp.meta.mirror_seq));
+      const std::span<const std::uint8_t> bytes = tp.pkt.bytes;
+      const RoceView& view = tp.view;
+      EXPECT_EQ(view.udp_dst_port, kRoceUdpPort);
+      if (bytes.size() < tp.orig_len) {
+        ++cut;
+        EXPECT_EQ(view.icrc, 0u);
+        EXPECT_EQ(view.payload_len, tp.orig_len - view.payload_offset - 4);
+      } else {
+        EXPECT_EQ(view.icrc, peek_u32(bytes, bytes.size() - 4));
+        EXPECT_EQ(view.payload_len, bytes.size() - view.payload_offset - 4);
+      }
     }
     // Both kinds occur: cut data frames and whole ACKs (and CNPs).
     EXPECT_GT(cut, 0u);
