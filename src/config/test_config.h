@@ -82,7 +82,7 @@ struct DataPacketEvent {
   Tick delay = 0;
   /// Stateful fault parameters (burst-loss / pause-storm / link-flap);
   /// ignored by the single-packet event types.
-  FaultParams fault;
+  FaultParams fault{};
 
   bool operator==(const DataPacketEvent&) const = default;
 };

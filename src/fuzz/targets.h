@@ -33,10 +33,10 @@ struct CrcDifferentialOutcome {
 /// bit-at-a-time / pseudo-packet references (packet/icrc.h) on random
 /// buffers, split points, and alignments: the dispatched CRC engine
 /// (CLMUL where available, else slice-by-8) vs bitwise CRC, chained
-/// crc32_update segmentation, crc32_combine / crc32_zero_advance
-/// identities, the copy-free compute_icrc vs the materializing reference,
-/// and the single-byte incremental-patch property set_mig_req relies on.
-/// A healthy implementation reports 0 mismatches for every seed.
+/// crc32_update segmentation, the copy-free compute_icrc vs the
+/// materializing reference, and set_mig_req's trailer update against a
+/// rebuilt frame. A healthy implementation reports 0 mismatches for every
+/// seed.
 CrcDifferentialOutcome run_crc_differential(std::uint64_t seed,
                                             int iterations);
 

@@ -46,7 +46,7 @@ struct EventRule {
   /// kDelay: how long the packet is held before forwarding.
   Tick delay = 0;
   /// Stateful fault parameters (burst loss / pause storm / link flap).
-  FaultParams fault;
+  FaultParams fault{};
 };
 
 /// The action half of a matched rule.

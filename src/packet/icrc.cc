@@ -49,60 +49,6 @@ std::uint32_t update_bytewise(const CrcTables& tables, std::uint32_t state,
   return state;
 }
 
-// ---- GF(2) matrix operators (zlib's crc32_combine construction) ---------
-// A 32x32 matrix over GF(2) is 32 column vectors; mat * vec xors the
-// columns selected by vec's set bits. Squaring a matrix composes the
-// zero-bit-advance operator with itself, so "advance by n zero bytes"
-// costs O(log n) squarings.
-
-using Gf2Matrix = std::array<std::uint32_t, 32>;
-
-std::uint32_t gf2_matrix_times(const Gf2Matrix& mat, std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; vec != 0; vec >>= 1, ++i) {
-    if (vec & 1) sum ^= mat[i];
-  }
-  return sum;
-}
-
-void gf2_matrix_square(Gf2Matrix& out, const Gf2Matrix& mat) {
-  for (std::size_t i = 0; i < 32; ++i) {
-    out[i] = gf2_matrix_times(mat, mat[i]);
-  }
-}
-
-/// Operator table: ops[k] advances a CRC state by 2^k zero BYTES. Built
-/// once; makes crc32_zero_advance a handful of matrix-vector products
-/// (32 xors each) instead of O(log n) 32x32 matrix squarings per call —
-/// that is what lets the set_mig_req trailer patch beat a full recompute
-/// even on minimum-size frames.
-using ZeroAdvanceOps = std::array<Gf2Matrix, 64>;
-
-ZeroAdvanceOps make_zero_advance_ops() {
-  ZeroAdvanceOps ops{};
-  // One zero BIT: bit 0 maps to the polynomial, bit n to bit n-1 (a right
-  // shift in the reflected representation).
-  Gf2Matrix mat{};
-  mat[0] = kPoly;
-  for (std::size_t i = 1; i < 32; ++i) {
-    mat[i] = 1u << (i - 1);
-  }
-  // Square three times: 1 -> 2 -> 4 -> 8 zero bits = one zero byte.
-  Gf2Matrix tmp;
-  gf2_matrix_square(tmp, mat);
-  gf2_matrix_square(mat, tmp);
-  gf2_matrix_square(ops[0], mat);
-  for (std::size_t k = 1; k < ops.size(); ++k) {
-    gf2_matrix_square(ops[k], ops[k - 1]);
-  }
-  return ops;
-}
-
-const ZeroAdvanceOps& zero_advance_ops() {
-  static const ZeroAdvanceOps ops = make_zero_advance_ops();
-  return ops;
-}
-
 }  // namespace
 
 std::uint32_t crc32_update_slice8(std::uint32_t state,
@@ -131,9 +77,8 @@ std::uint32_t crc32_update_slice8(std::uint32_t state,
 
 std::uint32_t crc32_update(std::uint32_t state,
                            std::span<const std::uint8_t> data) {
-  // 64 bytes is one CLMUL fold block; below that, folding cannot beat the
-  // table walk. The supported() branch resolves to a cached bool.
-  if (data.size() >= 64 && crc32_clmul_supported()) {
+  // The supported() branch resolves to a cached bool.
+  if (data.size() >= kClmulMinSpan && crc32_clmul_supported()) {
     return crc32_update_clmul(state, data);
   }
   return crc32_update_slice8(state, data);
@@ -141,22 +86,6 @@ std::uint32_t crc32_update(std::uint32_t state,
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   return crc32_final(crc32_update(seed, data));
-}
-
-std::uint32_t crc32_zero_advance(std::uint32_t state, std::size_t len) {
-  if (len == 0 || state == 0) return state;
-  const ZeroAdvanceOps& ops = zero_advance_ops();
-  for (std::size_t bit = 0; len != 0; len >>= 1, ++bit) {
-    if (len & 1) state = gf2_matrix_times(ops[bit], state);
-  }
-  return state;
-}
-
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::size_t len_b) {
-  // The pre/post conditioning terms cancel when the advanced first-half
-  // CRC is xored with the second half's CRC (zlib's construction).
-  return crc32_zero_advance(crc_a, len_b) ^ crc_b;
 }
 
 std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,

@@ -13,18 +13,15 @@
 // Implementation notes (docs/packet.md):
 //   - crc32()/crc32_update() dispatch at runtime between two engines: a
 //     CLMUL path (PCLMULQDQ 4-way 128-bit folding, on x86-64 CPUs that
-//     have it) for long spans, and slice-by-8 (eight 256-entry tables,
-//     one 8-byte step per iteration) everywhere else. Both engines are
-//     exported for differential testing; -DLUMINA_DISABLE_CLMUL=ON
-//     builds without the CLMUL path entirely.
+//     have it) for spans of at least kClmulMinSpan bytes, and slice-by-8
+//     (eight 256-entry tables, one 8-byte step per iteration) everywhere
+//     else. Both engines are exported for differential testing;
+//     -DLUMINA_DISABLE_CLMUL=ON builds without the CLMUL path entirely.
 //   - compute_icrc() never materializes the whole masked pseudo packet:
 //     it copies only its first 64 bytes (the 0xff prefix and the start of
 //     L3, which holds every masked byte) into a stack block, masks them
 //     there, and runs one CRC update over the block and one over the rest
 //     of the frame in place.
-//   - crc32_combine()/crc32_zero_advance() implement the GF(2) matrix
-//     trick, letting single-byte rewrites (MigReq) patch a trailing CRC in
-//     O(log n) instead of recomputing over the whole frame.
 //   - crc32_reference()/compute_icrc_reference() keep the original
 //     bit-at-a-time / pseudo-packet implementations as differential oracles
 //     (tests, the crc-differential fuzz target, bench/packet_fastpath).
@@ -58,9 +55,13 @@ bool crc32_clmul_supported();
 std::uint32_t crc32_update_slice8(std::uint32_t state,
                                   std::span<const std::uint8_t> data);
 
+/// Shortest span the CLMUL engine folds: one 64-byte fold block (four
+/// 128-bit lanes). Below it, folding cannot beat the table walk.
+inline constexpr std::size_t kClmulMinSpan = 64;
+
 /// The CLMUL-folded engine. Identical results to crc32_update_slice8 on
-/// every input; falls back to slice-by-8 for spans shorter than one fold
-/// block or when crc32_clmul_supported() is false.
+/// every input; falls back to slice-by-8 for spans shorter than
+/// kClmulMinSpan or when crc32_clmul_supported() is false.
 std::uint32_t crc32_update_clmul(std::uint32_t state,
                                  std::span<const std::uint8_t> data);
 
@@ -68,16 +69,6 @@ std::uint32_t crc32_update_clmul(std::uint32_t state,
 constexpr std::uint32_t crc32_final(std::uint32_t state) {
   return state ^ kCrcInit;
 }
-
-/// Advances a raw CRC state as if `len` zero bytes were appended, in
-/// O(log len) via GF(2) matrix squaring. Also valid on finalized CRCs when
-/// used through crc32_combine().
-std::uint32_t crc32_zero_advance(std::uint32_t state, std::size_t len);
-
-/// CRC of a concatenation from the CRCs of its halves:
-/// `crc32_combine(crc32(A), crc32(B), B.size()) == crc32(AB)`.
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::size_t len_b);
 
 /// Computes the RoCEv2 iCRC over a serialized frame. `l3_offset` is the
 /// byte offset of the IPv4 header within `frame` (14 for plain Ethernet).

@@ -200,12 +200,9 @@ inline std::optional<RoceView> parse_roce(const Packet& pkt,
 /// Recomputes and verifies the trailing iCRC. Corrupted packets fail.
 bool verify_icrc(const Packet& pkt);
 
-/// iCRC over the frame as it stands (everything but the 4-byte trailer).
-std::uint32_t frame_icrc(const Packet& pkt);
-
-/// Recomputes the trailing iCRC in place (frame_icrc + trailer rewrite).
-/// The builder and any full-frame rewrite share this; single-bit rewrites
-/// (set_mig_req) patch the trailer incrementally instead.
+/// Recomputes the trailing iCRC over the frame as it stands and writes it
+/// in place. The builder uses it; set_mig_req instead xors the change in
+/// the iCRC into the trailer, so a stale trailer stays stale.
 void refresh_icrc(Packet& pkt);
 
 // ---- In-place mutators (the switch/mirror data plane) -------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "injector/event_table.h"
 #include "injector/fault_models.h"
@@ -366,6 +367,43 @@ TEST_F(SwitchTest, RewriteMigReqAction) {
   ASSERT_EQ(host_b.packets.size(), 1u);
   EXPECT_TRUE(parse_roce(host_b.packets[0])->bth.mig_req);
   EXPECT_TRUE(verify_icrc(host_b.packets[0]));
+}
+
+TEST_F(SwitchTest, RewriteMigReqKeepsACorruptedFrameExactlyAsCorrupt) {
+  // A corrupt event and the §6.2.3 MigReq rewrite on one frame. The
+  // rewrite moves the trailer by the change in the iCRC, so the frame
+  // leaves with MigReq 1 and the trailer of a clean MigReq-1 frame, and
+  // the corruption is still the only thing wrong with it.
+  auto options = sw.options();
+  options.rewrite_mig_req = true;
+  sw.set_options(options);
+  sw.register_flow(kFlow, 42);
+  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kCorrupt});
+  RocePacketSpec spec;
+  spec.src_ip = kFlow.src_ip;
+  spec.dst_ip = kFlow.dst_ip;
+  spec.opcode = IbOpcode::kSendOnly;
+  spec.payload_len = 128;
+  spec.dest_qpn = kFlow.dst_qpn;
+  spec.psn = 42;
+  spec.mig_req = false;  // E810-style
+  host_a.port().send(build_roce_packet(spec));
+  sim.run();
+  ASSERT_EQ(host_b.packets.size(), 1u);
+  EXPECT_EQ(sw.roce_counters().events_applied, 1u);
+  Packet delivered = host_b.packets[0];
+  EXPECT_TRUE(parse_roce(delivered)->bth.mig_req);
+  EXPECT_FALSE(verify_icrc(delivered));
+  RocePacketSpec clean = spec;
+  clean.mig_req = true;
+  const Packet expected = build_roce_packet(clean);
+  const auto trailer = [](const Packet& pkt) {
+    return std::vector<std::uint8_t>(pkt.bytes.end() - 4, pkt.bytes.end());
+  };
+  EXPECT_EQ(trailer(delivered), trailer(expected));
+  corrupt_payload_bit(delivered);  // flips the corrupted bit back
+  EXPECT_TRUE(verify_icrc(delivered));
+  EXPECT_EQ(delivered.bytes, expected.bytes);
 }
 
 using Injector = SwitchTest;

@@ -413,30 +413,6 @@ TEST(Icrc, SegmentedUpdateMatchesOneShot) {
   EXPECT_EQ(crc32_final(state), crc32(data));
 }
 
-TEST(Icrc, CombineMatchesConcatenation) {
-  Rng rng(33);
-  std::vector<std::uint8_t> buf(513);
-  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
-  const auto data = std::span<const std::uint8_t>(buf);
-  const std::uint32_t whole = crc32(data);
-  for (const std::size_t split : {0u, 1u, 8u, 100u, 512u, 513u}) {
-    const auto a = data.first(split);
-    const auto b = data.subspan(split);
-    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), whole)
-        << "split " << split;
-  }
-}
-
-TEST(Icrc, ZeroAdvanceMatchesExplicitZeros) {
-  const std::uint8_t seed_bytes[] = {0xde, 0xad, 0xbe, 0xef};
-  const std::uint32_t state = crc32_update(kCrcInit, seed_bytes);
-  for (const std::size_t n : {0u, 1u, 7u, 8u, 255u, 4096u}) {
-    const std::vector<std::uint8_t> zeros(n, 0);
-    EXPECT_EQ(crc32_zero_advance(state, n), crc32_update(state, zeros))
-        << "n " << n;
-  }
-}
-
 TEST(Icrc, CopyFreeComputeMatchesPseudoPacketReference) {
   // Every opcode shape the builder produces, plus trimmed prefixes that cut
   // into the masked-offset range.
@@ -495,7 +471,7 @@ TEST(Icrc, IncrementalMigReqPatchEqualsRebuild) {
     spec.payload_len = 700;
     spec.mig_req = initial;
     Packet pkt = build_roce_packet(spec);
-    set_mig_req(pkt, !initial);  // O(log n) trailer patch
+    set_mig_req(pkt, !initial);
     RocePacketSpec flipped = spec;
     flipped.mig_req = !initial;
     EXPECT_EQ(pkt.bytes, build_roce_packet(flipped).bytes);
@@ -506,8 +482,9 @@ TEST(Icrc, IncrementalMigReqPatchEqualsRebuild) {
 
 TEST(Icrc, MigReqPatchPreservesStaleness) {
   // An already-corrupt frame must stay exactly as corrupt across a MigReq
-  // rewrite: the incremental patch transports the trailer error verbatim,
-  // like a switch's incremental checksum update would.
+  // rewrite: set_mig_req xors only the change in the iCRC into the
+  // trailer, so the trailer error carries over verbatim, like a switch's
+  // incremental checksum update.
   Packet pkt = data_packet();
   corrupt_payload_bit(pkt, 9);
   EXPECT_FALSE(verify_icrc(pkt));
@@ -528,9 +505,9 @@ TEST(Icrc, MigReqPatchPreservesStaleness) {
 
 TEST(ClmulCrc, MatchesSliceBy8AcrossLengthsAndAlignments) {
   Rng rng(0xc1c);
-  // Lengths bracket the dispatch threshold and the 64 B fold block:
-  // sub-16 (fallback), 16..63 (single-lane region), 64/65/127/128/129
-  // (fold boundaries), and jumbo-frame-ish tails.
+  // Lengths bracket the kClmulMinSpan (64 B) threshold: below it
+  // (slice-by-8 fallback), 64/65/127/128/129 (fold and 16-byte remainder
+  // boundaries), and jumbo-frame-ish tails.
   const std::size_t lengths[] = {0,  1,  15,  16,  17,  63,   64,  65,
                                  96, 127, 128, 129, 256, 1023, 1500, 4096};
   for (const std::size_t len : lengths) {

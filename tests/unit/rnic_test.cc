@@ -461,7 +461,7 @@ TEST_F(RnicTest, NonAdaptiveRtoMatchesIbSpec) {
 
 TEST_F(RnicTest, UnknownQpnPacketsIgnored) {
   build(NicType::kCx5, NicType::kCx5);
-  auto [rq, rs] = make_qps();
+  make_qps();
   // Redirect a packet to a nonexistent QPN mid-flight.
   wire.mutate = [&](int in_port, Packet& pkt) {
     (void)in_port;
