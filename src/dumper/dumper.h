@@ -29,14 +29,9 @@
 
 #include "injector/mirror.h"
 #include "net/node.h"
-#include "pipeline/stage.h"
 #include "sim/simulator.h"
 
 namespace lumina {
-
-/// Assembles the dumper's rx pipeline (defined in dumper.cc): admit ->
-/// capture.
-struct DumperPipeline;
 
 /// One captured frame: where its kept bytes sit in the slab, and what the
 /// dumper learned about it on arrival. reconstruct_trace() decodes the
@@ -76,14 +71,13 @@ class TrafficDumper : public Node {
     std::size_t trim_bytes = 128;    ///< §5: first 128 B carry all headers.
   };
 
-  TrafficDumper(Simulator* sim, std::string name, Options options);
+  TrafficDumper(Simulator* sim, Options options);
 
   Port& port() { return *port_; }
 
-  // handle_packet walks each delivered frame through the rx stage chain
-  // (admit -> capture).
+  // handle_packet admits each delivered frame to an RSS core, then
+  // captures it unless that core's ring is full.
   void handle_packet(int in_port, Packet pkt) override;
-  std::string name() const override { return name_; }
 
   /// TERM from the orchestrator: restores the UDP destination port of
   /// every capture in the slab.
@@ -99,12 +93,8 @@ class TrafficDumper : public Node {
   bool write_pcap(const std::string& path) const;
 
  private:
-  friend struct DumperPipeline;
-
   Simulator* sim_;
-  std::string name_;
   Options options_;
-  pipeline::StageChain rx_pipeline_;
   std::unique_ptr<Port> port_;
   std::vector<Tick> core_busy_until_;
   CaptureStore capture_;

@@ -1,281 +1,12 @@
 #include "injector/switch.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "packet/packet_arena.h"
 #include "util/logging.h"
 
 namespace lumina {
-
-// The injector's rx pipeline: five stages that handle_packet walks each
-// delivered frame through, in order. All injector state (tables, trackers,
-// fault channels, mirror engine) stays on the switch.
-struct SwitchPipeline {
-  using FrameMeta = pipeline::FrameMeta;
-  using StageContract = pipeline::StageContract;
-
-  /// Parse + RoCE classification: the chain's one decode. Non-RoCE frames
-  /// have nothing to route by and leave the chain; RoCE frames get their
-  /// view, base latency and data/control discrimination recorded.
-  class Classify : public pipeline::Stage {
-   public:
-    explicit Classify(EventInjectorSwitch& sw) : sw_(sw) {}
-    const char* name() const override { return "classify"; }
-    StageContract contract() const override { return {.provides_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
-      EventInjectorSwitch& sw = sw_;
-      meta.view = parse_roce(pkt);
-      if (!meta.view) {
-        // Not RoCE-shaped: nothing to route by, so the frame is dropped.
-        // The warning still fires from an event after the base pipeline
-        // latency, as a forward would, so later event ids do not depend
-        // on where the switch decides the drop.
-        sw.sim_->schedule_after(sw.options_.l2_pipeline_latency, [] {
-          LUMINA_LOG(kWarn) << "switch: dropping unroutable non-IP packet";
-        });
-        return false;
-      }
-      ++sw.counters_.roce_rx;
-      meta.base_latency = sw.options_.l2_pipeline_latency;
-      meta.is_data = is_data_opcode(meta.view->bth.opcode);
-      return true;
-    }
-
-   private:
-    EventInjectorSwitch& sw_;
-  };
-
-  /// Event-table match/action plus the stateful fault models: relative-
-  /// rule discovery, ITER tracking, table match, fault activations, and
-  /// the Gilbert–Elliott burst-channel verdict. Writes the matched event,
-  /// its delay, and the burst verdict into the frame metadata.
-  class EventMatch : public pipeline::Stage {
-   public:
-    explicit EventMatch(EventInjectorSwitch& sw) : sw_(sw) {}
-    const char* name() const override { return "event-match"; }
-    StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet&, FrameMeta& meta) override {
-      EventInjectorSwitch& sw = sw_;
-      if (!sw.options_.enable_event_injection) return true;
-      meta.base_latency += sw.options_.event_stage_latency;
-      // ITER tracking + event matching apply to data-carrying packets
-      // only (ACK/NACK/CNP are not injectable, §3.3 fn 2).
-      if (!meta.is_data) return true;
-      const auto& view = meta.view;
-      const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
-      // Stateful-discovery ablation: the first packet of a new flow
-      // binds pending relative rules, taking its PSN as the IPSN.
-      if (!sw.relative_rules_.empty() &&
-          !sw.discovery_index_.contains(flow)) {
-        const int index = ++sw.discovered_;
-        sw.discovery_index_[flow] = index;
-        for (const auto& rel : sw.relative_rules_) {
-          if (rel.conn_index != index) continue;
-          EventRule rule;
-          rule.flow = flow;
-          rule.psn = psn_add(view->bth.psn,
-                             static_cast<std::int64_t>(rel.psn) - 1);
-          rule.iter = rel.iter;
-          rule.action = rel.action;
-          rule.delay = rel.delay;
-          rule.fault = rel.fault;
-          sw.table_.install(rule);
-        }
-      }
-      const std::uint32_t iter = sw.iter_tracker_.observe(flow, view->bth.psn);
-      if (const auto action = sw.table_.match(flow, view->bth.psn, iter)) {
-        meta.event = action->type;
-        meta.event_delay = action->delay;
-        ++sw.counters_.events_applied;
-        telemetry::inc(sw.m_table_match_);
-        telemetry::trace_instant(sw.trace_, "injector", "event_applied",
-                                 meta.ingress_ts, telemetry::kTrackInjector,
-                                 view->bth.psn);
-        // Stateful fault activations: the matched packet arms the fault;
-        // its ongoing effects then compose with any further rules.
-        switch (meta.event) {
-          case EventType::kBurstLoss:
-            sw.start_burst_channel(flow, action->fault);
-            break;
-          case EventType::kPauseStorm:
-            sw.start_pause_storm(meta.in_port, action->fault);
-            break;
-          case EventType::kLinkFlap:
-            sw.apply_link_flap(view->dst_ip, action->fault);
-            break;
-          default:
-            break;
-        }
-      } else {
-        telemetry::inc(sw.m_table_miss_);
-      }
-      // An armed Gilbert–Elliott channel judges every data packet of its
-      // flow — including the one that just armed it (the channel starts
-      // in the Bad state, so the trigger is the burst's first casualty).
-      meta.burst_dropped = sw.burst_channel_drops(flow);
-      return true;
-    }
-
-   private:
-    EventInjectorSwitch& sw_;
-  };
-
-  /// Packet transformations, applied before mirroring so the mirrored
-  /// copy reflects what was (or would have been) forwarded.
-  class Transform : public pipeline::Stage {
-   public:
-    explicit Transform(EventInjectorSwitch& sw) : sw_(sw) {}
-    const char* name() const override { return "transform"; }
-    StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
-      EventInjectorSwitch& sw = sw_;
-      switch (meta.event) {
-        case EventType::kEcn:
-          set_ecn_ce(pkt);
-          break;
-        case EventType::kCorrupt:
-          corrupt_payload_bit(pkt);
-          break;
-        default:
-          break;
-      }
-      // MigReq := 1 on the packet a rewrite-migreq event matched, and on
-      // every data packet under the §6.2.3 fix. Neither case above writes
-      // the BTH flags byte, so the classify view still shows the bit.
-      const bool rewrite = meta.event == EventType::kRewriteMigReq ||
-                           (sw.options_.rewrite_mig_req && meta.is_data);
-      if (rewrite && !meta.view->bth.mig_req) set_mig_req(pkt, true);
-      return true;
-    }
-
-   private:
-    EventInjectorSwitch& sw_;
-  };
-
-  /// Ingress mirror tap: always before anything can drop (§3.4). A packet
-  /// lost to an armed burst channel (no table match of its own) is
-  /// mirrored with kBurstLoss so the trace explains why it vanished.
-  class MirrorTap : public pipeline::Stage {
-   public:
-    explicit MirrorTap(EventInjectorSwitch& sw) : sw_(sw) {}
-    const char* name() const override { return "mirror-tap"; }
-    StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
-      EventInjectorSwitch& sw = sw_;
-      if (!sw.options_.enable_mirroring || !sw.mirror_.has_targets()) {
-        return true;
-      }
-      const EventType mirror_event =
-          meta.burst_dropped && meta.event == EventType::kNone
-              ? EventType::kBurstLoss
-              : meta.event;
-      auto mirrored = sw.mirror_.mirror(pkt, mirror_event, meta.ingress_ts);
-      ++sw.counters_.mirrored;
-      // The mirror slot records ingress order, but a delayed packet
-      // reaches the receiver event_delay later — possibly behind its
-      // successors. Remember the release time by mirror seq so the trace
-      // can be replayed in receiver order (delay_releases() doc).
-      if (meta.event == EventType::kDelay && meta.event_delay > 0) {
-        sw.delay_releases_[sw.mirror_.mirrored_count() - 1] =
-            meta.ingress_ts + meta.event_delay;
-        ++sw.fault_stats_.delays_applied;
-      }
-      sw.sim_->schedule_after(meta.base_latency,
-                              [s = &sw, m = std::move(mirrored)]() mutable {
-                                s->port(m.port_index).send(std::move(m.clone));
-                              });
-      return true;
-    }
-
-   private:
-    EventInjectorSwitch& sw_;
-  };
-
-  /// Egress disposition: drop enforcement, reorder holds, duplication,
-  /// and the L3 forward — every path retires the frame.
-  class Emit : public pipeline::Stage {
-   public:
-    explicit Emit(EventInjectorSwitch& sw) : sw_(sw) {}
-    const char* name() const override { return "emit"; }
-    StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
-      EventInjectorSwitch& sw = sw_;
-      const auto& view = meta.view;
-      if (sw.options_.enable_event_injection) {
-        telemetry::observe(sw.m_added_latency_,
-                           sw.options_.event_stage_latency + meta.event_delay);
-      }
-
-      if ((meta.event == EventType::kDrop || meta.burst_dropped) &&
-          sw.options_.enforce_drops) {
-        ++sw.counters_.dropped_by_event;
-        if (meta.burst_dropped) ++sw.fault_stats_.burst_loss_dropped;
-        telemetry::trace_instant(sw.trace_, "injector", "drop_enforced",
-                                 meta.ingress_ts, telemetry::kTrackInjector,
-                                 view->bth.psn);
-        return false;
-      }
-
-      // §7 extension: hold the packet so it leaves AFTER its flow's next
-      // data packet (adjacent-pair reordering).
-      const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
-      if (meta.event == EventType::kReorder && meta.is_data) {
-        EventInjectorSwitch::ReorderSlot slot;
-        slot.pkt = std::move(pkt);
-        // Safety valve: flush if no successor shows up (tail packet).
-        slot.flush_event = sw.sim_->schedule_after(
-            sw.options_.reorder_flush_timeout,
-            [s = &sw, flow] { s->flush_reorder(flow); });
-        sw.reorder_slots_[flow] = std::move(slot);
-        return false;
-      }
-
-      ++sw.counters_.roce_tx;
-      const Tick depart = meta.base_latency + meta.event_delay;
-      // Each departure carries the routing inputs the classify stage
-      // decoded (a duplicated or held frame is data, like this one).
-      const auto send_at = [&sw, dst = flow.dst_ip, data = meta.is_data](
-                               Tick delay, Packet frame) {
-        sw.sim_->schedule_after(
-            delay, [s = &sw, p = std::move(frame), dst, data]() mutable {
-              s->forward(std::move(p), dst, data);
-            });
-      };
-      // Duplication: a byte-identical clone chases the original one tick
-      // behind — the receiver sees the same PSN twice back to back.
-      if (meta.event == EventType::kDuplicate) {
-        Packet clone = pkt.clone_arena();
-        ++sw.counters_.roce_tx;
-        ++sw.fault_stats_.duplicates_emitted;
-        send_at(depart + 1, std::move(clone));
-      }
-      send_at(depart, std::move(pkt));
-      // A held (reordered) predecessor departs right behind this packet.
-      if (meta.is_data) {
-        if (const auto it = sw.reorder_slots_.find(flow);
-            it != sw.reorder_slots_.end()) {
-          sw.sim_->cancel(it->second.flush_event);
-          Packet held = std::move(it->second.pkt);
-          sw.reorder_slots_.erase(it);
-          ++sw.counters_.roce_tx;
-          send_at(depart + 1, std::move(held));
-        }
-      }
-      return false;
-    }
-
-   private:
-    EventInjectorSwitch& sw_;
-  };
-
-  static void build(EventInjectorSwitch& sw, pipeline::StageChain& chain) {
-    chain.append(std::make_unique<Classify>(sw));
-    chain.append(std::make_unique<EventMatch>(sw));
-    chain.append(std::make_unique<Transform>(sw));
-    chain.append(std::make_unique<MirrorTap>(sw));
-    chain.append(std::make_unique<Emit>(sw));
-  }
-};
 
 EventInjectorSwitch::EventInjectorSwitch(Simulator* sim, int num_ports,
                                          Options options)
@@ -284,7 +15,6 @@ EventInjectorSwitch::EventInjectorSwitch(Simulator* sim, int num_ports,
   for (int i = 0; i < num_ports; ++i) {
     ports_.push_back(std::make_unique<Port>(sim, this, i));
   }
-  SwitchPipeline::build(*this, rx_pipeline_);
 }
 
 void EventInjectorSwitch::add_route(Ipv4Address dst, int port_index) {
@@ -328,13 +58,194 @@ void EventInjectorSwitch::attach_telemetry(telemetry::Telemetry* t) {
 }
 
 void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
-  // Forward/mirror/reorder paths move the frame onward (the guard then
-  // has nothing to do); an enforced drop leaves its buffer behind.
+  // The forward and reorder paths move the frame onward (the guard then
+  // has nothing to do); a non-RoCE frame or an enforced drop leaves its
+  // buffer behind.
   ScopedPacketReclaim reclaim(pkt);
-  pipeline::FrameMeta meta;
-  meta.in_port = in_port;
-  meta.ingress_ts = sim_->now();
-  rx_pipeline_.run(pkt, meta);
+  const Tick now = sim_->now();
+
+  // Classify: the frame's one decode. The view describes the bytes as
+  // they arrived; a later step that rewrites a header field reads that
+  // field from the bytes, not from the view.
+  const std::optional<RoceView> view = parse_roce(pkt);
+  if (!view) {
+    // Not RoCE-shaped: nothing to route by, so the frame is dropped. The
+    // warning still fires from an event after the base pipeline latency,
+    // as a forward would, so later event ids do not depend on where the
+    // switch decides the drop.
+    sim_->schedule_after(options_.l2_pipeline_latency, [] {
+      LUMINA_LOG(kWarn) << "switch: dropping unroutable non-IP packet";
+    });
+    return;
+  }
+  ++counters_.roce_rx;
+  Tick base_latency = options_.l2_pipeline_latency;
+  const bool is_data = is_data_opcode(view->bth.opcode);
+  const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
+
+  // Event match. ITER tracking and the table apply to data-carrying
+  // packets only (ACK/NACK/CNP are not injectable, §3.3 fn 2).
+  EventMatch match;
+  if (options_.enable_event_injection) {
+    base_latency += options_.event_stage_latency;
+    if (is_data) match = match_event(in_port, flow, view->bth.psn);
+  }
+
+  // Transform, before mirroring so the mirrored copy reflects what was
+  // (or would have been) forwarded.
+  switch (match.event) {
+    case EventType::kEcn:
+      set_ecn_ce(pkt);
+      break;
+    case EventType::kCorrupt:
+      corrupt_payload_bit(pkt);
+      break;
+    default:
+      break;
+  }
+  // MigReq := 1 on the packet a rewrite-migreq event matched, and on every
+  // data packet under the §6.2.3 fix. Neither case above writes the BTH
+  // flags byte, so the view still shows the bit.
+  const bool rewrite = match.event == EventType::kRewriteMigReq ||
+                       (options_.rewrite_mig_req && is_data);
+  if (rewrite && !view->bth.mig_req) set_mig_req(pkt, true);
+
+  // Ingress mirror tap: always before anything can drop (§3.4). A packet
+  // lost to an armed burst channel (no table match of its own) is
+  // mirrored with kBurstLoss so the trace explains why it vanished.
+  if (options_.enable_mirroring && mirror_.has_targets()) {
+    const EventType mirror_event =
+        match.burst_dropped && match.event == EventType::kNone
+            ? EventType::kBurstLoss
+            : match.event;
+    auto mirrored = mirror_.mirror(pkt, mirror_event, now);
+    ++counters_.mirrored;
+    // The mirror slot records ingress order, but a delayed packet reaches
+    // the receiver `delay` later — possibly behind its successors.
+    // Remember the release time by mirror seq so the trace can be
+    // replayed in receiver order (delay_releases() doc).
+    if (match.event == EventType::kDelay && match.delay > 0) {
+      delay_releases_[mirror_.mirrored_count() - 1] = now + match.delay;
+      ++fault_stats_.delays_applied;
+    }
+    sim_->schedule_after(base_latency,
+                         [this, m = std::move(mirrored)]() mutable {
+                           port(m.port_index).send(std::move(m.clone));
+                         });
+  }
+
+  // Egress: drop enforcement, reorder holds, duplication and the L3
+  // forward.
+  if (options_.enable_event_injection) {
+    telemetry::observe(m_added_latency_,
+                       options_.event_stage_latency + match.delay);
+  }
+
+  if ((match.event == EventType::kDrop || match.burst_dropped) &&
+      options_.enforce_drops) {
+    ++counters_.dropped_by_event;
+    if (match.burst_dropped) ++fault_stats_.burst_loss_dropped;
+    telemetry::trace_instant(trace_, "injector", "drop_enforced", now,
+                             telemetry::kTrackInjector, view->bth.psn);
+    return;
+  }
+
+  // §7 extension: hold the packet so it leaves AFTER its flow's next data
+  // packet (adjacent-pair reordering).
+  if (match.event == EventType::kReorder) {
+    ReorderSlot slot;
+    slot.pkt = std::move(pkt);
+    // Safety valve: flush if no successor shows up (tail packet).
+    slot.flush_event = sim_->schedule_after(
+        options_.reorder_flush_timeout, [this, flow] { flush_reorder(flow); });
+    reorder_slots_[flow] = std::move(slot);
+    return;
+  }
+
+  ++counters_.roce_tx;
+  const Tick depart = base_latency + match.delay;
+  // Each departure carries the routing inputs decoded above (a duplicated
+  // or held frame is data, like this one).
+  const auto send_at = [this, dst = flow.dst_ip, is_data](Tick delay,
+                                                          Packet frame) {
+    sim_->schedule_after(delay,
+                         [this, p = std::move(frame), dst, is_data]() mutable {
+                           forward(std::move(p), dst, is_data);
+                         });
+  };
+  // Duplication: a byte-identical clone chases the original one tick
+  // behind — the receiver sees the same PSN twice back to back.
+  if (match.event == EventType::kDuplicate) {
+    Packet clone = pkt.clone_arena();
+    ++counters_.roce_tx;
+    ++fault_stats_.duplicates_emitted;
+    send_at(depart + 1, std::move(clone));
+  }
+  send_at(depart, std::move(pkt));
+  // A held (reordered) predecessor departs right behind this packet.
+  if (is_data) {
+    if (const auto it = reorder_slots_.find(flow);
+        it != reorder_slots_.end()) {
+      sim_->cancel(it->second.flush_event);
+      Packet held = std::move(it->second.pkt);
+      reorder_slots_.erase(it);
+      ++counters_.roce_tx;
+      send_at(depart + 1, std::move(held));
+    }
+  }
+}
+
+EventInjectorSwitch::EventMatch EventInjectorSwitch::match_event(
+    int in_port, const FlowKey& flow, std::uint32_t psn) {
+  // Stateful-discovery ablation: the first packet of a new flow binds
+  // pending relative rules, taking its PSN as the IPSN.
+  if (!relative_rules_.empty() && !discovery_index_.contains(flow)) {
+    const int index = ++discovered_;
+    discovery_index_[flow] = index;
+    for (const auto& rel : relative_rules_) {
+      if (rel.conn_index != index) continue;
+      EventRule rule;
+      rule.flow = flow;
+      rule.psn = psn_add(psn, static_cast<std::int64_t>(rel.psn) - 1);
+      rule.iter = rel.iter;
+      rule.action = rel.action;
+      rule.delay = rel.delay;
+      rule.fault = rel.fault;
+      table_.install(rule);
+    }
+  }
+  EventMatch match;
+  const std::uint32_t iter = iter_tracker_.observe(flow, psn);
+  if (const auto action = table_.match(flow, psn, iter)) {
+    match.event = action->type;
+    match.delay = action->delay;
+    ++counters_.events_applied;
+    telemetry::inc(m_table_match_);
+    telemetry::trace_instant(trace_, "injector", "event_applied", sim_->now(),
+                             telemetry::kTrackInjector, psn);
+    // Stateful fault activations: the matched packet arms the fault; its
+    // ongoing effects then compose with any further rules.
+    switch (match.event) {
+      case EventType::kBurstLoss:
+        start_burst_channel(flow, action->fault);
+        break;
+      case EventType::kPauseStorm:
+        start_pause_storm(in_port, action->fault);
+        break;
+      case EventType::kLinkFlap:
+        apply_link_flap(flow.dst_ip, action->fault);
+        break;
+      default:
+        break;
+    }
+  } else {
+    telemetry::inc(m_table_miss_);
+  }
+  // An armed Gilbert–Elliott channel judges every data packet of its flow
+  // — including the one that just armed it (the channel starts in the Bad
+  // state, so the trigger is the burst's first casualty).
+  match.burst_dropped = burst_channel_drops(flow);
+  return match;
 }
 
 void EventInjectorSwitch::start_burst_channel(const FlowKey& flow,

@@ -1,7 +1,8 @@
 // The event-injector switch (§3.3–3.4, Fig. 6 pipeline layout).
 //
-// Ingress: RoCE classification -> ITER tracking -> event match -> ingress
-// mirror (before any drop, with metadata embedding) -> L3 forward.
+// Ingress (handle_packet, one frame per call): RoCE classification ->
+// ITER tracking and event match -> transform -> ingress mirror (before
+// any drop, with metadata embedding) -> drop, reorder hold or L3 forward.
 // Egress: per-port FIFO + counters (provided by net::Port).
 //
 // The model charges a fixed pipeline latency per forwarded packet,
@@ -19,15 +20,10 @@
 #include "injector/fault_models.h"
 #include "injector/mirror.h"
 #include "net/node.h"
-#include "pipeline/stage.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 namespace lumina {
-
-/// Assembles the injector's rx pipeline (defined in switch.cc): classify ->
-/// event-match -> transform -> mirror-tap -> emit.
-struct SwitchPipeline;
 
 /// Per-port RoCE traffic counters kept by the data plane for the §3.5
 /// integrity check, alongside the generic net-level PortCounters.
@@ -147,17 +143,26 @@ class EventInjectorSwitch : public Node {
   }
 
   // -- data plane ----------------------------------------------------------
-  // The event kernel delivers one packet per call; handle_packet walks it
-  // through the rx stage chain (SwitchPipeline).
+  // The event kernel delivers one packet per call; handle_packet runs the
+  // ingress steps listed at the top of this file on it, in order, and
+  // returns once it has dropped, held or forwarded the frame.
   void handle_packet(int in_port, Packet pkt) override;
-  std::string name() const override { return "event-injector"; }
 
  private:
-  friend struct SwitchPipeline;
+  /// What the event-match step decided for one data frame.
+  struct EventMatch {
+    EventType event = EventType::kNone;
+    Tick delay = 0;              ///< Injected hold from a matched delay event.
+    bool burst_dropped = false;  ///< Gilbert–Elliott channel verdict.
+  };
+
+  /// Event match for a data frame: relative-rule discovery, ITER tracking,
+  /// table match, fault activations and the burst-channel verdict.
+  EventMatch match_event(int in_port, const FlowKey& flow, std::uint32_t psn);
 
   /// Sends a frame out of the port routed to `dst_ip`; `is_data` gates the
-  /// congestion ECN mark. The caller passes what the classify stage
-  /// decoded, so forwarding never parses the frame again.
+  /// congestion ECN mark. The caller passes what handle_packet decoded, so
+  /// forwarding never parses the frame again.
   void forward(Packet pkt, Ipv4Address dst_ip, bool is_data);
   void flush_reorder(const FlowKey& flow);
 
@@ -180,7 +185,6 @@ class EventInjectorSwitch : public Node {
 
   Simulator* sim_;
   Options options_;
-  pipeline::StageChain rx_pipeline_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<Ipv4Address, int> routes_;
   EventTable table_;

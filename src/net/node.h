@@ -27,8 +27,6 @@ class Node {
 
   /// Called at packet arrival time, after link serialization + propagation.
   virtual void handle_packet(int in_port, Packet pkt) = 0;
-
-  virtual std::string name() const = 0;
 };
 
 struct LinkParams {

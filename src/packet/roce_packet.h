@@ -8,9 +8,9 @@
 // rewriting) behave exactly as they do on the Tofino.
 //
 // A Packet is its bytes and nothing else. The switch and the RNIC decode a
-// frame once, in their classifying stage, and hand that view to their
-// later stages; the dumper only copies, and the collector decodes its
-// captures (docs/packet.md, "One decode per node").
+// frame once on receipt and keep the view as a local of their receive
+// path; the dumper only copies, and the collector decodes its captures
+// (docs/packet.md, "One decode per node").
 #pragma once
 
 #include <cstdint>
@@ -186,10 +186,10 @@ Packet build_roce_packet(const RocePacketSpec& spec);
 /// (the traffic dumper keeps only the first 128 bytes, §5); payload length
 /// is then derived from the IP header and the iCRC is reported as 0.
 ///
-/// Every call decodes the bytes; a node's classifying stage calls it once
-/// per frame and passes the view on in pipeline::FrameMeta. The span form
-/// decodes bytes that are not a Packet, such as a capture record's kept
-/// head inside its dumper's slab (reconstruct_trace).
+/// Every call decodes the bytes; the switch and the RNIC call it once per
+/// received frame and keep the view as a local of their receive path. The
+/// span form decodes bytes that are not a Packet, such as a capture
+/// record's kept head inside its dumper's slab (reconstruct_trace).
 std::optional<RoceView> parse_roce(std::span<const std::uint8_t> bytes,
                                    bool allow_trimmed = false);
 inline std::optional<RoceView> parse_roce(const Packet& pkt,

@@ -737,7 +737,7 @@ void QueuePair::schedule_nack() {
 
 void QueuePair::on_cnp() {
   ++rnic_->counters().rp_cnp_handled;
-  rnic_->rp_for(qpn_).on_cnp();
+  rnic_->rp_for(*this).on_cnp();
 }
 
 Tick QueuePair::current_rto() const {

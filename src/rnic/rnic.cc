@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "packet/packet_arena.h"
 #include "util/logging.h"
@@ -21,163 +22,6 @@ std::uint64_t fnv1a(const std::string& s) {
 
 }  // namespace
 
-// The RNIC's rx pipeline: three stages that handle_packet walks each
-// delivered frame through (same construction as SwitchPipeline in
-// injector/switch.cc).
-struct RnicPipeline {
-  using FrameMeta = pipeline::FrameMeta;
-  using StageContract = pipeline::StageContract;
-
-  /// MAC-layer admission: PFC pause handling, rx accounting, the
-  /// noisy-neighbor rx stall window, and the RoCE parse (the chain's one
-  /// decode). Non-RoCE frames stop here.
-  class RxClassify : public pipeline::Stage {
-   public:
-    explicit RxClassify(Rnic& nic) : nic_(nic) {}
-    const char* name() const override { return "rx-classify"; }
-    StageContract contract() const override { return {.provides_view = true}; }
-    bool process(Packet& pkt, FrameMeta& meta) override {
-      Rnic& nic = nic_;
-      // 802.1Qbb pause: MAC-layer flow control, honored ahead of the
-      // RoCE RX pipeline (and regardless of any pipeline stall). Kept
-      // out of the generic rx counters — real NICs account pause frames
-      // separately.
-      if (is_pfc_frame(pkt)) {
-        if (const auto frame = parse_pfc_frame(pkt)) {
-          nic.on_pause_frame(*frame);
-        }
-        return false;
-      }
-      ++nic.counters_.rx_packets;
-      nic.counters_.rx_bytes += pkt.size();
-
-      if (meta.ingress_ts < nic.rx_stalled_until_) {
-        ++nic.counters_.rx_discards_phy;
-        return false;
-      }
-
-      meta.view = parse_roce(pkt);
-      return meta.view.has_value();
-    }
-
-   private:
-    Rnic& nic_;
-  };
-
-  /// Hardware iCRC check: corrupted frames are counted and dropped.
-  class IcrcVerify : public pipeline::Stage {
-   public:
-    explicit IcrcVerify(Rnic& nic) : nic_(nic) {}
-    const char* name() const override { return "icrc-verify"; }
-    StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet& pkt, FrameMeta&) override {
-      Rnic& nic = nic_;
-      if (!verify_icrc(pkt)) {
-        ++nic.counters_.icrc_error_packets;
-        return false;
-      }
-      return true;
-    }
-
-   private:
-    Rnic& nic_;
-  };
-
-  /// QP lookup, the APM MigReq=0 slow path, the DCQCN notification point,
-  /// and the delayed dispatch into the QP state machines. The dispatch
-  /// captures a boxed copy of the classify view, not the frame bytes, so
-  /// the frame's buffer stays behind for handle_packet to recycle. Retires
-  /// every frame.
-  class RxDispatch : public pipeline::Stage {
-   public:
-    explicit RxDispatch(Rnic& nic) : nic_(nic) {}
-    const char* name() const override { return "rx-dispatch"; }
-    StageContract contract() const override { return {.needs_view = true}; }
-    bool process(Packet&, FrameMeta& meta) override {
-      Rnic& nic = nic_;
-      const Tick now = meta.ingress_ts;
-      const auto& view = meta.view;
-
-      QueuePair* qp = nic.find_qp(view->bth.dest_qpn);
-      if (qp == nullptr) return false;
-
-      Tick delay = nic.profile_.rx_pipeline_delay;
-
-      // §6.2.3: APM reconciliation slow path — data packets carrying
-      // MigReq=0 for a not-yet-reconciled QP pass through a shared
-      // service queue with finite capacity; overflow shows up as
-      // rx_discards_phy.
-      if (nic.profile_.apm_slow_path_on_mig_req0 &&
-          is_data_opcode(view->bth.opcode) && !view->bth.mig_req &&
-          !qp->apm_reconciled()) {
-        const Tick service = nic.profile_.apm_slow_path_service;
-        const std::size_t backlog =
-            nic.apm_busy_until_ > now
-                ? static_cast<std::size_t>((nic.apm_busy_until_ - now) /
-                                           service)
-                : 0;
-        if (backlog >= nic.profile_.apm_slow_path_queue_pkts) {
-          nic.apm_shedding_ = true;
-        } else if (nic.apm_shedding_ && backlog == 0) {
-          nic.apm_shedding_ = false;  // resume only once fully drained
-        }
-        if (nic.apm_shedding_) {
-          ++nic.counters_.rx_discards_phy;
-          return false;
-        }
-        const Tick start = std::max(now, nic.apm_busy_until_);
-        nic.apm_busy_until_ = start + service;
-        delay = (nic.apm_busy_until_ - now) + nic.profile_.rx_pipeline_delay;
-      }
-
-      // DCQCN notification point.
-      if (is_data_opcode(view->bth.opcode) && view->ecn_ce() &&
-          nic.roce_.dcqcn_np_enable) {
-        ++nic.counters_.np_ecn_marked_roce_packets;
-        nic.maybe_send_cnp(*qp);
-      }
-
-      // Box the parsed view (too big for the inline callback buffer),
-      // drawing from the recycled pool; unfired callbacks free the box
-      // via unique_ptr.
-      std::unique_ptr<RoceView> boxed;
-      if (!nic.view_pool_.empty()) {
-        boxed = std::move(nic.view_pool_.back());
-        nic.view_pool_.pop_back();
-        *boxed = *view;
-      } else {
-        boxed = std::make_unique<RoceView>(*view);
-      }
-      nic.sim_->schedule_after(
-          delay, [n = &nic, vb = std::move(boxed), qp]() mutable {
-            const RoceView& v = *vb;
-            if (v.bth.opcode == IbOpcode::kCnp) {
-              qp->on_cnp();
-            } else if (v.bth.opcode == IbOpcode::kAcknowledge) {
-              qp->on_ack_packet(v);
-            } else if (v.bth.opcode == IbOpcode::kAtomicAck) {
-              qp->on_atomic_ack(v);
-            } else if (is_read_response(v.bth.opcode)) {
-              qp->on_read_response_packet(v);
-            } else {
-              qp->on_request_packet(v);
-            }
-            n->view_pool_.push_back(std::move(vb));
-          });
-      return false;
-    }
-
-   private:
-    Rnic& nic_;
-  };
-
-  static void build(Rnic& nic, pipeline::StageChain& chain) {
-    chain.append(std::make_unique<RxClassify>(nic));
-    chain.append(std::make_unique<IcrcVerify>(nic));
-    chain.append(std::make_unique<RxDispatch>(nic));
-  }
-};
-
 Rnic::Rnic(Simulator* sim, std::string name, const DeviceProfile& profile,
            RoceParameters roce, MacAddress mac,
            std::uint32_t telemetry_track)
@@ -194,7 +38,6 @@ Rnic::Rnic(Simulator* sim, std::string name, const DeviceProfile& profile,
   next_qpn_ = 0x100 + static_cast<std::uint32_t>(fnv1a(name_) % 0xE00000);
   port_->set_drained_callback([this] { pump(); });
   configure_ets({100});
-  RnicPipeline::build(*this, rx_pipeline_);
 }
 
 Rnic::~Rnic() = default;
@@ -239,18 +82,7 @@ Tick Rnic::min_cnp_interval() const {
   return roce_.min_time_between_cnps;
 }
 
-DcqcnRp& Rnic::rp_for(std::uint32_t qpn) {
-  const auto slot_it = slot_by_qpn_.find(qpn);
-  if (slot_it != slot_by_qpn_.end()) return qps_[slot_it->second].rp;
-  auto it = orphan_rps_.find(qpn);
-  if (it == orphan_rps_.end()) {
-    auto rp =
-        std::make_unique<DcqcnRp>(sim_, profile_.dcqcn, profile_.link_gbps);
-    rp->set_enabled(roce_.dcqcn_rp_enable);
-    it = orphan_rps_.emplace(qpn, std::move(rp)).first;
-  }
-  return *it->second;
-}
+DcqcnRp& Rnic::rp_for(const QueuePair& qp) { return qps_[qp.slot()].rp; }
 
 RocePacketSpec Rnic::packet_spec_for(const QueuePair& qp) const {
   RocePacketSpec spec;
@@ -331,14 +163,101 @@ void Rnic::read_slow_path_end() {
 // RX path
 // ---------------------------------------------------------------------------
 
-void Rnic::handle_packet(int in_port, Packet pkt) {
-  // Every stage leaves the frame bytes in place (dispatch captures a
-  // parsed copy), so every exit path recycles the buffer here.
+void Rnic::handle_packet(int, Packet pkt) {
+  // Nothing moves the frame out (the dispatch captures a parsed copy), so
+  // the guard recycles the buffer on every path.
   ScopedPacketReclaim reclaim(pkt);
-  pipeline::FrameMeta meta;
-  meta.in_port = in_port;
-  meta.ingress_ts = sim_->now();
-  rx_pipeline_.run(pkt, meta);
+
+  // 802.1Qbb pause: MAC-layer flow control, honored ahead of the RoCE RX
+  // pipeline (and regardless of any pipeline stall). Kept out of the
+  // generic rx counters — real NICs account pause frames separately.
+  if (is_pfc_frame(pkt)) {
+    if (const auto frame = parse_pfc_frame(pkt)) on_pause_frame(*frame);
+    return;
+  }
+  ++counters_.rx_packets;
+  counters_.rx_bytes += pkt.size();
+
+  const Tick now = sim_->now();
+  if (now < rx_stalled_until_) {
+    ++counters_.rx_discards_phy;
+    return;
+  }
+
+  // The frame's one decode; non-RoCE frames stop here.
+  const std::optional<RoceView> view = parse_roce(pkt);
+  if (!view) return;
+
+  // Hardware iCRC check: corrupted frames are counted and dropped.
+  if (!verify_icrc(pkt)) {
+    ++counters_.icrc_error_packets;
+    return;
+  }
+  dispatch(*view, now);
+}
+
+void Rnic::dispatch(const RoceView& view, Tick now) {
+  QueuePair* qp = find_qp(view.bth.dest_qpn);
+  if (qp == nullptr) return;
+
+  Tick delay = profile_.rx_pipeline_delay;
+
+  // §6.2.3: APM reconciliation slow path — data packets carrying MigReq=0
+  // for a not-yet-reconciled QP pass through a shared service queue with
+  // finite capacity; overflow shows up as rx_discards_phy.
+  if (profile_.apm_slow_path_on_mig_req0 && is_data_opcode(view.bth.opcode) &&
+      !view.bth.mig_req && !qp->apm_reconciled()) {
+    const Tick service = profile_.apm_slow_path_service;
+    const std::size_t backlog =
+        apm_busy_until_ > now
+            ? static_cast<std::size_t>((apm_busy_until_ - now) / service)
+            : 0;
+    if (backlog >= profile_.apm_slow_path_queue_pkts) {
+      apm_shedding_ = true;
+    } else if (apm_shedding_ && backlog == 0) {
+      apm_shedding_ = false;  // resume only once fully drained
+    }
+    if (apm_shedding_) {
+      ++counters_.rx_discards_phy;
+      return;
+    }
+    const Tick start = std::max(now, apm_busy_until_);
+    apm_busy_until_ = start + service;
+    delay = (apm_busy_until_ - now) + profile_.rx_pipeline_delay;
+  }
+
+  // DCQCN notification point.
+  if (is_data_opcode(view.bth.opcode) && view.ecn_ce() &&
+      roce_.dcqcn_np_enable) {
+    ++counters_.np_ecn_marked_roce_packets;
+    maybe_send_cnp(*qp);
+  }
+
+  // Box the parsed view (too big for the inline callback buffer), drawing
+  // from the recycled pool; unfired callbacks free the box via unique_ptr.
+  std::unique_ptr<RoceView> boxed;
+  if (!view_pool_.empty()) {
+    boxed = std::move(view_pool_.back());
+    view_pool_.pop_back();
+    *boxed = view;
+  } else {
+    boxed = std::make_unique<RoceView>(view);
+  }
+  sim_->schedule_after(delay, [this, vb = std::move(boxed), qp]() mutable {
+    const RoceView& v = *vb;
+    if (v.bth.opcode == IbOpcode::kCnp) {
+      qp->on_cnp();
+    } else if (v.bth.opcode == IbOpcode::kAcknowledge) {
+      qp->on_ack_packet(v);
+    } else if (v.bth.opcode == IbOpcode::kAtomicAck) {
+      qp->on_atomic_ack(v);
+    } else if (is_read_response(v.bth.opcode)) {
+      qp->on_read_response_packet(v);
+    } else {
+      qp->on_request_packet(v);
+    }
+    view_pool_.push_back(std::move(vb));
+  });
 }
 
 void Rnic::on_pause_frame(const PfcFrame& frame) {

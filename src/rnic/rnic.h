@@ -1,7 +1,12 @@
-// The RNIC model: RX pipeline, egress engine (ETS + DCQCN pacing), QP
+// The RNIC model: RX path, egress engine (ETS + DCQCN pacing), QP
 // registry, DCQCN notification point, and the device-specific slow paths
 // that reproduce the paper's findings (noisy-neighbor stall §6.2.2, APM
 // MigReq slow path §6.2.3, counter bugs §6.2.4).
+//
+// RX (handle_packet, one frame per call): PFC pause handling -> rx
+// accounting and the noisy-neighbor stall window -> RoCE decode -> iCRC
+// check -> dispatch (QP lookup, APM slow path, DCQCN notification point,
+// and the delayed hand-off to the QP state machine).
 #pragma once
 
 #include <array>
@@ -16,7 +21,6 @@
 #include "net/node.h"
 #include "net/packet_fifo.h"
 #include "packet/pfc.h"
-#include "pipeline/stage.h"
 #include "rnic/counters.h"
 #include "rnic/dcqcn.h"
 #include "rnic/device_profile.h"
@@ -26,10 +30,6 @@
 #include "telemetry/telemetry.h"
 
 namespace lumina {
-
-/// Assembles the RNIC's rx pipeline (defined in rnic.cc): rx-classify ->
-/// icrc-verify -> rx-dispatch.
-struct RnicPipeline;
 
 /// Hot-path telemetry handles resolved at attach time (null when no
 /// telemetry is attached). Metric names carry the NIC's role:
@@ -116,8 +116,8 @@ class Rnic : public Node {
   /// NVIDIA lossy-RoCE extension: the NP emits a CNP alongside the NACK
   /// when it detects out-of-order arrival (§4 "Congestion notification").
   void notify_out_of_order(QueuePair& qp);
-  /// DCQCN RP rate state for a QP.
-  DcqcnRp& rp_for(std::uint32_t qpn);
+  /// DCQCN RP rate state of `qp`, which this NIC created.
+  DcqcnRp& rp_for(const QueuePair& qp);
   /// Builds the L2/L3/UDP part of a packet spec for a QP's wire peers.
   RocePacketSpec packet_spec_for(const QueuePair& qp) const;
 
@@ -127,13 +127,14 @@ class Rnic : public Node {
   const RnicTelemetryHooks& tele() const { return tele_; }
 
   // -- Node -------------------------------------------------------------------
-  // handle_packet walks each delivered frame through the rx stage chain
-  // (rx-classify -> icrc-verify -> rx-dispatch).
+  // handle_packet runs the RX steps listed at the top of this file on each
+  // delivered frame, in order, and returns once one of them has dropped or
+  // dispatched it.
   void handle_packet(int in_port, Packet pkt) override;
-  std::string name() const override { return name_; }
+  /// The host name the testbed gave this NIC (metric prefixes, QPN seed).
+  std::string name() const { return name_; }
 
  private:
-  friend struct RnicPipeline;
   // One QP, its DCQCN reaction point, and the egress pump's state for it.
   // A QP's slot is its index in qps_, i.e. its creation order.
   struct QpSlot {
@@ -163,10 +164,12 @@ class Rnic : public Node {
   void schedule_pump(Tick when);
   void maybe_send_cnp(QueuePair& qp);
   void on_pause_frame(const PfcFrame& frame);
+  /// RX dispatch of a frame that passed the iCRC check. The QP callback
+  /// captures a boxed copy of `view`, not the frame bytes.
+  void dispatch(const RoceView& view, Tick now);
 
   Simulator* sim_;
   std::string name_;
-  pipeline::StageChain rx_pipeline_;
   DeviceProfile profile_;
   RoceParameters roce_;
   MacAddress mac_;
@@ -178,9 +181,6 @@ class Rnic : public Node {
   // valid as QPs are added.
   std::deque<QpSlot> qps_;
   std::unordered_map<std::uint32_t, std::uint32_t> slot_by_qpn_;
-  /// rp_for() on a qpn with no QP (possible in unit tests poking at
-  /// the DCQCN surface directly) auto-creates a standalone reaction point.
-  std::unordered_map<std::uint32_t, std::unique_ptr<DcqcnRp>> orphan_rps_;
   std::uint32_t next_qpn_;
 
   // Egress engine.

@@ -61,8 +61,7 @@ void Testbed::build() {
   TrafficDumper::Options dopt = spec_.dumper_options;
   if (!spec_.trim_mirrors) dopt.trim_bytes = 1 << 20;
   for (int i = 0; i < spec_.num_dumpers; ++i) {
-    auto dumper = std::make_unique<TrafficDumper>(
-        &sim_, "dumper-" + std::to_string(i), dopt);
+    auto dumper = std::make_unique<TrafficDumper>(&sim_, dopt);
     connect(dumper->port(), switch_->port(dumper_port(i)),
             LinkParams{fastest_gbps, spec_.link_propagation});
     targets.push_back(MirrorEngine::Target{dumper_port(i), 1});

@@ -28,7 +28,6 @@ class WireNode : public Node {
     }
     (in_port == 0 ? port1_ : port0_).send(std::move(pkt));
   }
-  std::string name() const override { return "wire"; }
   Port& port0() { return port0_; }
   Port& port1() { return port1_; }
 

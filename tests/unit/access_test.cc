@@ -17,7 +17,6 @@ class PassthroughWire : public Node {
     if (view) log.push_back(*view);
     (in_port == 0 ? port1_ : port0_).send(std::move(pkt));
   }
-  std::string name() const override { return "wire"; }
   Port& port0() { return port0_; }
   Port& port1() { return port1_; }
   std::vector<RoceView> log;

@@ -72,7 +72,6 @@ class AtomicWire : public Node {
     }
     (in_port == 0 ? port1_ : port0_).send(std::move(pkt));
   }
-  std::string name() const override { return "wire"; }
   Port& port0() { return port0_; }
   Port& port1() { return port1_; }
   int acks_to_drop = 0;

@@ -55,7 +55,7 @@ void feed(Simulator& sim, TrafficDumper& dumper, int count,
 
 TEST(Dumper, CapturesAndExtractsMetadata) {
   Simulator sim;
-  TrafficDumper dumper(&sim, "d0", {});
+  TrafficDumper dumper(&sim, {});
   dumper.handle_packet(0, mirrored_packet(7, 12345, 4000));
   ASSERT_EQ(dumper.capture().records.size(), 1u);
   EXPECT_EQ(dumper.capture().records[0].meta.mirror_seq, 7u);
@@ -66,7 +66,7 @@ TEST(Dumper, CapturesAndExtractsMetadata) {
 
 TEST(Dumper, TrimsTo128BytesKeepingOriginalLength) {
   Simulator sim;
-  TrafficDumper dumper(&sim, "d0", {});
+  TrafficDumper dumper(&sim, {});
   const Packet big = mirrored_packet(0, 0, 4000, 4096);
   const std::size_t orig = big.size();
   dumper.handle_packet(0, big);
@@ -81,7 +81,7 @@ TEST(Dumper, TrimsTo128BytesKeepingOriginalLength) {
 
 TEST(Dumper, SmallPacketsNotPadded) {
   Simulator sim;
-  TrafficDumper dumper(&sim, "d0", {});
+  TrafficDumper dumper(&sim, {});
   dumper.handle_packet(0, mirrored_packet(0, 0, 4000, 8));
   EXPECT_LT(captured(dumper, 0).size(), 128u);
 }
@@ -93,7 +93,7 @@ TEST(Dumper, CutInsideTheHeadersStoresNoView) {
   Simulator sim;
   TrafficDumper::Options options;
   options.trim_bytes = 40;
-  TrafficDumper dumper(&sim, "d0", options);
+  TrafficDumper dumper(&sim, options);
   dumper.handle_packet(0, mirrored_packet(0, 0, 4000));
   ASSERT_EQ(dumper.capture().records.size(), 1u);
   EXPECT_EQ(captured(dumper, 0).size(), 40u);
@@ -110,7 +110,7 @@ bool same_core(const Packet& first, const Packet& second) {
   options.cores = 2;
   options.ring_capacity = 1;
   options.per_packet_service = 1'000'000'000;
-  TrafficDumper dumper(&sim, "d0", options);
+  TrafficDumper dumper(&sim, options);
   dumper.handle_packet(0, first);
   dumper.handle_packet(0, second);
   EXPECT_EQ(dumper.counters().received, 2u);
@@ -189,7 +189,7 @@ TEST(Dumper, SingleFlowWithoutRandomizationOverloadsOneCore) {
   options.cores = 8;
   options.per_packet_service = 300;
   options.ring_capacity = 64;
-  TrafficDumper dumper(&sim, "d0", options);
+  TrafficDumper dumper(&sim, options);
   feed(sim, dumper, 2000, 100, /*randomize_ports=*/false);
   EXPECT_GT(dumper.counters().discarded, 0u);
   EXPECT_LT(dumper.counters().captured, 2000u);
@@ -202,7 +202,7 @@ TEST(Dumper, RandomizedPortsSpreadAcrossCores) {
   options.cores = 8;
   options.per_packet_service = 300;
   options.ring_capacity = 64;
-  TrafficDumper dumper(&sim, "d0", options);
+  TrafficDumper dumper(&sim, options);
   feed(sim, dumper, 2000, 100, /*randomize_ports=*/true);
   EXPECT_EQ(dumper.counters().discarded, 0u);
   EXPECT_EQ(dumper.counters().captured, 2000u);
@@ -214,14 +214,14 @@ TEST(Dumper, SlowArrivalNeverDropsEvenOnOneCore) {
   options.cores = 1;
   options.per_packet_service = 300;
   options.ring_capacity = 16;
-  TrafficDumper dumper(&sim, "d0", options);
+  TrafficDumper dumper(&sim, options);
   feed(sim, dumper, 500, 400, false);  // arrival slower than service
   EXPECT_EQ(dumper.counters().discarded, 0u);
 }
 
 TEST(Dumper, TerminateRestoresUdpPortsAndStopsCapture) {
   Simulator sim;
-  TrafficDumper dumper(&sim, "d0", {});
+  TrafficDumper dumper(&sim, {});
   dumper.handle_packet(0, mirrored_packet(0, 0, 31337));
   dumper.terminate();
   ASSERT_EQ(dumper.capture().records.size(), 1u);
@@ -235,7 +235,7 @@ TEST(Dumper, TerminateRestoresUdpPortsAndStopsCapture) {
 
 TEST(Dumper, WritesPcapAfterTerminate) {
   Simulator sim;
-  TrafficDumper dumper(&sim, "d0", {});
+  TrafficDumper dumper(&sim, {});
   for (int i = 0; i < 5; ++i) {
     dumper.handle_packet(
         0, mirrored_packet(static_cast<std::uint64_t>(i), i * 1000, 9999));
@@ -263,7 +263,7 @@ TEST_P(DumperCoreSweep, CapacityScalesWithCores) {
   options.cores = cores;
   options.per_packet_service = 300;
   options.ring_capacity = 32;
-  TrafficDumper dumper(&sim, "d0", options);
+  TrafficDumper dumper(&sim, options);
   feed(sim, dumper, 3000, 50, true);
   const double ratio = static_cast<double>(dumper.counters().captured) / 3000;
   const double expected = std::min(1.0, cores * (50.0 / 300.0));

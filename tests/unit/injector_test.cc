@@ -252,17 +252,14 @@ TEST(MirrorEngine, EqualWeightsAlternate) {
 
 class CaptureNode : public Node {
  public:
-  CaptureNode(Simulator* sim, std::string name)
-      : name_(std::move(name)), port_(sim, this, 0) {}
+  explicit CaptureNode(Simulator* sim) : port_(sim, this, 0) {}
   void handle_packet(int, Packet pkt) override {
     packets.push_back(std::move(pkt));
   }
-  std::string name() const override { return name_; }
   Port& port() { return port_; }
   std::vector<Packet> packets;
 
  private:
-  std::string name_;
   Port port_;
 };
 
@@ -270,9 +267,9 @@ class SwitchTest : public ::testing::Test {
  protected:
   SwitchTest()
       : sw(&sim, 4, EventInjectorSwitch::Options{}),
-        host_a(&sim, "host-a"),
-        host_b(&sim, "host-b"),
-        dumper(&sim, "dumper") {
+        host_a(&sim),
+        host_b(&sim),
+        dumper(&sim) {
     connect(host_a.port(), sw.port(0), LinkParams{100.0, 10});
     connect(host_b.port(), sw.port(1), LinkParams{100.0, 10});
     connect(dumper.port(), sw.port(2), LinkParams{100.0, 10});
@@ -459,7 +456,7 @@ TEST_F(SwitchTest, EventStageAddsLatency) {
   EventInjectorSwitch::Options options;
   options.enable_event_injection = false;
   EventInjectorSwitch sw2(&sim2, 4, options);
-  CaptureNode a2(&sim2, "a2"), b2(&sim2, "b2");
+  CaptureNode a2(&sim2), b2(&sim2);
   connect(a2.port(), sw2.port(0), LinkParams{100.0, 10});
   connect(b2.port(), sw2.port(1), LinkParams{100.0, 10});
   sw2.add_route(kFlow.dst_ip, 1);
@@ -636,7 +633,7 @@ TEST_F(SwitchTest, LinkFlapDropsQueuedAndRecovers) {
   // (Rebuild the topology with a 1 Gbps sink link.)
   Simulator slow_sim;
   EventInjectorSwitch slow_sw(&slow_sim, 4, EventInjectorSwitch::Options{});
-  CaptureNode a(&slow_sim, "a"), b(&slow_sim, "b");
+  CaptureNode a(&slow_sim), b(&slow_sim);
   connect(a.port(), slow_sw.port(0), LinkParams{100.0, 10});
   connect(b.port(), slow_sw.port(1), LinkParams{1.0, 10});
   slow_sw.add_route(kFlow.src_ip, 0);

@@ -28,7 +28,6 @@ class SinkNode : public Node {
   void handle_packet(int, Packet pkt) override {
     arrivals.push_back({sim_->now(), pkt.size()});
   }
-  std::string name() const override { return "sink"; }
   Port& port() { return port_; }
 
   struct Arrival {

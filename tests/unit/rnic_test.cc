@@ -32,7 +32,6 @@ class TestWire : public Node {
     if (mutate && !mutate(in_port, pkt)) return;  // dropped
     (in_port == 0 ? port1_ : port0_).send(std::move(pkt));
   }
-  std::string name() const override { return "wire"; }
 
   Port& port0() { return port0_; }
   Port& port1() { return port1_; }
@@ -318,7 +317,7 @@ TEST_F(RnicTest, EcnMarkedDataTriggersCnpAndRateCut) {
   // Pause shortly after the first CNPs land, before the DCQCN timers can
   // recover the rate, to observe the throttled state.
   sim.run_until(4 * kMicrosecond);
-  EXPECT_LT(req->rp_for(rq->qpn()).rate_gbps(), 100.0);
+  EXPECT_LT(req->rp_for(*rq).rate_gbps(), 100.0);
   sim.run();
   EXPECT_GE(resp->counters().np_ecn_marked_roce_packets, 16u);
   EXPECT_GE(resp->counters().np_cnp_sent, 1u);

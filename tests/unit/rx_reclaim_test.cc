@@ -1,9 +1,11 @@
 // Node-level packet-arena accounting: every rx exit path of the injector
 // switch, the RNIC and the dumper recycles the delivered frame's buffer
 // exactly once, except a path that moved the frame onward into the event
-// kernel, which recycles nothing. The dumper never moves a frame: its
-// capture stage copies into the capture slab. Arena counters never reach a
-// run report, so the goldens cannot see a lost or doubled reclaim.
+// kernel or a reorder slot, which recycles nothing. The dumper never moves
+// a frame: a capture copies into the capture slab. Arena counters never
+// reach a run report, so the goldens cannot see a lost or doubled reclaim.
+// The counters checked beside the reclaims pin the order of each node's
+// receive steps: which step saw a frame that an earlier one dropped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 
 #include "dumper/dumper.h"
 #include "injector/switch.h"
+#include "packet/bytes.h"
 #include "packet/packet_arena.h"
 #include "packet/pfc.h"
 #include "rnic/rnic.h"
@@ -34,6 +37,12 @@ Packet roce_frame(std::uint32_t dest_qpn, std::uint32_t psn,
   return build_roce_packet(spec);
 }
 
+/// `frame` relabelled with the ARP ethertype: no longer RoCE-shaped.
+Packet as_arp(Packet frame) {
+  poke_u16(frame.span(), off::kEthType, 0x0806);
+  return frame;
+}
+
 /// Buffers recycled into the current arena while `node` handles `pkt`.
 /// The simulation never runs, so only the rx path itself is measured.
 std::uint64_t recycled_by(Node& node, Packet pkt) {
@@ -51,14 +60,23 @@ TEST(RxReclaim, SwitchRecyclesDroppedFramesOnly) {
   sw.set_mirror_targets({{2, 1}});
   sw.register_flow(kFlow, 42);
   sw.install_rule(EventRule{kFlow, 43, 1, EventType::kDrop, 0, {}});
+  sw.install_rule(EventRule{kFlow, 44, 1, EventType::kReorder, 0, {}});
 
+  // Not RoCE: dropped before classification counts it. Its one event is
+  // the deferred warning.
+  EXPECT_EQ(recycled_by(sw, as_arp(roce_frame(kFlow.dst_qpn, 41))), 1u);
+  EXPECT_EQ(sw.roce_counters().roce_rx, 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);
   // Forwarded: the frame moved into the event kernel.
   EXPECT_EQ(recycled_by(sw, roce_frame(kFlow.dst_qpn, 42)), 0u);
   // Enforced drop, after the mirror tap cloned it (§3.4).
   EXPECT_EQ(recycled_by(sw, roce_frame(kFlow.dst_qpn, 43)), 1u);
+  // Held for reordering: the frame moved into its flow's reorder slot.
+  EXPECT_EQ(recycled_by(sw, roce_frame(kFlow.dst_qpn, 44)), 0u);
+  EXPECT_EQ(sw.roce_counters().roce_rx, 3u);
   EXPECT_EQ(sw.roce_counters().roce_tx, 1u);
   EXPECT_EQ(sw.roce_counters().dropped_by_event, 1u);
-  EXPECT_EQ(sw.roce_counters().mirrored, 2u);
+  EXPECT_EQ(sw.roce_counters().mirrored, 3u);
 }
 
 TEST(RxReclaim, RnicRecyclesEveryFrame) {
@@ -73,6 +91,11 @@ TEST(RxReclaim, RnicRecyclesEveryFrame) {
   EXPECT_EQ(recycled_by(nic, build_pfc_frame(MacAddress::from_u48(0xaa),
                                              pause)),
             1u);
+  // Not RoCE, with a broken iCRC: received, then dropped by the decode,
+  // which comes before the iCRC check, so no iCRC error is counted.
+  Packet garbled = roce_frame(qpn, 0);
+  corrupt_payload_bit(garbled);
+  EXPECT_EQ(recycled_by(nic, as_arp(std::move(garbled))), 1u);
   Packet corrupt = roce_frame(qpn, 0);
   corrupt_payload_bit(corrupt);
   EXPECT_EQ(recycled_by(nic, std::move(corrupt)), 1u);     // iCRC error
@@ -81,15 +104,27 @@ TEST(RxReclaim, RnicRecyclesEveryFrame) {
   EXPECT_EQ(recycled_by(nic, roce_frame(qpn, 0)), 1u);
   EXPECT_EQ(nic.pause_stats().pause_frames_rx, 1u);
   EXPECT_EQ(nic.counters().icrc_error_packets, 1u);
-  EXPECT_EQ(nic.counters().rx_packets, 3u);
+  EXPECT_EQ(nic.counters().rx_packets, 4u);
+
+  // §6.2.2: 12 concurrent read slow paths wedge a CX4 Lx's RX pipeline,
+  // which then discards every frame before the iCRC check sees it.
+  Rnic stalled(&sim, "stalled", DeviceProfile::get(NicType::kCx4Lx),
+               RoceParameters{}, MacAddress::from_u48(0xcc));
+  for (int i = 0; i < 12; ++i) stalled.read_slow_path_begin();
+  Packet doomed = roce_frame(qpn, 0);
+  corrupt_payload_bit(doomed);
+  EXPECT_EQ(recycled_by(stalled, std::move(doomed)), 1u);
+  EXPECT_EQ(stalled.counters().rx_packets, 1u);
+  EXPECT_EQ(stalled.counters().rx_discards_phy, 1u);
+  EXPECT_EQ(stalled.counters().icrc_error_packets, 0u);
 }
 
 TEST(RxReclaim, DumperRecyclesEveryFrame) {
   PacketArena arena;
   PacketArena::Scope scope(&arena);
   Simulator sim;
-  TrafficDumper dumper(&sim, "d0",
-                       TrafficDumper::Options{.cores = 1, .ring_capacity = 1});
+  TrafficDumper dumper(
+      &sim, TrafficDumper::Options{.cores = 1, .ring_capacity = 1});
 
   // Trimmed capture: the slab keeps a copy of the headers.
   EXPECT_EQ(recycled_by(dumper, roce_frame(kFlow.dst_qpn, 0)), 1u);
@@ -97,9 +132,13 @@ TEST(RxReclaim, DumperRecyclesEveryFrame) {
   EXPECT_EQ(recycled_by(dumper, roce_frame(kFlow.dst_qpn, 1)), 1u);
   EXPECT_EQ(dumper.counters().captured, 1u);
   EXPECT_EQ(dumper.counters().discarded, 1u);
+  // After TERM a frame that still arrives is not received, only recycled.
+  dumper.terminate();
+  EXPECT_EQ(recycled_by(dumper, roce_frame(kFlow.dst_qpn, 3)), 1u);
+  EXPECT_EQ(dumper.counters().received, 2u);
 
   // A frame of at most trim_bytes is copied whole, so it recycles too.
-  TrafficDumper roomy(&sim, "d1", TrafficDumper::Options{});
+  TrafficDumper roomy(&sim, TrafficDumper::Options{});
   const Packet small = roce_frame(kFlow.dst_qpn, 2, /*payload=*/8);
   ASSERT_LE(small.size(), TrafficDumper::Options{}.trim_bytes);
   EXPECT_EQ(recycled_by(roomy, small), 1u);

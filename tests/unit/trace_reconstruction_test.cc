@@ -66,7 +66,7 @@ Captured capture(std::uint64_t seq, std::size_t tag, bool parseable,
   spec.reth = Reth{0, 0, payload};
   spec.payload_len = payload;
   spec.psn = static_cast<std::uint32_t>(seq);
-  // Keep 128 B, as the dumper's capture stage does.
+  // Keep 128 B, as the dumper's capture does.
   const Packet full = build_roce_packet(spec);
   const std::size_t kept = std::min<std::size_t>(full.size(), 128);
   captured.bytes.assign(full.bytes.begin(),
