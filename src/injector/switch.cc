@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 
 #include "packet/packet_arena.h"
 #include "util/logging.h"
@@ -15,6 +16,14 @@ EventInjectorSwitch::EventInjectorSwitch(Simulator* sim, int num_ports,
   for (int i = 0; i < num_ports; ++i) {
     ports_.push_back(std::make_unique<Port>(sim, this, i));
   }
+}
+
+void EventInjectorSwitch::set_options(const Options& options) {
+  if (!fused_departures_.empty()) {
+    throw std::logic_error(
+        "EventInjectorSwitch::set_options: fused departures are pending");
+  }
+  options_ = options;
 }
 
 void EventInjectorSwitch::add_route(Ipv4Address dst, int port_index) {
@@ -110,15 +119,26 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
                        (options_.rewrite_mig_req && is_data);
   if (rewrite && !view->bth.mig_req) set_mig_req(pkt, true);
 
+  const bool mirroring = options_.enable_mirroring && mirror_.has_targets();
+  const bool enforced_drop =
+      (match.event == EventType::kDrop || match.burst_dropped) &&
+      options_.enforce_drops;
+  // A mirrored frame that departs with its mirror copy (same tick, and
+  // nothing scheduled between the two) leaves in one fused event.
+  const bool fused = mirroring && match.delay == 0 && !enforced_drop &&
+                     match.event != EventType::kReorder &&
+                     match.event != EventType::kDuplicate;
+
   // Ingress mirror tap: always before anything can drop (§3.4). A packet
   // lost to an armed burst channel (no table match of its own) is
   // mirrored with kBurstLoss so the trace explains why it vanished.
-  if (options_.enable_mirroring && mirror_.has_targets()) {
+  MirrorEngine::Mirrored mirrored{};
+  if (mirroring) {
     const EventType mirror_event =
         match.burst_dropped && match.event == EventType::kNone
             ? EventType::kBurstLoss
             : match.event;
-    auto mirrored = mirror_.mirror(pkt, mirror_event, now);
+    mirrored = mirror_.mirror(pkt, mirror_event, now);
     ++counters_.mirrored;
     // The mirror slot records ingress order, but a delayed packet reaches
     // the receiver `delay` later — possibly behind its successors.
@@ -128,10 +148,12 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
       delay_releases_[mirror_.mirrored_count() - 1] = now + match.delay;
       ++fault_stats_.delays_applied;
     }
-    sim_->schedule_after(base_latency,
-                         [this, m = std::move(mirrored)]() mutable {
-                           port(m.port_index).send(std::move(m.clone));
-                         });
+    if (!fused) {
+      sim_->schedule_after(base_latency,
+                           [this, m = std::move(mirrored)]() mutable {
+                             port(m.port_index).send(std::move(m.clone));
+                           });
+    }
   }
 
   // Egress: drop enforcement, reorder holds, duplication and the L3
@@ -141,8 +163,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
                        options_.event_stage_latency + match.delay);
   }
 
-  if ((match.event == EventType::kDrop || match.burst_dropped) &&
-      options_.enforce_drops) {
+  if (enforced_drop) {
     ++counters_.dropped_by_event;
     if (match.burst_dropped) ++fault_stats_.burst_loss_dropped;
     telemetry::trace_instant(trace_, "injector", "drop_enforced", now,
@@ -173,15 +194,22 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
                            forward(std::move(p), dst, is_data);
                          });
   };
-  // Duplication: a byte-identical clone chases the original one tick
-  // behind — the receiver sees the same PSN twice back to back.
-  if (match.event == EventType::kDuplicate) {
-    Packet clone = pkt.clone_arena();
-    ++counters_.roce_tx;
-    ++fault_stats_.duplicates_emitted;
-    send_at(depart + 1, std::move(clone));
+  if (fused) {
+    fused_departures_.push_back({std::move(mirrored.clone),
+                                 mirrored.port_index, std::move(pkt),
+                                 flow.dst_ip, is_data});
+    sim_->schedule_after(base_latency, [this] { depart_fused(); });
+  } else {
+    // Duplication: a byte-identical clone chases the original one tick
+    // behind — the receiver sees the same PSN twice back to back.
+    if (match.event == EventType::kDuplicate) {
+      Packet clone = pkt.clone_arena();
+      ++counters_.roce_tx;
+      ++fault_stats_.duplicates_emitted;
+      send_at(depart + 1, std::move(clone));
+    }
+    send_at(depart, std::move(pkt));
   }
-  send_at(depart, std::move(pkt));
   // A held (reordered) predecessor departs right behind this packet.
   if (is_data) {
     if (const auto it = reorder_slots_.find(flow);
@@ -324,6 +352,12 @@ void EventInjectorSwitch::apply_link_flap(Ipv4Address dst_ip,
   const int port_index = it->second;
   sim_->schedule_after(duration,
                        [this, port_index] { port(port_index).set_link_up(); });
+}
+
+void EventInjectorSwitch::depart_fused() {
+  FusedDeparture departure = fused_departures_.pop_front();
+  port(departure.mirror_port).send(std::move(departure.mirror_copy));
+  forward(std::move(departure.frame), departure.dst_ip, departure.is_data);
 }
 
 void EventInjectorSwitch::flush_reorder(const FlowKey& flow) {

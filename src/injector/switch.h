@@ -5,6 +5,13 @@
 // any drop, with metadata embedding) -> drop, reorder hold or L3 forward.
 // Egress: per-port FIFO + counters (provided by net::Port).
 //
+// A mirrored frame that leaves undelayed, unheld and unduplicated departs
+// in one event: the mirror copy's send, then the forward. As two events
+// they would sit at (t, N) and (t, N + 1) with nothing between them, so
+// the fused event keeps every other event's relative order. The pair
+// waits in a switch-side FIFO; every fused departure waits the same base
+// latency, so they fire in FIFO order and the event carries only `this`.
+//
 // The model charges a fixed pipeline latency per forwarded packet,
 // decomposed into a base L2-forwarding cost plus an extra cost for the
 // event-injection stages — the decomposition Fig. 7 measures via the
@@ -20,6 +27,7 @@
 #include "injector/fault_models.h"
 #include "injector/mirror.h"
 #include "net/node.h"
+#include "net/packet_fifo.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
@@ -117,7 +125,10 @@ class EventInjectorSwitch : public Node {
   int discovered_flows() const { return discovered_; }
 
   const Options& options() const { return options_; }
-  void set_options(const Options& options) { options_ = options; }
+  /// Before-traffic setter (tests reconfigure a built switch with it).
+  /// Throws std::logic_error while a fused departure is pending: a new
+  /// pipeline latency would let later departures overtake parked ones.
+  void set_options(const Options& options);
 
   /// Registers the run's telemetry context and resolves metric handles
   /// (docs/telemetry.md: injector.*). Pass nullptr to detach.
@@ -166,6 +177,19 @@ class EventInjectorSwitch : public Node {
   void forward(Packet pkt, Ipv4Address dst_ip, bool is_data);
   void flush_reorder(const FlowKey& flow);
 
+  /// A mirrored frame and its mirror copy, waiting out the base pipeline
+  /// latency together.
+  struct FusedDeparture {
+    Packet mirror_copy;
+    int mirror_port = 0;
+    Packet frame;
+    Ipv4Address dst_ip;
+    bool is_data = false;
+  };
+  /// The fused departure event: sends the oldest parked mirror copy on its
+  /// port, then forwards its frame.
+  void depart_fused();
+
   // Stateful fault models (docs/fuzzing.md).
   void start_burst_channel(const FlowKey& flow, const FaultParams& fault);
   bool burst_channel_drops(const FlowKey& flow);
@@ -201,6 +225,7 @@ class EventInjectorSwitch : public Node {
   std::unordered_map<FlowKey, BurstChannelSlot, FlowKeyHash> burst_channels_;
   SwitchFaultStats fault_stats_;
   std::unordered_map<std::uint64_t, Tick> delay_releases_;
+  RingFifo<FusedDeparture> fused_departures_;
 
   // Stateful-discovery ablation state.
   std::vector<RelativeEventRule> relative_rules_;

@@ -14,11 +14,25 @@ void Port::send(Packet pkt) {
     PacketArena::reclaim(std::move(pkt));
     return;
   }
+  if (done_id_ != 0) settle_deferred_completion();
   queued_bytes_ += pkt.size();
   counters_.max_queued_bytes =
       std::max(counters_.max_queued_bytes, queued_bytes_);
   queue_.push_back(std::move(pkt));
   if (!transmitting_ && link_up_) start_transmission();
+}
+
+void Port::settle_deferred_completion() {
+  if (sim_->passed(busy_until_, done_id_)) {
+    // The completion would have run already, found the queue empty and
+    // only cleared transmitting_.
+    sim_->release_id(done_id_);
+    transmitting_ = false;
+  } else {
+    sim_->schedule_reserved(busy_until_, done_id_,
+                            [this] { start_transmission(); });
+  }
+  done_id_ = 0;
 }
 
 std::size_t Port::set_link_down(bool drop_queued) {
@@ -67,7 +81,13 @@ void Port::start_transmission() {
   sim_->schedule_at(arrive, [peer, p = std::move(pkt)]() mutable {
     peer->deliver(std::move(p));
   });
-  sim_->schedule_at(done, [this] { start_transmission(); });
+  // The completion is work only for a drained callback or a waiting
+  // frame; otherwise hold its id until a frame arrives (send()).
+  if (drained_cb_ || !queue_.empty()) {
+    sim_->schedule_at(done, [this] { start_transmission(); });
+  } else {
+    done_id_ = sim_->reserve_id();
+  }
 }
 
 void Port::deliver(Packet pkt) {

@@ -4,6 +4,13 @@
 // FIFO with a byte cap (the MMU buffer on switches, the TX ring on NICs),
 // serializes packets at the link rate, and delivers them to the peer port's
 // owner after the propagation delay.
+//
+// Each transmission schedules its delivery. Its serialization-complete
+// event is scheduled only when it has work: a drained callback to run or a
+// frame waiting in the queue. Otherwise the port reserves the event's id
+// (Simulator::reserve_id) and files it under that id only if a frame
+// arrives before the slot has passed, so every event keeps the (when, id)
+// it would have had (docs/simulator.md, "Deferred completions").
 #pragma once
 
 #include <cstdint>
@@ -71,6 +78,7 @@ class Port {
   bool idle() const { return queue_.empty() && busy_until_ <= sim_->now(); }
 
   /// Invoked every time the egress queue fully drains (link went idle).
+  /// A port with a callback schedules every serialization-complete event.
   void set_drained_callback(std::function<void()> cb) {
     drained_cb_ = std::move(cb);
   }
@@ -106,6 +114,10 @@ class Port {
   }
 
   void start_transmission();
+  /// Settles a deferred completion before a frame is queued: files it in
+  /// its reserved slot, or, if the slot has passed, releases the id and
+  /// leaves the port idle as the completion would have.
+  void settle_deferred_completion();
 
   Simulator* sim_;
   Node* owner_;
@@ -118,6 +130,9 @@ class Port {
   bool transmitting_ = false;
   bool link_up_ = true;
   Tick busy_until_ = 0;
+  // Reserved id of the deferred completion of the frame last started;
+  // 0 when none is held. Held only while the queue is empty.
+  std::uint64_t done_id_ = 0;
   PortCounters counters_;
   std::function<void()> drained_cb_;
 };

@@ -17,17 +17,20 @@ Simulator::Simulator() { prev_log_clock_ = set_log_clock(&now_); }
 
 Simulator::~Simulator() { set_log_clock(prev_log_clock_); }
 
-std::uint64_t Simulator::schedule_at(Tick when, Callback cb) {
+void Simulator::file(Tick when, std::uint64_t id, Callback cb) {
   SimEvent ev;
-  ev.when = when < now_ ? now_ : when;
-  ev.id = next_id_++;
+  ev.when = when;
+  ev.id = id;
   ev.cb = std::move(cb);
-  const std::uint64_t id = ev.id;
-  ids_.on_allocated(id);
   queue_.push(std::move(ev));
   ++alive_;
   const std::size_t depth = queue_.size() + wheel_.stored();
   if (depth > max_queue_depth_) max_queue_depth_ = depth;
+}
+
+std::uint64_t Simulator::schedule_at(Tick when, Callback cb) {
+  const std::uint64_t id = reserve_id();
+  file(when < now_ ? now_ : when, id, std::move(cb));
   return id;
 }
 
@@ -39,8 +42,7 @@ std::uint64_t Simulator::schedule_timer_at(Tick when, Callback cb) {
   if (timer_backend_ == TimerBackend::kCalendar) {
     return schedule_at(when, std::move(cb));
   }
-  const std::uint64_t id = next_id_++;
-  ids_.on_allocated(id);
+  const std::uint64_t id = reserve_id();
   wheel_.arm(when < now_ ? now_ : when, id, std::move(cb));
   ++alive_;
   const std::size_t depth = queue_.size() + wheel_.stored();
@@ -88,9 +90,10 @@ bool Simulator::locate_next(bool& timer_first, Tick& next_when) {
 }
 
 void Simulator::fire_due_timer() {
-  ids_.kill(wheel_.due_id());  // fired: cancel() becomes the no-op
+  fired_id_ = wheel_.due_id();
+  ids_.kill(fired_id_);  // fired: cancel() becomes the no-op
   --alive_;
-  now_ = wheel_.due_when();
+  now_ = fired_when_ = wheel_.due_when();
   ++processed_;
   InlineCallback cb = wheel_.pop_due();
   cb();
@@ -100,7 +103,8 @@ void Simulator::fire_calendar_head() {
   SimEvent ev = queue_.pop_min();
   ids_.kill(ev.id);  // locate_next guaranteed the head is live
   --alive_;
-  now_ = ev.when;
+  now_ = fired_when_ = ev.when;
+  fired_id_ = ev.id;
   ++processed_;
   ev.cb();
 }
@@ -117,10 +121,17 @@ bool Simulator::step() {
   return true;
 }
 
+void Simulator::mark_fired_through(Tick when) {
+  if (when < fired_when_) return;
+  fired_when_ = when;
+  fired_id_ = kMaxId;
+}
+
 void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && step()) {
   }
+  if (!stopped_) mark_fired_through(now_);
 }
 
 void Simulator::run_until(Tick deadline) {
@@ -137,6 +148,7 @@ void Simulator::run_until(Tick deadline) {
     }
   }
   if (now_ < deadline) now_ = deadline;
+  if (!stopped_) mark_fired_through(deadline);
 }
 
 }  // namespace lumina

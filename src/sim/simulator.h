@@ -16,7 +16,13 @@
 //     hierarchical timing wheel (sim/timing_wheel.h) via
 //     schedule_timer_at/after; the run loop merges the wheel's due stream
 //     with the calendar queue in strict (when, id) order, so the two
-//     stores are observationally one queue.
+//     stores are observationally one queue;
+//   - an event that may turn out to have nothing to do can hold its slot
+//     without being queued: reserve_id() takes the id it would get,
+//     schedule_reserved() files it later under that id, and passed()
+//     says whether the slot has already gone by (docs/simulator.md,
+//     "Deferred completions"). A Port files its serialization-complete
+//     event this way only once a frame waits behind it.
 // The retired binary-heap implementation survives as ReferenceScheduler
 // (sim/reference_scheduler.h); the differential test drives both through
 // randomized workloads asserting identical observable behavior.
@@ -76,6 +82,37 @@ class Simulator {
   /// Structure telemetry for the wheel store (bench/qp_scaling).
   const TimingWheel& timer_wheel() const { return wheel_; }
 
+  /// Takes the id the next schedule call would take and registers it, so
+  /// later schedule calls get later ids. Nothing is queued: the id counts
+  /// in neither pending_events() nor max_queue_depth() until it is filed.
+  /// The id must end in exactly one schedule_reserved() or release_id();
+  /// cancel() is for filed events only.
+  std::uint64_t reserve_id() {
+    const std::uint64_t id = next_id_++;
+    ids_.on_allocated(id);
+    return id;
+  }
+
+  /// Files `cb` under a reserved id at exactly `when` (no clamp), so it
+  /// fires in the (when, id) slot it would have held had it been
+  /// scheduled when the id was reserved. Pre: !passed(when, id).
+  void schedule_reserved(Tick when, std::uint64_t id, Callback cb) {
+    file(when, id, std::move(cb));
+  }
+
+  /// Retires a reserved id that will never be filed, so its chunk of the
+  /// id table can be released.
+  void release_id(std::uint64_t id) { ids_.kill(id); }
+
+  /// True when an event at (when, id) would already have fired: it sorts
+  /// at or before the last event fired, or at or before the point an
+  /// unstopped run() or run_until() reached. Not now() alone: a stop()
+  /// inside run_until() leaves the clock at the deadline with earlier
+  /// events still pending.
+  bool passed(Tick when, std::uint64_t id) const {
+    return when < fired_when_ || (when == fired_when_ && id <= fired_id_);
+  }
+
   /// Cancels a pending event. Cancelling an already-fired or unknown id is
   /// a no-op. O(1): the event's liveness bit flips and the slot is skipped
   /// at pop time.
@@ -105,6 +142,13 @@ class Simulator {
  private:
   bool step();  // fires one event; returns false when both stores are empty
 
+  /// Queues `cb` at (when, id) in the calendar and updates the counters.
+  void file(Tick when, std::uint64_t id, Callback cb);
+
+  /// Every event at or before `when` has fired (an unstopped run loop
+  /// returned having reached it).
+  void mark_fired_through(Tick when);
+
   /// Pops tombstoned calendar heads, then reports the next event to fire:
   /// the wheel's due timer when it precedes the live calendar head in
   /// (when, id) order, else the head. Returns false when drained.
@@ -114,6 +158,11 @@ class Simulator {
   void fire_calendar_head();
 
   Tick now_ = 0;
+  // The (when, id) cursor behind passed(): the last event fired, or the
+  // point an unstopped run loop reached. Ids start at 1, so (0, 0)
+  // precedes every event.
+  Tick fired_when_ = 0;
+  std::uint64_t fired_id_ = 0;
   bool stopped_ = false;
   const std::int64_t* prev_log_clock_ = nullptr;
   std::uint64_t next_id_ = 1;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "injector/event_table.h"
@@ -254,10 +255,13 @@ class CaptureNode : public Node {
  public:
   explicit CaptureNode(Simulator* sim) : port_(sim, this, 0) {}
   void handle_packet(int, Packet pkt) override {
+    if (arrivals != nullptr) arrivals->push_back(this);
     packets.push_back(std::move(pkt));
   }
   Port& port() { return port_; }
   std::vector<Packet> packets;
+  /// When set, every arrival appends this node: the order across nodes.
+  std::vector<const CaptureNode*>* arrivals = nullptr;
 
  private:
   Port port_;
@@ -657,6 +661,86 @@ TEST_F(SwitchTest, LinkFlapDropsQueuedAndRecovers) {
   EXPECT_EQ(slow_sw.fault_stats().flap_queued_dropped, 1u);
   EXPECT_EQ(b.packets.size(), 2u);
   EXPECT_TRUE(slow_sw.port(1).link_up());
+}
+
+// ---------------------------------------------------------------------------
+// Fused departures: a mirrored frame that leaves undelayed goes out with
+// its mirror copy in one event
+// ---------------------------------------------------------------------------
+
+TEST_F(SwitchTest, UndelayedMirroredFrameLeavesInOneFusedEvent) {
+  std::vector<const CaptureNode*> arrivals;
+  host_b.arrivals = &arrivals;
+  dumper.arrivals = &arrivals;
+  const Tick latency = sw.options().l2_pipeline_latency +
+                       sw.options().event_stage_latency;
+  sw.handle_packet(0, sample_packet());
+  // One departure for the mirror copy and the frame together.
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  sim.run_until(latency - 1);
+  EXPECT_EQ(sw.port(2).counters().tx_packets, 0u);
+  EXPECT_EQ(sw.port(1).counters().tx_packets, 0u);
+  sim.run_until(latency);
+  EXPECT_EQ(sw.port(2).counters().tx_packets, 1u);
+  EXPECT_EQ(sw.port(1).counters().tx_packets, 1u);
+  // What is left is the two deliveries: with nothing queued behind them,
+  // the ports' serialization-complete events are not scheduled.
+  EXPECT_EQ(sim.pending_events(), 2u);
+
+  sim.run();
+  // Equal sizes and links: both copies arrive on one tick, in send order.
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], &dumper);
+  EXPECT_EQ(arrivals[1], &host_b);
+  EXPECT_EQ(sw.roce_counters().mirrored, 1u);
+  EXPECT_EQ(sw.roce_counters().roce_tx, 1u);
+}
+
+TEST_F(SwitchTest, DelayDuplicateReorderAndDropKeepSeparateMirrorEvents) {
+  sw.register_flow(kFlow, 42);
+  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kDelay, 1000, {}});
+  sw.install_rule(EventRule{kFlow, 43, 1, EventType::kDuplicate, 0, {}});
+  sw.install_rule(EventRule{kFlow, 44, 1, EventType::kReorder, 0, {}});
+  sw.install_rule(EventRule{kFlow, 45, 1, EventType::kDrop, 0, {}});
+  const auto pending_after = [this](std::uint32_t psn) {
+    const std::size_t before = sim.pending_events();
+    sw.handle_packet(0, psn_packet(psn));
+    return sim.pending_events() - before;
+  };
+  EXPECT_EQ(pending_after(42), 2u);  // mirror send, delayed forward
+  EXPECT_EQ(pending_after(43), 3u);  // mirror send, clone, forward
+  EXPECT_EQ(pending_after(44), 2u);  // mirror send, reorder flush timer
+  EXPECT_EQ(pending_after(45), 1u);  // mirror send only
+  // 46 releases the held 44: its own departure fuses, 44 follows a tick
+  // later, and 44's flush timer is cancelled.
+  EXPECT_EQ(pending_after(46), 1u);
+  sim.run();
+
+  std::vector<std::uint32_t> forwarded;
+  for (const Packet& pkt : host_b.packets) {
+    forwarded.push_back(parse_roce(pkt)->bth.psn);
+  }
+  EXPECT_EQ(forwarded, (std::vector<std::uint32_t>{43, 46, 43, 44, 42}));
+  ASSERT_EQ(dumper.packets.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(parse_roce(dumper.packets[i])->bth.psn, 42 + i);
+    EXPECT_EQ(extract_mirror_meta(dumper.packets[i]).mirror_seq, i);
+  }
+}
+
+TEST_F(SwitchTest, SetOptionsThrowsWhileAFusedDepartureIsPending) {
+  sw.handle_packet(0, sample_packet());
+  auto options = sw.options();
+  options.l2_pipeline_latency = 10;
+  EXPECT_THROW(sw.set_options(options), std::logic_error);
+  EXPECT_EQ(sw.options().l2_pipeline_latency,
+            EventInjectorSwitch::Options{}.l2_pipeline_latency);
+  sim.run();
+  sw.set_options(options);
+  EXPECT_EQ(sw.options().l2_pipeline_latency, 10);
+  EXPECT_EQ(host_b.packets.size(), 1u);
+  EXPECT_EQ(dumper.packets.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

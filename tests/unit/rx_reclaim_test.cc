@@ -1,7 +1,8 @@
 // Node-level packet-arena accounting: every rx exit path of the injector
 // switch, the RNIC and the dumper recycles the delivered frame's buffer
 // exactly once, except a path that moved the frame onward into the event
-// kernel or a reorder slot, which recycles nothing. The dumper never moves
+// kernel, the switch's fused-departure FIFO or a reorder slot, which
+// recycles nothing. The dumper never moves
 // a frame: a capture copies into the capture slab. Arena counters never
 // reach a run report, so the goldens cannot see a lost or doubled reclaim.
 // The counters checked beside the reclaims pin the order of each node's
@@ -67,7 +68,8 @@ TEST(RxReclaim, SwitchRecyclesDroppedFramesOnly) {
   EXPECT_EQ(recycled_by(sw, as_arp(roce_frame(kFlow.dst_qpn, 41))), 1u);
   EXPECT_EQ(sw.roce_counters().roce_rx, 0u);
   EXPECT_EQ(sim.pending_events(), 1u);
-  // Forwarded: the frame moved into the event kernel.
+  // Forwarded undelayed: the frame moved into a fused departure with its
+  // mirror copy.
   EXPECT_EQ(recycled_by(sw, roce_frame(kFlow.dst_qpn, 42)), 0u);
   // Enforced drop, after the mirror tap cloned it (§3.4).
   EXPECT_EQ(recycled_by(sw, roce_frame(kFlow.dst_qpn, 43)), 1u);
