@@ -130,16 +130,17 @@ int main(int argc, char** argv) {
 
   const std::vector<int> job_counts = {1, 2, 4, 8};
   std::vector<Sample> samples;
-  Table table({"jobs", "wall_ms", "speedup", "digest"});
+  Table table({"jobs", "wall_ms", "speedup", "utilization", "digest"});
   for (const int jobs : job_counts) {
     samples.push_back(run_at(campaign, jobs));
     char digest[32];
     std::snprintf(digest, sizeof(digest), "%016llx",
                   static_cast<unsigned long long>(samples.back().digest));
+    telemetry::RunReport json = campaign_report_json(samples.back().report);
     table.add_row({std::to_string(jobs),
                    fmt("%.1f", samples.back().wall_ms),
                    fmt("%.2fx", samples[0].wall_ms / samples.back().wall_ms),
-                   digest});
+                   fmt("%.3f", json.wall["worker_utilization"]), digest});
   }
   table.print();
 
@@ -154,9 +155,12 @@ int main(int argc, char** argv) {
                "artifacts byte-identical across jobs=1/2/4/8 (equal digests)");
 
   if (!report_out.empty()) {
+    // The wall section is machine-dependent and printed above; the report
+    // keeps only the deterministic section, as write_campaign_artifacts does.
+    telemetry::RunReport out = campaign_report_json(samples[0].report);
+    out.wall.clear();
     std::string failed;
-    if (!telemetry::write_report(campaign_report_json(samples[0].report),
-                                 report_out, &failed)) {
+    if (!telemetry::write_report(out, report_out, &failed)) {
       std::fprintf(stderr, "error: failed to write %s\n", failed.c_str());
       return 2;
     }

@@ -20,7 +20,9 @@
 // Correctness is gated exactly: every fast result must equal its
 // reference, and with --out the deterministic counters (CRC values and
 // frame digests, machine-independent integers) are diffed against
-// bench/baselines/packet_fastpath_baseline.json in CI.
+// bench/baselines/packet_fastpath_baseline.json in CI. The speedups are
+// printed only: the report's "wall" section stays empty, so a baseline
+// regenerated on any machine holds the same bytes.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -140,8 +142,6 @@ int main(int argc, char** argv) {
         {size + "B", fmt("%.2f", ref_rate / 1e6), fmt("%.2f", fast_rate / 1e6),
          fmt("%.2fx", speedup), fmt("%.2f", slice_rate / 1e6),
          fmt("%.2f", clmul_rate / 1e6), fmt("%.2fx", clmul_rate / slice_rate)});
-    report.wall["icrc_speedup_" + size] = speedup;
-    report.wall["clmul_speedup_" + size] = clmul_rate / slice_rate;
   }
   icrc_table.print();
 

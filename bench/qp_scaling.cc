@@ -20,8 +20,8 @@
 // Deterministic counters (live QPs, wheel arm/fire/reclaim/cascade
 // totals, simulator events) are a pure function of n — the CI bench gate
 // diffs them against bench/baselines/qp_scaling_baseline.json at zero
-// tolerance. Wall-clock per-op costs land in the report's "wall" section,
-// which comparisons ignore.
+// tolerance. Wall-clock per-op costs are printed only, so the report's
+// "wall" section stays empty.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -186,12 +186,6 @@ int main(int argc, char** argv) {
     report.deterministic.counters[prefix + "wheel_max_stored"] =
         s.wheel_max_stored;
     report.deterministic.counters[prefix + "sim_events"] = s.sim_events;
-    report.wall["qp_scaling.n" + std::to_string(s.qps) + ".setup_ms"] =
-        s.setup_ms;
-    report.wall["qp_scaling.n" + std::to_string(s.qps) + ".churn_ms"] =
-        s.churn_ms;
-    report.wall["qp_scaling.n" + std::to_string(s.qps) + ".storm_ms"] =
-        s.storm_ms;
   }
   table.print();
 

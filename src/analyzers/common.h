@@ -2,7 +2,6 @@
 #pragma once
 
 #include <map>
-#include <vector>
 
 #include "orchestrator/trace.h"
 
@@ -16,10 +15,6 @@ struct FlowKeyLess {
     return a.dst_qpn < b.dst_qpn;
   }
 };
-
-/// Groups the indices of data packets in `trace` by flow (direction).
-std::map<FlowKey, std::vector<std::size_t>, FlowKeyLess> group_data_packets(
-    const PacketTrace& trace);
 
 /// True when `p` is the Go-Back-N (sequence-error) NAK for write/send
 /// traffic. Remote-access NAKs are a different, fatal animal.

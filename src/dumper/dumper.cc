@@ -4,7 +4,6 @@
 
 #include "packet/bytes.h"
 #include "packet/packet_arena.h"
-#include "packet/pcap_writer.h"
 
 namespace lumina {
 namespace {
@@ -81,18 +80,6 @@ void TrafficDumper::terminate() {
                kRoceUdpPort);
     }
   }
-}
-
-bool TrafficDumper::write_pcap(const std::string& path) const {
-  PcapWriter writer;
-  if (!writer.open(path)) return false;
-  for (const CaptureRecord& record : capture_.records) {
-    if (!writer.write(capture_.frame(record), record.captured_at,
-                      record.orig_len)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace lumina

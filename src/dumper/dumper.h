@@ -17,13 +17,14 @@
 // wire buffer recycles.
 //
 // On TERM the dumper restores the UDP destination port of every captured
-// packet to 4791 and can persist the capture as a pcap file.
+// packet to 4791. The orchestrator then takes the capture store
+// (take_capture) and merges every dumper's captures into one trace, which
+// results_io persists as trace.pcap.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -88,9 +89,6 @@ class TrafficDumper : public Node {
   /// dumper holds no captures afterwards.
   CaptureStore take_capture() { return std::exchange(capture_, {}); }
   const DumperCounters& counters() const { return counters_; }
-
-  /// Writes captured (trimmed) packets to a pcap file.
-  bool write_pcap(const std::string& path) const;
 
  private:
   Simulator* sim_;

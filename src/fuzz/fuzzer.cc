@@ -79,27 +79,4 @@ FuzzOutcome GeneticFuzzer::run(int max_steps) {
   return outcome;
 }
 
-FuzzCampaignOutcome run_fuzz_campaign(const FuzzTarget& target,
-                                      GeneticFuzzer::Options options,
-                                      int shards,
-                                      const CampaignOptions& campaign) {
-  FuzzCampaignOutcome outcome;
-  // The FuzzTarget callbacks are shared read-only across workers; every
-  // shard gets its own fuzzer (and thus its own Rng and Orchestrators).
-  outcome.shards = parallel_map<FuzzOutcome>(
-      static_cast<std::size_t>(shards < 0 ? 0 : shards), campaign.jobs,
-      [&](std::size_t i) {
-        GeneticFuzzer::Options shard_options = options;
-        shard_options.seed = derive_run_seed(campaign.seed, i);
-        return GeneticFuzzer(target, shard_options).run();
-      });
-  for (std::size_t i = 0; i < outcome.shards.size(); ++i) {
-    outcome.total_iterations += outcome.shards[i].iterations;
-    if (outcome.anomaly_shard < 0 && outcome.shards[i].anomaly.has_value()) {
-      outcome.anomaly_shard = static_cast<int>(i);
-    }
-  }
-  return outcome;
-}
-
 }  // namespace lumina

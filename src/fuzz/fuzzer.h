@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "campaign/parallel.h"
 #include "config/test_config.h"
 #include "orchestrator/orchestrator.h"
 #include "util/random.h"
@@ -101,30 +100,5 @@ class GeneticFuzzer {
   Rng rng_;
   FuzzCorpusState state_;
 };
-
-/// A sharded hunt: `shards` independent GeneticFuzzer instances, shard `i`
-/// seeded with `derive_run_seed(options.seed, i)`.
-struct FuzzCampaignOutcome {
-  std::vector<FuzzOutcome> shards;   ///< In shard order.
-  int anomaly_shard = -1;            ///< Lowest shard index that hit one.
-  int total_iterations = 0;
-
-  const FuzzIteration* anomaly() const {
-    return anomaly_shard < 0
-               ? nullptr
-               : &*shards[static_cast<std::size_t>(anomaly_shard)].anomaly;
-  }
-};
-
-/// Runs `shards` independent hunts across `campaign.jobs` worker threads.
-/// Each shard is itself sequential (Algorithm 1 is inherently iterative),
-/// but shards share nothing, so the hunt parallelizes across restarts —
-/// the same strategy P4Testgen-style tooling uses to scale test search.
-/// The winning shard is the lowest *index* with an anomaly, not the first
-/// to finish, so the outcome is independent of thread count.
-FuzzCampaignOutcome run_fuzz_campaign(const FuzzTarget& target,
-                                      GeneticFuzzer::Options options,
-                                      int shards,
-                                      const CampaignOptions& campaign);
 
 }  // namespace lumina

@@ -17,23 +17,7 @@ TrafficGenerator::TrafficGenerator(Simulator* sim, std::vector<Rnic*> nics,
       conn_specs_(std::move(connections)),
       traffic_(std::move(traffic)),
       ets_(std::move(ets)),
-      rng_(seed) {
-  if (conn_specs_.empty()) {
-    conn_specs_.assign(
-        static_cast<std::size_t>(std::max(1, traffic_.num_connections)),
-        ConnectionSpec{});
-  }
-}
-
-TrafficGenerator::TrafficGenerator(Simulator* sim, Rnic* requester_nic,
-                                   Rnic* responder_nic,
-                                   const HostConfig& requester_cfg,
-                                   const HostConfig& responder_cfg,
-                                   TrafficConfig traffic, EtsConfig ets,
-                                   std::uint64_t seed)
-    : TrafficGenerator(sim, {requester_nic, responder_nic},
-                       {requester_cfg, responder_cfg}, {}, std::move(traffic),
-                       std::move(ets), seed) {}
+      rng_(seed) {}
 
 void TrafficGenerator::setup() {
   const int n = num_connections();

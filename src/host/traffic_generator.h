@@ -39,20 +39,13 @@ struct ConnectionMetadata {
 
 class TrafficGenerator {
  public:
-  /// General form: one Rnic + HostConfig per host (same indexing), plus
-  /// the connection specs to realize. Empty `connections` defaults to
-  /// traffic.num_connections copies of the 0->1 pair.
+  /// One Rnic + HostConfig per host (same indexing), plus the connection
+  /// specs to realize (TestConfig::normalize() fills an empty list).
   TrafficGenerator(Simulator* sim, std::vector<Rnic*> nics,
                    std::vector<HostConfig> host_cfgs,
                    std::vector<ConnectionSpec> connections,
                    TrafficConfig traffic, EtsConfig ets,
                    std::uint64_t seed = 0xBEEF);
-
-  /// Classic two-host pair (Listing 1): host 0 = requester, 1 = responder.
-  TrafficGenerator(Simulator* sim, Rnic* requester_nic, Rnic* responder_nic,
-                   const HostConfig& requester_cfg,
-                   const HostConfig& responder_cfg, TrafficConfig traffic,
-                   EtsConfig ets, std::uint64_t seed = 0xBEEF);
 
   /// Creates and connects QPs, exchanges metadata. Must run before start().
   void setup();
@@ -82,11 +75,7 @@ class TrafficGenerator {
   /// Registers the run's telemetry context (docs/telemetry.md: host.*).
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
-  /// Connection-local QPs: the requester QP of connection i lives on
-  /// nics[conn_specs[i].src_host], the responder QP on the dst host.
-  QueuePair* requester_qp(int connection) {
-    return req_qps_[static_cast<std::size_t>(connection)];
-  }
+  /// The responder QP of connection i, on nics[conn_specs[i].dst_host].
   QueuePair* responder_qp(int connection) {
     return resp_qps_[static_cast<std::size_t>(connection)];
   }

@@ -43,7 +43,6 @@ class GilbertElliottChannel {
     return lost;
   }
 
-  bool in_bad_state() const { return bad_; }
   std::uint64_t decisions() const { return decisions_; }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <stdexcept>
 
 #include "packet/packet_arena.h"
 #include "util/logging.h"
@@ -11,19 +10,11 @@ namespace lumina {
 
 EventInjectorSwitch::EventInjectorSwitch(Simulator* sim, int num_ports,
                                          Options options)
-    : sim_(sim), options_(options), mirror_(options.rng_seed) {
+    : sim_(sim), options_(options), mirror_(kRngSeed) {
   ports_.reserve(static_cast<std::size_t>(num_ports));
   for (int i = 0; i < num_ports; ++i) {
     ports_.push_back(std::make_unique<Port>(sim, this, i));
   }
-}
-
-void EventInjectorSwitch::set_options(const Options& options) {
-  if (!fused_departures_.empty()) {
-    throw std::logic_error(
-        "EventInjectorSwitch::set_options: fused departures are pending");
-  }
-  options_ = options;
 }
 
 void EventInjectorSwitch::add_route(Ipv4Address dst, int port_index) {
@@ -82,13 +73,13 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
     // warning still fires from an event after the base pipeline latency,
     // as a forward would, so later event ids do not depend on where the
     // switch decides the drop.
-    sim_->schedule_after(options_.l2_pipeline_latency, [] {
+    sim_->schedule_after(kL2PipelineLatency, [] {
       LUMINA_LOG(kWarn) << "switch: dropping unroutable non-IP packet";
     });
     return;
   }
   ++counters_.roce_rx;
-  Tick base_latency = options_.l2_pipeline_latency;
+  Tick base_latency = kL2PipelineLatency;
   const bool is_data = is_data_opcode(view->bth.opcode);
   const FlowKey flow{view->src_ip, view->dst_ip, view->bth.dest_qpn};
 
@@ -96,7 +87,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
   // packets only (ACK/NACK/CNP are not injectable, §3.3 fn 2).
   EventMatch match;
   if (options_.enable_event_injection) {
-    base_latency += options_.event_stage_latency;
+    base_latency += kEventStageLatency;
     if (is_data) match = match_event(in_port, flow, view->bth.psn);
   }
 
@@ -159,8 +150,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
   // Egress: drop enforcement, reorder holds, duplication and the L3
   // forward.
   if (options_.enable_event_injection) {
-    telemetry::observe(m_added_latency_,
-                       options_.event_stage_latency + match.delay);
+    telemetry::observe(m_added_latency_, kEventStageLatency + match.delay);
   }
 
   if (enforced_drop) {
@@ -178,7 +168,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
     slot.pkt = std::move(pkt);
     // Safety valve: flush if no successor shows up (tail packet).
     slot.flush_event = sim_->schedule_after(
-        options_.reorder_flush_timeout, [this, flow] { flush_reorder(flow); });
+        kReorderFlushTimeout, [this, flow] { flush_reorder(flow); });
     reorder_slots_[flow] = std::move(slot);
     return;
   }
@@ -282,7 +272,7 @@ void EventInjectorSwitch::start_burst_channel(const FlowKey& flow,
   // Seed derived from the switch seed and the flow identity, so channels
   // are independent per flow yet byte-deterministic for a fixed run seed.
   const std::uint64_t seed =
-      options_.rng_seed ^
+      kRngSeed ^
       (static_cast<std::uint64_t>(FlowKeyHash{}(flow)) * 0x100000001b3ULL);
   BurstChannelSlot slot{
       GilbertElliottChannel(fault.ge_p, fault.ge_r, seed, /*start_bad=*/true),
@@ -304,7 +294,7 @@ bool EventInjectorSwitch::burst_channel_drops(const FlowKey& flow) {
 void EventInjectorSwitch::start_pause_storm(int in_port,
                                             const FaultParams& fault) {
   ++fault_stats_.pause_storms;
-  const Tick refresh = std::max<Tick>(1, options_.pause_refresh_interval);
+  const Tick refresh = kPauseRefreshInterval;
   const Tick duration = fault.duration > 0 ? fault.duration : refresh;
   const double gbps = port(in_port).link().gbps;
   // Each frame names ~2 refresh intervals of pause so coverage overlaps;

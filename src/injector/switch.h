@@ -62,11 +62,22 @@ struct SwitchFaultStats {
 
 class EventInjectorSwitch : public Node {
  public:
+  /// Base store-and-forward pipeline latency of a plain L2 program.
+  static constexpr Tick kL2PipelineLatency = 250;
+  /// Extra latency of the event-injection match-action stages.
+  static constexpr Tick kEventStageLatency = 90;
+  /// §7 extension: how long a reorder-held packet waits for a successor
+  /// before being flushed unreordered (tail-packet safety valve).
+  static constexpr Tick kReorderFlushTimeout = 50 * kMicrosecond;
+  /// kPauseStorm: interval at which the storm refreshes pause frames.
+  /// Each frame names ~2 intervals of pause quanta so coverage overlaps
+  /// even if a refresh frame queues behind reverse-direction traffic.
+  static constexpr Tick kPauseRefreshInterval = 10 * kMicrosecond;
+  /// Seeds the mirror engine and, mixed with the flow, every burst-loss
+  /// channel.
+  static constexpr std::uint64_t kRngSeed = 0x1u;
+
   struct Options {
-    /// Base store-and-forward pipeline latency of a plain L2 program.
-    Tick l2_pipeline_latency = 250;
-    /// Extra latency of the event-injection match-action stages.
-    Tick event_stage_latency = 90;
     bool enable_event_injection = true;
     bool enable_mirroring = true;
     /// When false, "drop" rules are matched and mirrored but not enforced
@@ -74,19 +85,11 @@ class EventInjectorSwitch : public Node {
     bool enforce_drops = true;
     /// §6.2.3 fix: rewrite MigReq to 1 on every forwarded RoCE packet.
     bool rewrite_mig_req = false;
-    /// §7 extension: how long a reorder-held packet waits for a successor
-    /// before being flushed unreordered (tail-packet safety valve).
-    Tick reorder_flush_timeout = 50 * kMicrosecond;
     /// Extension: RED-style step ECN marking — data packets enqueued onto
     /// an egress port whose FIFO exceeds this many bytes get CE. 0
     /// disables (the stock tool only marks via injected events). Enables
     /// genuine closed-loop DCQCN experiments with mixed link speeds.
     std::size_t ecn_marking_threshold_bytes = 0;
-    /// kPauseStorm: interval at which the storm refreshes pause frames.
-    /// Each frame names ~2 intervals of pause quanta so coverage overlaps
-    /// even if a refresh frame queues behind reverse-direction traffic.
-    Tick pause_refresh_interval = 10 * kMicrosecond;
-    std::uint64_t rng_seed = 0x1u;
   };
 
   EventInjectorSwitch(Simulator* sim, int num_ports, Options options);
@@ -124,12 +127,6 @@ class EventInjectorSwitch : public Node {
   void install_relative_rule(const RelativeEventRule& rule);
   int discovered_flows() const { return discovered_; }
 
-  const Options& options() const { return options_; }
-  /// Before-traffic setter (tests reconfigure a built switch with it).
-  /// Throws std::logic_error while a fused departure is pending: a new
-  /// pipeline latency would let later departures overtake parked ones.
-  void set_options(const Options& options);
-
   /// Registers the run's telemetry context and resolves metric handles
   /// (docs/telemetry.md: injector.*). Pass nullptr to detach.
   void attach_telemetry(telemetry::Telemetry* telemetry);
@@ -137,7 +134,6 @@ class EventInjectorSwitch : public Node {
   const SwitchRoceCounters& roce_counters() const { return counters_; }
   const SwitchFaultStats& fault_stats() const { return fault_stats_; }
   const EventTable& event_table() const { return table_; }
-  const IterTracker& iter_tracker() const { return iter_tracker_; }
   MirrorEngine& mirror_engine() { return mirror_; }
 
   /// Active Gilbert–Elliott channels (one per flow with a live burst).

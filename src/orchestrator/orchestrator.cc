@@ -1,11 +1,21 @@
 #include "orchestrator/orchestrator.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "util/logging.h"
 
 namespace lumina {
+
+namespace {
+
+/// Propagation delay of every testbed link.
+constexpr Tick kLinkPropagation = 250;
+/// Hard deadline for a run; generous relative to every experiment.
+constexpr Tick kMaxSimTime = 100 * kSecond;
+
+}  // namespace
 
 Orchestrator::Orchestrator(TestConfig config)
     : Orchestrator(std::move(config), Options{}) {}
@@ -19,7 +29,8 @@ Orchestrator::Orchestrator(TestConfig config, Options options)
         std::to_string(options_.shards) + ")");
   }
   // Default host names, collision-free GIDs, connection expansion — the
-  // config becomes a complete testbed description here.
+  // config becomes a complete testbed description here. It always holds
+  // at least two hosts and one connection afterwards.
   config_.normalize();
   build_testbed();
 }
@@ -27,24 +38,72 @@ Orchestrator::Orchestrator(TestConfig config, Options options)
 Orchestrator::~Orchestrator() = default;
 
 void Orchestrator::build_testbed() {
-  TestbedSpec spec;
-  spec.hosts = config_.hosts;
-  spec.switch_options = options_.switch_options;
-  spec.dumper_options = options_.dumper_options;
-  spec.num_dumpers = options_.num_dumpers;
-  spec.link_propagation = options_.link_propagation;
-  spec.trim_mirrors = options_.trim_mirrors;
-  spec.enable_telemetry = options_.enable_telemetry;
-  testbed_ = std::make_unique<Testbed>(std::move(spec));
+  const std::vector<HostConfig>& hosts = config_.hosts;
+  if (options_.enable_telemetry) {
+    metrics_ = std::make_unique<telemetry::MetricsRegistry>();
+    trace_sink_ = std::make_unique<telemetry::TraceSink>();
+    trace_sink_->set_track_name(telemetry::kTrackSim, "sim");
+    trace_sink_->set_track_name(telemetry::kTrackInjector, "injector");
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      trace_sink_->set_track_name(telemetry::nic_track(static_cast<int>(i)),
+                                  hosts[i].name + "-nic");
+    }
+    trace_sink_->set_track_name(telemetry::kTrackHost, "host");
+    telemetry_.metrics = metrics_.get();
+    telemetry_.trace = trace_sink_.get();
+  }
+
+  // Switch-port layout: host i on port i, dumper j on port N + j.
+  const int num_hosts = static_cast<int>(hosts.size());
+  switch_ = std::make_unique<EventInjectorSwitch>(
+      &sim_, num_hosts + options_.num_dumpers, options_.switch_options);
+
+  // One RNIC per host. The MAC stride keeps hosts 0/1 on the historical
+  // ...aa/...bb addresses, so two-host wire bytes (and the goldens hashed
+  // from them) are unchanged.
+  double fastest_gbps = 0;
+  for (int i = 0; i < num_hosts; ++i) {
+    const HostConfig& host = hosts[static_cast<std::size_t>(i)];
+    const DeviceProfile& profile = DeviceProfile::get(host.nic_type);
+    fastest_gbps = std::max(fastest_gbps, profile.link_gbps);
+    auto nic = std::make_unique<Rnic>(
+        &sim_, host.name, profile, host.roce,
+        MacAddress::from_u48(0x0200000000aaULL +
+                             0x11ULL * static_cast<std::uint64_t>(i)),
+        telemetry::nic_track(i));
+    connect(nic->port(), switch_->port(i),
+            LinkParams{profile.link_gbps, kLinkPropagation});
+    // Routes: every GID of a host resolves to its switch port.
+    for (const auto& ip : host.ip_list) switch_->add_route(ip, i);
+    nics_.push_back(std::move(nic));
+  }
+
+  // Traffic dumper pool: links sized like the fastest host link (§3.4 —
+  // pooling is what makes slower dumpers viable; benches vary this).
+  std::vector<MirrorEngine::Target> targets;
+  for (int j = 0; j < options_.num_dumpers; ++j) {
+    auto dumper =
+        std::make_unique<TrafficDumper>(&sim_, options_.dumper_options);
+    connect(dumper->port(), switch_->port(num_hosts + j),
+            LinkParams{fastest_gbps, kLinkPropagation});
+    targets.push_back(MirrorEngine::Target{num_hosts + j, 1});
+    dumpers_.push_back(std::move(dumper));
+  }
+  switch_->set_mirror_targets(std::move(targets));
+
+  telemetry::Telemetry* telemetry =
+      options_.enable_telemetry ? &telemetry_ : nullptr;
+  if (telemetry != nullptr) {
+    switch_->attach_telemetry(telemetry);
+    for (auto& nic : nics_) nic->attach_telemetry(telemetry);
+  }
 
   std::vector<Rnic*> nics;
-  for (int i = 0; i < testbed_->num_hosts(); ++i) {
-    nics.push_back(&testbed_->nic(i));
-  }
+  for (auto& nic : nics_) nics.push_back(nic.get());
   generator_ = std::make_unique<TrafficGenerator>(
-      &testbed_->sim(), std::move(nics), config_.hosts,
-      config_.connections, config_.traffic, config_.ets, options_.seed);
-  generator_->attach_telemetry(testbed_->telemetry());
+      &sim_, std::move(nics), hosts, config_.connections, config_.traffic,
+      config_.ets, options_.seed);
+  generator_->attach_telemetry(telemetry);
 }
 
 EventRule Orchestrator::translate_intent(const DataPacketEvent& intent) const {
@@ -82,7 +141,7 @@ void Orchestrator::program_injector() {
     // Ablation: hand the switch relative intents; the data plane discovers
     // QPs and materializes rules itself. No metadata is shared.
     for (const auto& intent : config_.traffic.data_pkt_events) {
-      testbed_->injector().install_relative_rule(
+      switch_->install_relative_rule(
           EventInjectorSwitch::RelativeEventRule{intent.qpn, intent.psn,
                                                  intent.iter, intent.type,
                                                  intent.delay, intent.fault});
@@ -99,10 +158,10 @@ void Orchestrator::program_injector() {
     } else {
       flow = FlowKey{meta.requester.ip, meta.responder.ip, meta.responder.qpn};
     }
-    testbed_->injector().register_flow(flow, meta.requester.ipsn);
+    switch_->register_flow(flow, meta.requester.ipsn);
   }
   for (const auto& intent : config_.traffic.data_pkt_events) {
-    testbed_->injector().install_rule(translate_intent(intent));
+    switch_->install_rule(translate_intent(intent));
   }
 }
 
@@ -115,19 +174,19 @@ const TestResult& Orchestrator::run() {
   program_injector();  // tables must be populated before traffic starts
   generator_->start();
 
-  sim().run_until(options_.max_sim_time);
+  sim_.run_until(kMaxSimTime);
   result_.finished = generator_->finished();
-  result_.duration = sim().now();
+  result_.duration = sim_.now();
 
   collect_results();
   return result_;
 }
 
 void Orchestrator::collect_results() {
-  EventInjectorSwitch& injector = testbed_->injector();
+  EventInjectorSwitch& injector = *switch_;
   // TERM all dumpers, then merge their stores by mirror sequence number.
   std::vector<CaptureStore> captures;
-  for (auto& dumper : testbed_->dumpers()) {
+  for (auto& dumper : dumpers_) {
     dumper->terminate();
     captures.push_back(dumper->take_capture());
   }
@@ -147,8 +206,8 @@ void Orchestrator::collect_results() {
   }
 
   result_.host_counters.clear();
-  for (int i = 0; i < testbed_->num_hosts(); ++i) {
-    result_.host_counters.push_back(testbed_->nic(i).counters());
+  for (const auto& nic : nics_) {
+    result_.host_counters.push_back(nic->counters());
   }
   result_.switch_counters = injector.roce_counters();
   result_.verb = config_.traffic.verb;
@@ -159,7 +218,7 @@ void Orchestrator::collect_results() {
 
   if (options_.enable_telemetry) {
     scrape_telemetry();
-    result_.telemetry = testbed_->metrics()->snapshot();
+    result_.telemetry = metrics_->snapshot();
   }
 }
 
@@ -167,18 +226,16 @@ void Orchestrator::collect_results() {
 /// integers during the run land in the registry only here, alongside the
 /// histograms the hot paths populated live.
 void Orchestrator::scrape_telemetry() {
-  telemetry::MetricsRegistry& reg = *testbed_->metrics();
-  telemetry::TraceSink& trace_sink = *testbed_->trace_sink();
-  EventInjectorSwitch& injector = testbed_->injector();
+  telemetry::MetricsRegistry& reg = *metrics_;
+  EventInjectorSwitch& injector = *switch_;
 
-  const Simulator& sim = testbed_->sim();
-  reg.counter("sim.events_processed").inc(sim.events_processed());
-  reg.counter("sim.events_cancelled").inc(sim.cancel_requests());
+  reg.counter("sim.events_processed").inc(sim_.events_processed());
+  reg.counter("sim.events_cancelled").inc(sim_.cancel_requests());
   reg.gauge("sim.queue_depth_max")
-      .set(static_cast<std::int64_t>(sim.max_queue_depth()));
-  reg.gauge("sim.time_ns").set(sim.now());
-  reg.counter("sim.trace_recorded").inc(trace_sink.recorded());
-  reg.counter("sim.trace_dropped").inc(trace_sink.dropped());
+      .set(static_cast<std::int64_t>(sim_.max_queue_depth()));
+  reg.gauge("sim.time_ns").set(sim_.now());
+  reg.counter("sim.trace_recorded").inc(trace_sink_->recorded());
+  reg.counter("sim.trace_dropped").inc(trace_sink_->dropped());
 
   const SwitchRoceCounters& sw = injector.roce_counters();
   reg.counter("injector.roce_rx").inc(sw.roce_rx);
@@ -220,15 +277,14 @@ void Orchestrator::scrape_telemetry() {
     reg.counter(prefix + "drops").inc(pc.drops);
   }
 
-  for (int i = 0; i < testbed_->num_hosts(); ++i) {
-    const Rnic& nic = testbed_->nic(i);
-    const std::string prefix = "rnic." + nic.name() + ".";
-    for (const auto& [counter, value] : nic.counters().entries()) {
+  for (const auto& nic : nics_) {
+    const std::string prefix = "rnic." + nic->name() + ".";
+    for (const auto& [counter, value] : nic->counters().entries()) {
       reg.counter(prefix + counter).inc(value);
     }
     // PFC pause metrics exist only in runs where pause frames flowed, so
     // storm-free runs keep a byte-identical metric set.
-    const RnicPauseStats& ps = nic.pause_stats();
+    const RnicPauseStats& ps = nic->pause_stats();
     if (ps.pause_frames_rx != 0 || ps.pause_resumes_rx != 0) {
       reg.counter(prefix + "pause_frames_rx").inc(ps.pause_frames_rx);
       reg.counter(prefix + "pause_resumes_rx").inc(ps.pause_resumes_rx);

@@ -1,9 +1,18 @@
-// Orchestrator (§3.1, Fig. 1): a thin experiment driver over a Testbed.
-// It normalizes the config into a TestbedSpec, translates user intents
-// into injector rules, runs the experiment, collects results (Table 1),
-// reconstructs the packet trace, and runs the integrity check. The
-// topology itself — N hosts around the event-injector switch plus the
-// dumper pool — is built and wired by topology/testbed.h.
+// Orchestrator (§3.1, Fig. 1): builds the testbed and drives one
+// experiment on it.
+//
+//   host 0 --- [port 0]                            [port N]   --- dumper 0
+//   host 1 --- [port 1]  EVENT-INJECTOR SWITCH     [port N+1] --- dumper 1
+//   ...        [...]                               [...]      --- ...
+//   host N-1 - [port N-1]
+//
+// The constructor normalizes the config and builds the testbed around the
+// injector switch: one RNIC per host on switch port i (per-host NicType,
+// GIDs and RoCE knobs), an L3 route for every host GID, the dumper pool
+// behind the hosts, and a dense telemetry track per NIC
+// (telemetry::nic_track). run() translates user intents into injector
+// rules, runs the experiment, collects results (Table 1), reconstructs the
+// packet trace, and runs the integrity check (docs/topology.md).
 #pragma once
 
 #include <memory>
@@ -19,7 +28,6 @@
 #include "rnic/rnic.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
-#include "topology/testbed.h"
 
 namespace lumina {
 
@@ -55,12 +63,7 @@ class Orchestrator {
     EventInjectorSwitch::Options switch_options;
     TrafficDumper::Options dumper_options;
     int num_dumpers = 2;
-    Tick link_propagation = 250;
-    /// Hard deadline for a run; generous relative to every experiment.
-    Tick max_sim_time = 100 * kSecond;
     std::uint64_t seed = 0xC0FFEE;
-    /// Keep full (untrimmed) mirror copies; the stock tool trims to 128 B.
-    bool trim_mirrors = true;
     /// Ablation: program intents as *relative* rules resolved by in-switch
     /// QP discovery instead of the stock stateless control-plane join
     /// (§3.3). Connection binding then depends on flow arrival order.
@@ -85,22 +88,20 @@ class Orchestrator {
   const TestResult& result() const { return result_; }
 
   // Component access for targeted tests and ablation benches.
-  Testbed& testbed() { return *testbed_; }
-  Simulator& sim() { return testbed_->sim(); }
-  std::uint64_t events_processed() { return sim().events_processed(); }
-  EventInjectorSwitch& injector() { return testbed_->injector(); }
-  int num_hosts() { return testbed_->num_hosts(); }
-  Rnic& nic(int host) { return testbed_->nic(host); }
-  Rnic& requester_nic() { return testbed_->nic(0); }
-  Rnic& responder_nic() { return testbed_->nic(1); }
+  /// The event kernel every node of the testbed schedules on.
+  Simulator& sim() { return sim_; }
+  std::uint64_t events_processed() { return sim_.events_processed(); }
+  EventInjectorSwitch& injector() { return *switch_; }
+  int num_hosts() { return static_cast<int>(nics_.size()); }
+  Rnic& nic(int host) { return *nics_[static_cast<std::size_t>(host)]; }
+  Rnic& requester_nic() { return nic(0); }
+  Rnic& responder_nic() { return nic(1); }
   TrafficGenerator& generator() { return *generator_; }
-  std::vector<std::unique_ptr<TrafficDumper>>& dumpers() {
-    return testbed_->dumpers();
-  }
+  std::vector<std::unique_ptr<TrafficDumper>>& dumpers() { return dumpers_; }
 
   /// Null when Options::enable_telemetry is false.
-  telemetry::MetricsRegistry* metrics() { return testbed_->metrics(); }
-  telemetry::TraceSink* trace_sink() { return testbed_->trace_sink(); }
+  telemetry::MetricsRegistry* metrics() { return metrics_.get(); }
+  telemetry::TraceSink* trace_sink() { return trace_sink_.get(); }
 
   /// Translates one relative user intent (Listing 2) into the absolute
   /// match-action rule installed on the injector (Fig. 2). Exposed for the
@@ -118,7 +119,16 @@ class Orchestrator {
   /// Recycles wire-byte buffers across the run; installed as the
   /// thread-current arena for the duration of run() (docs/simulator.md).
   PacketArena arena_;
-  std::unique_ptr<Testbed> testbed_;
+  // The testbed. Declared in build order, so it is destroyed in reverse:
+  // the nodes before the kernel they schedule on, the kernel before the
+  // telemetry the nodes report into.
+  std::unique_ptr<telemetry::MetricsRegistry> metrics_;
+  std::unique_ptr<telemetry::TraceSink> trace_sink_;
+  telemetry::Telemetry telemetry_;
+  Simulator sim_;
+  std::unique_ptr<EventInjectorSwitch> switch_;
+  std::vector<std::unique_ptr<Rnic>> nics_;
+  std::vector<std::unique_ptr<TrafficDumper>> dumpers_;
   std::unique_ptr<TrafficGenerator> generator_;
   TestResult result_;
   bool ran_ = false;

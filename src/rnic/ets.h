@@ -29,7 +29,6 @@ class EtsScheduler {
                  bool work_conserving);
 
   bool configured() const { return !tc_.empty(); }
-  std::size_t num_classes() const { return tc_.size(); }
   bool work_conserving() const { return work_conserving_; }
 
   /// Picks the next traffic class to serve among classes that currently

@@ -61,7 +61,7 @@ struct RnicPauseStats {
 class Rnic : public Node {
  public:
   /// `telemetry_track` is the trace track this NIC's events land on —
-  /// assigned by the Testbed (telemetry::nic_track(host_index)); the
+  /// assigned by the Orchestrator (telemetry::nic_track(host_index)); the
   /// default suits single-NIC unit tests.
   Rnic(Simulator* sim, std::string name, const DeviceProfile& profile,
        RoceParameters roce, MacAddress mac,
@@ -89,10 +89,6 @@ class Rnic : public Node {
   RnicCounters& counters() { return counters_; }
   const RnicCounters& counters() const { return counters_; }
   const RnicPauseStats& pause_stats() const { return pause_stats_; }
-  /// Egress pause deadline of `priority` (its traffic class maps 1:1).
-  Tick paused_until(int priority) const {
-    return pause_until_[static_cast<std::size_t>(priority & 7)];
-  }
   Simulator* sim() { return sim_; }
 
   /// Resolved minimum CNP interval: the configured value when the device

@@ -79,7 +79,6 @@ bool CalendarQueue::locate_min() {
   }
   // Sparse tail: no event within a full calendar round. Direct-search every
   // bucket front for the global minimum and jump the scan position to it.
-  ++direct_searches_;
   const SimEvent* best = nullptr;
   std::size_t best_bucket = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
@@ -109,7 +108,6 @@ void CalendarQueue::maybe_shrink() {
 }
 
 void CalendarQueue::resize_table(std::size_t new_nbuckets) {
-  ++resizes_;
   std::vector<SimEvent> all;
   all.reserve(size_);
   for (Bucket& bucket : buckets_) {

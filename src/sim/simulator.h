@@ -77,7 +77,6 @@ class Simulator {
   /// pending (typically right after construction).
   enum class TimerBackend { kWheel, kCalendar };
   void set_timer_backend(TimerBackend backend) { timer_backend_ = backend; }
-  TimerBackend timer_backend() const { return timer_backend_; }
 
   /// Structure telemetry for the wheel store (bench/qp_scaling).
   const TimingWheel& timer_wheel() const { return wheel_; }

@@ -113,7 +113,7 @@ TEST(ReorderEvent, TailPacketFlushedByTimeout) {
   EXPECT_EQ(result.flows[0].completed(), 1u);
   // Completion waited for the flush timeout.
   EXPECT_GT(result.flows[0].avg_mct_us(),
-            to_us(EventInjectorSwitch::Options{}.reorder_flush_timeout));
+            to_us(EventInjectorSwitch::kReorderFlushTimeout));
 }
 
 // ---------------------------------------------------------------------------

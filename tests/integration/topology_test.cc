@@ -1,20 +1,16 @@
-// Integration tests for the topology layer (src/topology) and the k->1
-// incast scenario it enables: a declarative TestbedSpec instantiated into
-// N RNICs around the event-injector switch, and a 3-requester incast onto
-// one responder whose congestion feedback reproduces the per-device CNP
-// coalescing behaviors of §6.3 (NVIDIA's documented 4 us minimum CNP
-// interval vs E810's hidden, unconfigurable ~50 us).
+// Integration tests for the testbed the Orchestrator builds and the k->1
+// incast scenario it enables: N RNICs around the event-injector switch,
+// and a 3-requester incast onto one responder whose congestion feedback
+// reproduces the per-device CNP coalescing behaviors of §6.3 (NVIDIA's
+// documented 4 us minimum CNP interval vs E810's hidden, unconfigurable
+// ~50 us).
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "analyzers/cnp_analyzer.h"
 #include "analyzers/counter_analyzer.h"
 #include "config/test_config.h"
 #include "orchestrator/orchestrator.h"
 #include "rnic/device_profile.h"
-#include "telemetry/trace.h"
-#include "topology/testbed.h"
 
 namespace lumina {
 namespace {
@@ -52,52 +48,26 @@ Orchestrator::Options ecn_marking_options() {
 }
 
 // ---------------------------------------------------------------------------
-// Testbed builder
+// Testbed wiring
 // ---------------------------------------------------------------------------
 
-TEST(Testbed, BuildsDeclaredTopology) {
-  TestConfig cfg = incast_config(3, NicType::kCx6Dx, NicType::kE810);
-  cfg.normalize();
-  TestbedSpec spec;
-  spec.hosts = cfg.hosts;
-  Testbed testbed(std::move(spec));
+TEST(Orchestrator, BuildsDeclaredTopology) {
+  Orchestrator orch(incast_config(3, NicType::kCx6Dx, NicType::kE810));
 
-  ASSERT_EQ(testbed.num_hosts(), 4);
+  ASSERT_EQ(orch.num_hosts(), 4);
   // Hosts 0/1 answer to the classic role names (QPN seeds and metric
   // prefixes depend on them); later hosts are host<i>.
-  EXPECT_EQ(testbed.nic(0).name(), "requester");
-  EXPECT_EQ(testbed.nic(1).name(), "responder");
-  EXPECT_EQ(testbed.nic(2).name(), "host2");
-  EXPECT_EQ(testbed.nic(3).name(), "host3");
-  // Port layout: host i on switch port i, dumpers behind the hosts.
-  EXPECT_EQ(testbed.host_port(2), 2);
-  EXPECT_EQ(testbed.dumper_port(0), 4);
-  EXPECT_EQ(testbed.dumper_port(1), 5);
-  EXPECT_EQ(testbed.dumpers().size(), 2u);
+  EXPECT_EQ(orch.nic(0).name(), "requester");
+  EXPECT_EQ(orch.nic(1).name(), "responder");
+  EXPECT_EQ(orch.nic(2).name(), "host2");
+  EXPECT_EQ(orch.nic(3).name(), "host3");
+  // Port layout: one switch port per host, the two dumpers behind them.
+  EXPECT_EQ(orch.dumpers().size(), 2u);
+  EXPECT_EQ(orch.injector().num_ports(), 6);
   // Per-host profiles took: host 3 is the Intel NIC.
-  EXPECT_EQ(testbed.nic(3).profile().type, NicType::kE810);
-  EXPECT_NE(testbed.nic(0).mac().to_u48(), testbed.nic(2).mac().to_u48());
-  EXPECT_NE(testbed.nic(2).mac().to_u48(), testbed.nic(3).mac().to_u48());
-}
-
-TEST(Testbed, RejectsDegenerateSpecs) {
-  TestbedSpec spec;  // zero hosts
-  EXPECT_THROW(Testbed{std::move(spec)}, std::invalid_argument);
-  TestbedSpec one;
-  one.hosts.resize(1);
-  EXPECT_THROW(Testbed{std::move(one)}, std::invalid_argument);
-}
-
-TEST(Testbed, TelemetryTracksAreDenseAndLegacyCompatible) {
-  // Hosts 0/1 keep the historical requester/responder track IDs (byte
-  // compatibility of two-host chrome traces); hosts beyond get dense IDs
-  // from kTrackDynamicBase up.
-  static_assert(telemetry::nic_track(0) == telemetry::kTrackRequester);
-  static_assert(telemetry::nic_track(1) == telemetry::kTrackResponder);
-  static_assert(telemetry::nic_track(2) == telemetry::kTrackDynamicBase);
-  static_assert(telemetry::nic_track(3) == telemetry::kTrackDynamicBase + 1);
-  static_assert(telemetry::nic_track(4) == telemetry::kTrackDynamicBase + 2);
-  SUCCEED();
+  EXPECT_EQ(orch.nic(3).profile().type, NicType::kE810);
+  EXPECT_NE(orch.nic(0).mac().to_u48(), orch.nic(2).mac().to_u48());
+  EXPECT_NE(orch.nic(2).mac().to_u48(), orch.nic(3).mac().to_u48());
 }
 
 // ---------------------------------------------------------------------------

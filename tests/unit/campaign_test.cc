@@ -119,26 +119,6 @@ TEST(IssueSlugs, RoundTrip) {
   EXPECT_FALSE(parse_known_issue("no-such-issue").has_value());
 }
 
-TEST(FuzzCampaign, ShardOutcomeIndependentOfJobs) {
-  const FuzzTarget target = make_lossy_network_target(NicType::kCx5);
-  GeneticFuzzer::Options options;
-  options.pool_size = 2;
-  options.max_iterations = 1;
-  const auto a = run_fuzz_campaign(target, options, 3, CampaignOptions{1, 5});
-  const auto b = run_fuzz_campaign(target, options, 3, CampaignOptions{3, 5});
-  ASSERT_EQ(a.shards.size(), 3u);
-  ASSERT_EQ(b.shards.size(), 3u);
-  EXPECT_EQ(a.anomaly_shard, b.anomaly_shard);
-  EXPECT_EQ(a.total_iterations, b.total_iterations);
-  for (std::size_t i = 0; i < a.shards.size(); ++i) {
-    ASSERT_EQ(a.shards[i].history.size(), b.shards[i].history.size());
-    for (std::size_t k = 0; k < a.shards[i].history.size(); ++k) {
-      EXPECT_DOUBLE_EQ(a.shards[i].history[k].score,
-                       b.shards[i].history[k].score);
-    }
-  }
-}
-
 TEST(FuzzTargets, LookupByName) {
   EXPECT_TRUE(make_fuzz_target("noisy-neighbor", NicType::kCx4Lx).has_value());
   EXPECT_TRUE(make_fuzz_target("lossy-network", NicType::kCx5).has_value());

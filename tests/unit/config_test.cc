@@ -329,6 +329,38 @@ TEST(Config, NormalizeRejectsDuplicateHostNames) {
   EXPECT_THROW(cfg.normalize(), YamlError);
 }
 
+TEST(Config, NormalizePadsToTwoHostsAndFillsConnections) {
+  // The orchestrator builds its testbed from a normalized config, so it
+  // always sees at least two named hosts and one connection.
+  TestConfig none;
+  none.hosts.clear();
+  none.traffic.num_connections = 3;
+  none.normalize();
+  ASSERT_EQ(none.hosts.size(), 2u);
+  EXPECT_EQ(none.hosts[0].name, "requester");
+  EXPECT_EQ(none.hosts[1].name, "responder");
+  // An empty connection list becomes num_connections copies of 0->1.
+  ASSERT_EQ(none.connections.size(), 3u);
+  for (const ConnectionSpec& conn : none.connections) {
+    EXPECT_EQ(conn.src_host, 0);
+    EXPECT_EQ(conn.dst_host, 1);
+  }
+  EXPECT_EQ(none.traffic.num_connections, 3);
+
+  // One host is padded the same way, and a connection count below one
+  // still yields one connection.
+  TestConfig one;
+  one.hosts.resize(1);
+  one.traffic.num_connections = 0;
+  one.normalize();
+  ASSERT_EQ(one.hosts.size(), 2u);
+  EXPECT_EQ(one.hosts[1].name, "responder");
+  ASSERT_EQ(one.connections.size(), 1u);
+  EXPECT_EQ(one.connections[0].src_host, 0);
+  EXPECT_EQ(one.connections[0].dst_host, 1);
+  EXPECT_EQ(one.traffic.num_connections, 1);
+}
+
 TEST(Config, NormalizeAssignsCollisionFreeIps) {
   // Host i defaults to 10.0.0.<i+1> for any host count...
   TestConfig cfg;

@@ -1,9 +1,6 @@
 // Unit tests for the traffic dumper: RSS spreading and core choice,
-// per-core capacity and overflow, packet trimming, TERM handling, and pcap
-// persistence.
+// per-core capacity and overflow, packet trimming and TERM handling.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "dumper/dumper.h"
 #include "packet/bytes.h"
@@ -231,25 +228,6 @@ TEST(Dumper, TerminateRestoresUdpPortsAndStopsCapture) {
   // Post-TERM arrivals are ignored.
   dumper.handle_packet(0, mirrored_packet(1, 1, 4000));
   EXPECT_EQ(dumper.capture().records.size(), 1u);
-}
-
-TEST(Dumper, WritesPcapAfterTerminate) {
-  Simulator sim;
-  TrafficDumper dumper(&sim, {});
-  for (int i = 0; i < 5; ++i) {
-    dumper.handle_packet(
-        0, mirrored_packet(static_cast<std::uint64_t>(i), i * 1000, 9999));
-  }
-  dumper.terminate();
-  const std::string path = ::testing::TempDir() + "/dumper_test.pcap";
-  ASSERT_TRUE(dumper.write_pcap(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  // Global header + 5 * (record header + trimmed packet).
-  EXPECT_GE(std::ftell(f), 24 + 5 * 16);
-  std::fclose(f);
-  std::remove(path.c_str());
 }
 
 class DumperCoreSweep : public ::testing::TestWithParam<int> {};

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <stdexcept>
+#include <optional>
 #include <vector>
 
 #include "injector/event_table.h"
@@ -269,24 +269,26 @@ class CaptureNode : public Node {
 
 class SwitchTest : public ::testing::Test {
  protected:
-  SwitchTest()
-      : sw(&sim, 4, EventInjectorSwitch::Options{}),
-        host_a(&sim),
-        host_b(&sim),
-        dumper(&sim) {
-    connect(host_a.port(), sw.port(0), LinkParams{100.0, 10});
-    connect(host_b.port(), sw.port(1), LinkParams{100.0, 10});
-    connect(dumper.port(), sw.port(2), LinkParams{100.0, 10});
-    sw.add_route(kFlow.src_ip, 0);
-    sw.add_route(kFlow.dst_ip, 1);
-    sw.set_mirror_targets({{2, 1}});
+  SwitchTest() : host_a(&sim), host_b(&sim), dumper(&sim) { build({}); }
+
+  /// Builds the switch with `options` and wires host_a, host_b and the
+  /// dumper to ports 0-2. The fixture builds it with the default options;
+  /// a test that needs others builds it again before any traffic.
+  void build(const EventInjectorSwitch::Options& options) {
+    sw.emplace(&sim, 4, options);
+    connect(host_a.port(), sw->port(0), LinkParams{100.0, 10});
+    connect(host_b.port(), sw->port(1), LinkParams{100.0, 10});
+    connect(dumper.port(), sw->port(2), LinkParams{100.0, 10});
+    sw->add_route(kFlow.src_ip, 0);
+    sw->add_route(kFlow.dst_ip, 1);
+    sw->set_mirror_targets({{2, 1}});
   }
 
   Simulator sim;
-  EventInjectorSwitch sw;
   CaptureNode host_a;
   CaptureNode host_b;
   CaptureNode dumper;
+  std::optional<EventInjectorSwitch> sw;
 };
 
 TEST_F(SwitchTest, ForwardsByDestinationIp) {
@@ -294,8 +296,8 @@ TEST_F(SwitchTest, ForwardsByDestinationIp) {
   sim.run();
   ASSERT_EQ(host_b.packets.size(), 1u);
   EXPECT_TRUE(host_a.packets.empty());
-  EXPECT_EQ(sw.roce_counters().roce_rx, 1u);
-  EXPECT_EQ(sw.roce_counters().roce_tx, 1u);
+  EXPECT_EQ(sw->roce_counters().roce_rx, 1u);
+  EXPECT_EQ(sw->roce_counters().roce_tx, 1u);
 }
 
 TEST_F(SwitchTest, MirrorsEveryRocePacket) {
@@ -303,27 +305,27 @@ TEST_F(SwitchTest, MirrorsEveryRocePacket) {
   host_a.port().send(sample_packet());
   sim.run();
   EXPECT_EQ(dumper.packets.size(), 2u);
-  EXPECT_EQ(sw.roce_counters().mirrored, 2u);
+  EXPECT_EQ(sw->roce_counters().mirrored, 2u);
   // Mirror copies carry consecutive sequence numbers.
   EXPECT_EQ(extract_mirror_meta(dumper.packets[0]).mirror_seq, 0u);
   EXPECT_EQ(extract_mirror_meta(dumper.packets[1]).mirror_seq, 1u);
 }
 
 TEST_F(SwitchTest, DropRuleDropsButStillMirrors) {
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kDrop});
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kDrop});
   host_a.port().send(sample_packet());
   sim.run();
   EXPECT_TRUE(host_b.packets.empty());  // dropped before the MMU
   ASSERT_EQ(dumper.packets.size(), 1u);  // but mirrored (§3.4)
   EXPECT_EQ(extract_mirror_meta(dumper.packets[0]).event, EventType::kDrop);
-  EXPECT_EQ(sw.roce_counters().dropped_by_event, 1u);
-  EXPECT_EQ(sw.roce_counters().events_applied, 1u);
+  EXPECT_EQ(sw->roce_counters().dropped_by_event, 1u);
+  EXPECT_EQ(sw->roce_counters().events_applied, 1u);
 }
 
 TEST_F(SwitchTest, EcnRuleMarksForwardedPacket) {
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kEcn});
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kEcn});
   host_a.port().send(sample_packet());
   sim.run();
   ASSERT_EQ(host_b.packets.size(), 1u);
@@ -333,8 +335,8 @@ TEST_F(SwitchTest, EcnRuleMarksForwardedPacket) {
 }
 
 TEST_F(SwitchTest, CorruptRuleBreaksIcrc) {
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kCorrupt});
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kCorrupt});
   host_a.port().send(sample_packet());
   sim.run();
   ASSERT_EQ(host_b.packets.size(), 1u);
@@ -342,21 +344,21 @@ TEST_F(SwitchTest, CorruptRuleBreaksIcrc) {
 }
 
 TEST_F(SwitchTest, EnforceDropsFalseKeepsTablesButForwards) {
-  auto options = sw.options();
+  EventInjectorSwitch::Options options;
   options.enforce_drops = false;
-  sw.set_options(options);
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kDrop});
+  build(options);
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kDrop});
   host_a.port().send(sample_packet());
   sim.run();
   EXPECT_EQ(host_b.packets.size(), 1u);  // matched but not enforced (§5)
-  EXPECT_EQ(sw.roce_counters().events_applied, 1u);
+  EXPECT_EQ(sw->roce_counters().events_applied, 1u);
 }
 
 TEST_F(SwitchTest, RewriteMigReqAction) {
-  auto options = sw.options();
+  EventInjectorSwitch::Options options;
   options.rewrite_mig_req = true;
-  sw.set_options(options);
+  build(options);
   RocePacketSpec spec;
   spec.src_ip = kFlow.src_ip;
   spec.dst_ip = kFlow.dst_ip;
@@ -375,11 +377,11 @@ TEST_F(SwitchTest, RewriteMigReqKeepsACorruptedFrameExactlyAsCorrupt) {
   // rewrite moves the trailer by the change in the iCRC, so the frame
   // leaves with MigReq 1 and the trailer of a clean MigReq-1 frame, and
   // the corruption is still the only thing wrong with it.
-  auto options = sw.options();
+  EventInjectorSwitch::Options options;
   options.rewrite_mig_req = true;
-  sw.set_options(options);
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kCorrupt});
+  build(options);
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kCorrupt});
   RocePacketSpec spec;
   spec.src_ip = kFlow.src_ip;
   spec.dst_ip = kFlow.dst_ip;
@@ -391,7 +393,7 @@ TEST_F(SwitchTest, RewriteMigReqKeepsACorruptedFrameExactlyAsCorrupt) {
   host_a.port().send(build_roce_packet(spec));
   sim.run();
   ASSERT_EQ(host_b.packets.size(), 1u);
-  EXPECT_EQ(sw.roce_counters().events_applied, 1u);
+  EXPECT_EQ(sw->roce_counters().events_applied, 1u);
   Packet delivered = host_b.packets[0];
   EXPECT_TRUE(parse_roce(delivered)->bth.mig_req);
   EXPECT_FALSE(verify_icrc(delivered));
@@ -414,12 +416,12 @@ TEST_F(Injector, RewriteMigReqEventSetsMigReqOnTheMatchedPacketOnly) {
   // packet. E810-style frames (MigReq 0) at PSN k-1, k and k+1; only k
   // leaves with MigReq 1, on the wire and in its mirror copy.
   const std::uint32_t k = 42;
-  sw.register_flow(kFlow, k - 1);
+  sw->register_flow(kFlow, k - 1);
   EventRule rule;
   rule.flow = kFlow;
   rule.psn = k;
   rule.action = EventType::kRewriteMigReq;
-  sw.install_rule(rule);
+  sw->install_rule(rule);
   for (const std::uint32_t psn : {k - 1, k, k + 1}) {
     RocePacketSpec spec;
     spec.src_ip = kFlow.src_ip;
@@ -432,7 +434,7 @@ TEST_F(Injector, RewriteMigReqEventSetsMigReqOnTheMatchedPacketOnly) {
     host_a.port().send(build_roce_packet(spec));
   }
   sim.run();
-  EXPECT_EQ(sw.roce_counters().events_applied, 1u);
+  EXPECT_EQ(sw->roce_counters().events_applied, 1u);
   ASSERT_EQ(host_b.packets.size(), 3u);
   ASSERT_EQ(dumper.packets.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -467,8 +469,7 @@ TEST_F(SwitchTest, EventStageAddsLatency) {
   a2.port().send(sample_packet());
   sim2.run();
   ASSERT_EQ(b2.packets.size(), 1u);
-  EXPECT_EQ(with_events - sim2.now(),
-            EventInjectorSwitch::Options{}.event_stage_latency);
+  EXPECT_EQ(with_events - sim2.now(), EventInjectorSwitch::kEventStageLatency);
 }
 
 TEST_F(SwitchTest, UnroutableDestinationIsDropped) {
@@ -479,7 +480,7 @@ TEST_F(SwitchTest, UnroutableDestinationIsDropped) {
   host_a.port().send(build_roce_packet(spec));
   sim.run();
   EXPECT_TRUE(host_b.packets.empty());
-  EXPECT_EQ(sw.roce_counters().mirrored, 1u);  // still mirrored at ingress
+  EXPECT_EQ(sw->roce_counters().mirrored, 1u);  // still mirrored at ingress
 }
 
 // ---------------------------------------------------------------------------
@@ -554,24 +555,24 @@ Packet psn_packet(std::uint32_t psn) {
 }
 
 TEST_F(SwitchTest, DuplicateRuleEmitsOneClone) {
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kDuplicate});
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kDuplicate});
   host_a.port().send(sample_packet());
   sim.run();
   EXPECT_EQ(host_b.packets.size(), 2u);  // original + clone
-  EXPECT_EQ(sw.fault_stats().duplicates_emitted, 1u);
-  EXPECT_EQ(sw.roce_counters().roce_tx, 2u);
+  EXPECT_EQ(sw->fault_stats().duplicates_emitted, 1u);
+  EXPECT_EQ(sw->roce_counters().roce_tx, 2u);
   // Mirrored once: the clone is an egress artifact, not new ingress.
-  EXPECT_EQ(sw.roce_counters().mirrored, 1u);
+  EXPECT_EQ(sw->roce_counters().mirrored, 1u);
 }
 
 TEST_F(SwitchTest, BurstLossChannelDropsArmedFlow) {
-  sw.register_flow(kFlow, 42);
+  sw->register_flow(kFlow, 42);
   EventRule rule{kFlow, 42, 1, EventType::kBurstLoss};
   rule.fault.ge_p = 0.0;  // never leaves Bad once armed...
   rule.fault.ge_r = 0.0;
   rule.fault.duration = 0;  // ...for the rest of the run
-  sw.install_rule(rule);
+  sw->install_rule(rule);
   host_a.port().send(psn_packet(42));
   host_a.port().send(psn_packet(43));
   host_a.port().send(psn_packet(44));
@@ -580,18 +581,18 @@ TEST_F(SwitchTest, BurstLossChannelDropsArmedFlow) {
   // all of them are still mirrored first (§3.4/§3.5 integrity).
   EXPECT_TRUE(host_b.packets.empty());
   EXPECT_EQ(dumper.packets.size(), 3u);
-  EXPECT_EQ(sw.fault_stats().burst_channels_started, 1u);
-  EXPECT_EQ(sw.fault_stats().burst_loss_dropped, 3u);
-  EXPECT_EQ(sw.roce_counters().dropped_by_event, 3u);
+  EXPECT_EQ(sw->fault_stats().burst_channels_started, 1u);
+  EXPECT_EQ(sw->fault_stats().burst_loss_dropped, 3u);
+  EXPECT_EQ(sw->roce_counters().dropped_by_event, 3u);
 }
 
 TEST_F(SwitchTest, BurstLossChannelExpires) {
-  sw.register_flow(kFlow, 42);
+  sw->register_flow(kFlow, 42);
   EventRule rule{kFlow, 42, 1, EventType::kBurstLoss};
   rule.fault.ge_p = 0.0;
   rule.fault.ge_r = 0.0;
   rule.fault.duration = 5 * kMicrosecond;
-  sw.install_rule(rule);
+  sw->install_rule(rule);
   host_a.port().send(psn_packet(42));
   sim.run();
   EXPECT_TRUE(host_b.packets.empty());  // armed packet lost
@@ -600,15 +601,15 @@ TEST_F(SwitchTest, BurstLossChannelExpires) {
                      [this] { host_a.port().send(psn_packet(43)); });
   sim.run();
   EXPECT_EQ(host_b.packets.size(), 1u);
-  EXPECT_EQ(sw.active_burst_channels(), 0u);
+  EXPECT_EQ(sw->active_burst_channels(), 0u);
 }
 
 TEST_F(SwitchTest, PauseStormSendsPfcTowardSender) {
-  sw.register_flow(kFlow, 42);
+  sw->register_flow(kFlow, 42);
   EventRule rule{kFlow, 42, 1, EventType::kPauseStorm};
   rule.fault.priority = 2;
   rule.fault.duration = 25 * kMicrosecond;
-  sw.install_rule(rule);
+  sw->install_rule(rule);
   host_a.port().send(sample_packet());
   sim.run();
   // Frames at t=0/10us/20us into the storm plus the closing resume, all
@@ -625,8 +626,8 @@ TEST_F(SwitchTest, PauseStormSendsPfcTowardSender) {
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->class_enable, 1u << 2);
   EXPECT_EQ(last->quanta[2], 0u);  // storm ends with an explicit resume
-  EXPECT_EQ(sw.fault_stats().pause_storms, 1u);
-  EXPECT_EQ(sw.fault_stats().pause_frames_sent, 4u);
+  EXPECT_EQ(sw->fault_stats().pause_storms, 1u);
+  EXPECT_EQ(sw->fault_stats().pause_frames_sent, 4u);
   // The data packet itself still forwards: a pause storm gates the
   // receiver's egress, not the switch path.
   EXPECT_EQ(host_b.packets.size(), 1u);
@@ -672,18 +673,18 @@ TEST_F(SwitchTest, UndelayedMirroredFrameLeavesInOneFusedEvent) {
   std::vector<const CaptureNode*> arrivals;
   host_b.arrivals = &arrivals;
   dumper.arrivals = &arrivals;
-  const Tick latency = sw.options().l2_pipeline_latency +
-                       sw.options().event_stage_latency;
-  sw.handle_packet(0, sample_packet());
+  const Tick latency = EventInjectorSwitch::kL2PipelineLatency +
+                       EventInjectorSwitch::kEventStageLatency;
+  sw->handle_packet(0, sample_packet());
   // One departure for the mirror copy and the frame together.
   EXPECT_EQ(sim.pending_events(), 1u);
 
   sim.run_until(latency - 1);
-  EXPECT_EQ(sw.port(2).counters().tx_packets, 0u);
-  EXPECT_EQ(sw.port(1).counters().tx_packets, 0u);
+  EXPECT_EQ(sw->port(2).counters().tx_packets, 0u);
+  EXPECT_EQ(sw->port(1).counters().tx_packets, 0u);
   sim.run_until(latency);
-  EXPECT_EQ(sw.port(2).counters().tx_packets, 1u);
-  EXPECT_EQ(sw.port(1).counters().tx_packets, 1u);
+  EXPECT_EQ(sw->port(2).counters().tx_packets, 1u);
+  EXPECT_EQ(sw->port(1).counters().tx_packets, 1u);
   // What is left is the two deliveries: with nothing queued behind them,
   // the ports' serialization-complete events are not scheduled.
   EXPECT_EQ(sim.pending_events(), 2u);
@@ -693,19 +694,19 @@ TEST_F(SwitchTest, UndelayedMirroredFrameLeavesInOneFusedEvent) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], &dumper);
   EXPECT_EQ(arrivals[1], &host_b);
-  EXPECT_EQ(sw.roce_counters().mirrored, 1u);
-  EXPECT_EQ(sw.roce_counters().roce_tx, 1u);
+  EXPECT_EQ(sw->roce_counters().mirrored, 1u);
+  EXPECT_EQ(sw->roce_counters().roce_tx, 1u);
 }
 
 TEST_F(SwitchTest, DelayDuplicateReorderAndDropKeepSeparateMirrorEvents) {
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kDelay, 1000, {}});
-  sw.install_rule(EventRule{kFlow, 43, 1, EventType::kDuplicate, 0, {}});
-  sw.install_rule(EventRule{kFlow, 44, 1, EventType::kReorder, 0, {}});
-  sw.install_rule(EventRule{kFlow, 45, 1, EventType::kDrop, 0, {}});
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kDelay, 1000, {}});
+  sw->install_rule(EventRule{kFlow, 43, 1, EventType::kDuplicate, 0, {}});
+  sw->install_rule(EventRule{kFlow, 44, 1, EventType::kReorder, 0, {}});
+  sw->install_rule(EventRule{kFlow, 45, 1, EventType::kDrop, 0, {}});
   const auto pending_after = [this](std::uint32_t psn) {
     const std::size_t before = sim.pending_events();
-    sw.handle_packet(0, psn_packet(psn));
+    sw->handle_packet(0, psn_packet(psn));
     return sim.pending_events() - before;
   };
   EXPECT_EQ(pending_after(42), 2u);  // mirror send, delayed forward
@@ -727,20 +728,6 @@ TEST_F(SwitchTest, DelayDuplicateReorderAndDropKeepSeparateMirrorEvents) {
     EXPECT_EQ(parse_roce(dumper.packets[i])->bth.psn, 42 + i);
     EXPECT_EQ(extract_mirror_meta(dumper.packets[i]).mirror_seq, i);
   }
-}
-
-TEST_F(SwitchTest, SetOptionsThrowsWhileAFusedDepartureIsPending) {
-  sw.handle_packet(0, sample_packet());
-  auto options = sw.options();
-  options.l2_pipeline_latency = 10;
-  EXPECT_THROW(sw.set_options(options), std::logic_error);
-  EXPECT_EQ(sw.options().l2_pipeline_latency,
-            EventInjectorSwitch::Options{}.l2_pipeline_latency);
-  sim.run();
-  sw.set_options(options);
-  EXPECT_EQ(sw.options().l2_pipeline_latency, 10);
-  EXPECT_EQ(host_b.packets.size(), 1u);
-  EXPECT_EQ(dumper.packets.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -820,8 +807,8 @@ INSTANTIATE_TEST_SUITE_P(AllFaults, FaultDeterminismTest,
 
 TEST_F(SwitchTest, ControlPacketsAreNotInjectable) {
   // ACKs match no event rules even if one is installed for their PSN.
-  sw.register_flow(kFlow, 42);
-  sw.install_rule(EventRule{kFlow, 42, 1, EventType::kDrop});
+  sw->register_flow(kFlow, 42);
+  sw->install_rule(EventRule{kFlow, 42, 1, EventType::kDrop});
   RocePacketSpec spec;
   spec.src_ip = kFlow.src_ip;
   spec.dst_ip = kFlow.dst_ip;
@@ -832,7 +819,7 @@ TEST_F(SwitchTest, ControlPacketsAreNotInjectable) {
   host_a.port().send(build_roce_packet(spec));
   sim.run();
   EXPECT_EQ(host_b.packets.size(), 1u);  // forwarded, not dropped
-  EXPECT_EQ(sw.roce_counters().events_applied, 0u);
+  EXPECT_EQ(sw->roce_counters().events_applied, 0u);
 }
 
 }  // namespace

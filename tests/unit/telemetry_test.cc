@@ -1,6 +1,7 @@
 // Unit tests for the telemetry layer (docs/telemetry.md): histogram bucket
-// math, snapshot ordering and campaign merging, the bounded trace ring,
-// the JSON reader, and the report.json serializer round-trip.
+// math, snapshot ordering and campaign merging, the NIC trace tracks and
+// the bounded trace ring, the JSON reader, and the report.json serializer
+// round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,6 +146,18 @@ TEST(MetricsSnapshot, MergeAddsHistogramBucketsWhenBoundsMatch) {
 }
 
 // -- trace ring -----------------------------------------------------------
+
+TEST(TraceTracks, NicTracksAreDenseAndLegacyCompatible) {
+  // Hosts 0/1 keep the historical requester/responder track IDs (byte
+  // compatibility of two-host chrome traces); hosts beyond get dense IDs
+  // from kTrackDynamicBase up.
+  static_assert(nic_track(0) == kTrackRequester);
+  static_assert(nic_track(1) == kTrackResponder);
+  static_assert(nic_track(2) == kTrackDynamicBase);
+  static_assert(nic_track(3) == kTrackDynamicBase + 1);
+  static_assert(nic_track(4) == kTrackDynamicBase + 2);
+  SUCCEED();
+}
 
 TEST(TraceSink, RingOverwritesOldestAndCountsDrops) {
   TraceSink sink(4);
