@@ -11,14 +11,13 @@
 //                      an ACK-paced workload cancels + re-arms it for
 //                      several rounds, the steady state of a healthy
 //                      fabric where RTOs almost never fire; ends with all
-//                      timers cancelled and the wheel reclaiming the
+//                      timers cancelled and the timer heap reclaiming the
 //                      tombstones.
 //   Phase C (storm)  — an incast loss burst: every QP's RTO is armed
-//                      inside one narrow window and ALL of them expire,
-//                      cascading through the wheel levels at once.
+//                      inside one narrow window and ALL of them expire.
 //
-// Deterministic counters (live QPs, wheel arm/fire/reclaim/cascade
-// totals, simulator events) are a pure function of n — the CI bench gate
+// Deterministic counters (live QPs, timer arm/fire/reclaim totals and
+// peak, simulator events) are a pure function of n — the CI bench gate
 // diffs them against bench/baselines/qp_scaling_baseline.json at zero
 // tolerance. Wall-clock per-op costs are printed only, so the report's
 // "wall" section stays empty.
@@ -55,11 +54,10 @@ struct Sample {
   std::size_t qps = 0;
   // Deterministic (pure function of n).
   std::size_t qps_live = 0;
-  std::uint64_t wheel_armed = 0;
-  std::uint64_t wheel_fired = 0;
-  std::uint64_t wheel_reclaimed = 0;
-  std::uint64_t wheel_cascades = 0;
-  std::size_t wheel_max_stored = 0;
+  std::uint64_t timer_armed = 0;
+  std::uint64_t timer_fired = 0;
+  std::uint64_t timer_reclaimed = 0;
+  std::size_t timer_max_stored = 0;
   std::uint64_t sim_events = 0;
   // Wall clock.
   double setup_ms = 0;
@@ -86,8 +84,8 @@ Sample run_scale(std::size_t n) {
   // Phase B: ACK-paced timer churn. Each "ACK" cancels the QP's armed RTO
   // and re-arms it one RTT later — the dominant timer pattern on a healthy
   // fabric. Calendar events play the ACK arrivals; the RTOs live in the
-  // wheel. After kChurnRounds every timer is cancelled, so the wheel ends
-  // the phase holding only tombstones, which the run loop reclaims.
+  // timer heap. After kChurnRounds every timer is cancelled, so the heap
+  // ends the phase holding only tombstones, which the run loop reclaims.
   std::vector<std::uint64_t> armed(n);
   Rng rng(0x51AB5CA1E);
   start = std::chrono::steady_clock::now();
@@ -115,7 +113,7 @@ Sample run_scale(std::size_t n) {
 
   // Phase C: incast retransmission storm. A synchronized loss burst arms
   // every QP's RTO inside one 4 us window; nothing cancels them, so all n
-  // expire and cascade through the wheel levels together.
+  // expire together.
   start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n; ++i) {
     sim.schedule_timer_after(kRto + static_cast<Tick>(rng.next_below(4096)),
@@ -124,12 +122,11 @@ Sample run_scale(std::size_t n) {
   sim.run();
   s.storm_ms = ms_since(start);
 
-  const TimingWheel& wheel = sim.timer_wheel();
-  s.wheel_armed = wheel.armed_total();
-  s.wheel_fired = wheel.fired_total();
-  s.wheel_reclaimed = wheel.reclaimed_total();
-  s.wheel_cascades = wheel.cascades();
-  s.wheel_max_stored = wheel.max_stored();
+  const TimerHeap& timers = sim.timers();
+  s.timer_armed = timers.armed_total();
+  s.timer_fired = timers.fired_total();
+  s.timer_reclaimed = timers.reclaimed_total();
+  s.timer_max_stored = timers.max_stored();
   s.sim_events = sim.events_processed();
   return s;
 }
@@ -161,7 +158,7 @@ int main(int argc, char** argv) {
   if (full) scales.push_back(1'000'000);
 
   Table table({"qps", "setup_ms", "churn_ms", "storm_ms", "ns/arm",
-               "wheel_max", "cascades"});
+               "timer_max"});
   telemetry::RunReport report;
   report.name = "qp-scaling";
   std::vector<Sample> samples;
@@ -169,22 +166,20 @@ int main(int argc, char** argv) {
     samples.push_back(run_scale(n));
     const Sample& s = samples.back();
     const double ns_per_arm =
-        (s.churn_ms + s.storm_ms) * 1e6 / static_cast<double>(s.wheel_armed);
+        (s.churn_ms + s.storm_ms) * 1e6 / static_cast<double>(s.timer_armed);
     table.add_row({std::to_string(s.qps), fmt("%.1f", s.setup_ms),
                    fmt("%.1f", s.churn_ms), fmt("%.1f", s.storm_ms),
-                   fmt("%.0f", ns_per_arm), std::to_string(s.wheel_max_stored),
-                   std::to_string(s.wheel_cascades)});
+                   fmt("%.0f", ns_per_arm),
+                   std::to_string(s.timer_max_stored)});
     if (s.qps > 100'000) continue;  // nightly-only point: wall-clock only
     const std::string prefix = "qp_scaling.n" + std::to_string(s.qps) + ".";
     report.deterministic.counters[prefix + "qps_live"] = s.qps_live;
-    report.deterministic.counters[prefix + "wheel_armed"] = s.wheel_armed;
-    report.deterministic.counters[prefix + "wheel_fired"] = s.wheel_fired;
-    report.deterministic.counters[prefix + "wheel_reclaimed"] =
-        s.wheel_reclaimed;
-    report.deterministic.counters[prefix + "wheel_cascades"] =
-        s.wheel_cascades;
-    report.deterministic.counters[prefix + "wheel_max_stored"] =
-        s.wheel_max_stored;
+    report.deterministic.counters[prefix + "timer_armed"] = s.timer_armed;
+    report.deterministic.counters[prefix + "timer_fired"] = s.timer_fired;
+    report.deterministic.counters[prefix + "timer_reclaimed"] =
+        s.timer_reclaimed;
+    report.deterministic.counters[prefix + "timer_max_stored"] =
+        s.timer_max_stored;
     report.deterministic.counters[prefix + "sim_events"] = s.sim_events;
   }
   table.print();
@@ -196,23 +191,23 @@ int main(int argc, char** argv) {
     // Every armed timer either fired (storm + the churn stragglers the
     // ACKs raced) or was reclaimed as a tombstone; none may leak.
     conserved =
-        conserved && s.wheel_armed == s.wheel_fired + s.wheel_reclaimed;
+        conserved && s.timer_armed == s.timer_fired + s.timer_reclaimed;
   }
   check.expect(qps_exact, "the NIC holds exactly n live QPs at every scale");
   check.expect(conserved,
                "every armed timer is accounted for (fired or reclaimed)");
-  check.expect(samples.back().wheel_max_stored >= samples.back().qps,
-               "the wheel held one armed RTO per QP at peak");
-  // O(1)-ish arm/cancel: per-op cost at the top scale stays within 8x of
+  check.expect(samples.back().timer_max_stored >= samples.back().qps,
+               "the timer heap held one armed RTO per QP at peak");
+  // Near-flat arm/cancel: per-op cost at the top scale stays within 8x of
   // the smallest scale (a calendar queue degrades far worse; the loose
-  // factor absorbs cache effects on shared CI runners).
+  // factor absorbs the heap's log n and cache effects on shared CI
+  // runners).
   const auto per_op = [](const Sample& s) {
-    return (s.churn_ms + s.storm_ms) / static_cast<double>(s.wheel_armed);
+    return (s.churn_ms + s.storm_ms) / static_cast<double>(s.timer_armed);
   };
   check.expect(per_op(samples.back()) <= 8 * per_op(samples.front()) ||
                    per_op(samples.back()) * 1e6 < 250,
-               "per-timer cost stays near-flat across the sweep (O(1) "
-               "arm/cancel)");
+               "per-timer cost stays near-flat across the sweep");
 
   if (!report_out.empty()) {
     std::string failed;

@@ -99,7 +99,7 @@ BENCHMARK(BM_IterTrackerObserve);
 
 void BM_MirrorClone(benchmark::State& state) {
   MirrorEngine engine(42);
-  engine.set_targets({{2, 1}, {3, 1}});
+  engine.set_targets({2, 3});
   const Packet pkt = build_roce_packet(sample_spec(1024));
   Tick ts = 0;
   for (auto _ : state) {

@@ -9,7 +9,7 @@
 //             (clustered timestamps, queue depth ~ #in-flight packets).
 //   timers  — churn plus 1000 armed retransmission-shaped timers that are
 //             cancelled and re-armed: the Simulator files them in its
-//             timing wheel, which it consults before every event it fires.
+//             timer heap, which it consults before every event it fires.
 //   cancel  — schedule `depth` events, cancel half of them by id, then
 //             drain. Exercises O(1) tombstoning vs the heap's hash set.
 //   sparse  — timestamps spread over a 1e12-tick span, the calendar
@@ -39,7 +39,6 @@ namespace {
 struct Sample {
   double ops_per_sec = 0;
   std::uint64_t fired = 0;
-  std::uint64_t wheel_scans = 0;  ///< timers on the Simulator only
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -83,8 +82,8 @@ Sample churn(std::size_t depth, std::uint64_t ops, std::uint64_t seed) {
 /// "ACK" that cancels a random QP's timer and re-arms it 100-150 us out; a
 /// timer that fires re-arms itself. Once `ops` calendar firings are done,
 /// nothing re-arms and the run drains. The Simulator files the timers in
-/// its wheel; the reference heap has none and schedules them as plain
-/// events, which fire identically.
+/// its timer heap; the reference scheduler has none and schedules them as
+/// plain events, which fire identically.
 template <typename Sched>
 Sample timers(std::size_t depth, std::size_t qps, std::uint64_t ops,
               std::uint64_t seed) {
@@ -133,11 +132,7 @@ Sample timers(std::size_t depth, std::size_t qps, std::uint64_t ops,
   const auto start = std::chrono::steady_clock::now();
   ctx.sched.run();
   const double wall = seconds_since(start);
-  Sample sample{static_cast<double>(ctx.fired) / wall, ctx.fired};
-  if constexpr (std::is_same_v<Sched, Simulator>) {
-    sample.wheel_scans = ctx.sched.timer_wheel().scans();
-  }
-  return sample;
+  return {static_cast<double>(ctx.fired) / wall, ctx.fired};
 }
 
 /// Schedule `depth`, cancel every other id, drain. Counts schedule+cancel+
@@ -213,8 +208,7 @@ int main() {
   churn_table.print();
 
   subheading("timers: churn + 1000 RTO timers cancelled and re-armed (Mops/s)");
-  Table timers_table(
-      {"depth", "heap", "calendar+wheel", "speedup", "wheel scans/event"});
+  Table timers_table({"depth", "heap", "calendar+timers", "speedup"});
   for (const std::size_t depth : depths) {
     const std::uint64_t ops = std::max<std::uint64_t>(depth * 2, 200'000);
     const Sample heap = timers<ReferenceScheduler>(depth, 1'000, ops, depth);
@@ -222,11 +216,9 @@ int main() {
     check.expect(heap.fired == sim.fired,
                  "timers depth " + std::to_string(depth) +
                      ": identical fired counts");
-    timers_table.add_row(
-        {std::to_string(depth), mops(heap.ops_per_sec), mops(sim.ops_per_sec),
-         fmt("%.2fx", sim.ops_per_sec / heap.ops_per_sec),
-         fmt("%.4f", static_cast<double>(sim.wheel_scans) /
-                         static_cast<double>(sim.fired))});
+    timers_table.add_row({std::to_string(depth), mops(heap.ops_per_sec),
+                          mops(sim.ops_per_sec),
+                          fmt("%.2fx", sim.ops_per_sec / heap.ops_per_sec)});
   }
   timers_table.print();
 

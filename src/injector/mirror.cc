@@ -14,10 +14,9 @@ MirrorMeta extract_mirror_meta(const Packet& pkt) {
   return meta;
 }
 
-void MirrorEngine::set_targets(std::vector<Target> targets) {
-  targets_ = std::move(targets);
-  credits_.assign(targets_.size(), 0);
-  wrr_cursor_ = 0;
+void MirrorEngine::set_targets(std::vector<int> port_indices) {
+  targets_ = std::move(port_indices);
+  next_target_ = 0;
 }
 
 MirrorEngine::Mirrored MirrorEngine::mirror(const Packet& original,
@@ -42,24 +41,9 @@ MirrorEngine::Mirrored MirrorEngine::mirror(const Packet& original,
 
 int MirrorEngine::pick_target() {
   if (targets_.empty()) return -1;
-  // Weighted round-robin: each pass grants `weight` credits; a target with
-  // positive credit takes the packet and spends one credit.
-  for (;;) {
-    if (credits_[wrr_cursor_] > 0) {
-      --credits_[wrr_cursor_];
-      return targets_[wrr_cursor_].port_index;
-    }
-    ++wrr_cursor_;
-    if (wrr_cursor_ >= targets_.size()) {
-      wrr_cursor_ = 0;
-      bool any = false;
-      for (std::size_t i = 0; i < targets_.size(); ++i) {
-        credits_[i] += targets_[i].weight;
-        any = any || credits_[i] > 0;
-      }
-      if (!any) return targets_[0].port_index;  // all weights zero
-    }
-  }
+  const int port = targets_[next_target_];
+  if (++next_target_ == targets_.size()) next_target_ = 0;
+  return port;
 }
 
 }  // namespace lumina

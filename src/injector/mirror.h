@@ -10,8 +10,7 @@
 //
 // The clone's UDP destination port is also rewritten to a pseudo-random
 // value so the dumper hosts' RSS spreads packets across all CPU cores, and
-// the clone is forwarded to one of the dumper ports picked by a weighted
-// round-robin scheduler.
+// the clone is forwarded to the dumper ports in round robin.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +35,10 @@ MirrorMeta extract_mirror_meta(const Packet& pkt);
 
 class MirrorEngine {
  public:
-  struct Target {
-    int port_index = 0;  ///< Switch egress port toward one dumper node.
-    int weight = 1;      ///< Relative processing capacity of that dumper.
-  };
-
   explicit MirrorEngine(std::uint64_t rng_seed = 1) : rng_(rng_seed) {}
 
-  void set_targets(std::vector<Target> targets);
+  /// The switch egress ports toward the dumper nodes, taken in turn.
+  void set_targets(std::vector<int> port_indices);
   bool has_targets() const { return !targets_.empty(); }
 
   /// Whether to randomize the clone's UDP destination port (RSS trick).
@@ -63,9 +58,8 @@ class MirrorEngine {
  private:
   int pick_target();
 
-  std::vector<Target> targets_;
-  std::vector<int> credits_;  // WRR deficit per target
-  std::size_t wrr_cursor_ = 0;
+  std::vector<int> targets_;
+  std::size_t next_target_ = 0;
   std::uint64_t next_seq_ = 0;
   bool randomize_udp_port_ = true;
   Rng rng_;

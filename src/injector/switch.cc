@@ -21,9 +21,8 @@ void EventInjectorSwitch::add_route(Ipv4Address dst, int port_index) {
   routes_[dst] = port_index;
 }
 
-void EventInjectorSwitch::set_mirror_targets(
-    std::vector<MirrorEngine::Target> targets) {
-  mirror_.set_targets(std::move(targets));
+void EventInjectorSwitch::set_mirror_targets(std::vector<int> port_indices) {
+  mirror_.set_targets(std::move(port_indices));
 }
 
 void EventInjectorSwitch::register_flow(const FlowKey& flow,

@@ -101,8 +101,9 @@ class EventInjectorSwitch : public Node {
   /// Installs an L3 route: packets to `dst` leave through `port_index`.
   void add_route(Ipv4Address dst, int port_index);
 
-  /// Declares the dumper pool: mirror targets with WRR weights.
-  void set_mirror_targets(std::vector<MirrorEngine::Target> targets);
+  /// Declares the dumper pool: the egress ports mirror copies leave
+  /// through, in round robin.
+  void set_mirror_targets(std::vector<int> port_indices);
 
   // -- control plane (populated by the orchestrator) -----------------------
   void register_flow(const FlowKey& flow, std::uint32_t ipsn);

@@ -80,13 +80,13 @@ void Orchestrator::build_testbed() {
 
   // Traffic dumper pool: links sized like the fastest host link (§3.4 —
   // pooling is what makes slower dumpers viable; benches vary this).
-  std::vector<MirrorEngine::Target> targets;
+  std::vector<int> targets;
   for (int j = 0; j < options_.num_dumpers; ++j) {
     auto dumper =
         std::make_unique<TrafficDumper>(&sim_, options_.dumper_options);
     connect(dumper->port(), switch_->port(num_hosts + j),
             LinkParams{fastest_gbps, kLinkPropagation});
-    targets.push_back(MirrorEngine::Target{num_hosts + j, 1});
+    targets.push_back(num_hosts + j);
     dumpers_.push_back(std::move(dumper));
   }
   switch_->set_mirror_targets(std::move(targets));

@@ -24,7 +24,7 @@ void Simulator::file(Tick when, std::uint64_t id, Callback cb) {
   ev.cb = std::move(cb);
   queue_.push(std::move(ev));
   ++alive_;
-  const std::size_t depth = queue_.size() + wheel_.stored();
+  const std::size_t depth = queue_.size() + timers_.stored();
   if (depth > max_queue_depth_) max_queue_depth_ = depth;
 }
 
@@ -39,13 +39,10 @@ std::uint64_t Simulator::schedule_after(Tick delay, Callback cb) {
 }
 
 std::uint64_t Simulator::schedule_timer_at(Tick when, Callback cb) {
-  if (timer_backend_ == TimerBackend::kCalendar) {
-    return schedule_at(when, std::move(cb));
-  }
   const std::uint64_t id = reserve_id();
-  wheel_.arm(when < now_ ? now_ : when, id, std::move(cb));
+  timers_.arm(when < now_ ? now_ : when, id, std::move(cb));
   ++alive_;
-  const std::size_t depth = queue_.size() + wheel_.stored();
+  const std::size_t depth = queue_.size() + timers_.stored();
   if (depth > max_queue_depth_) max_queue_depth_ = depth;
   return id;
 }
@@ -67,16 +64,16 @@ void Simulator::cancel(std::uint64_t event_id) {
 bool Simulator::locate_next(bool& timer_first, Tick& next_when) {
   for (;;) {
     const SimEvent* head = queue_.peek_min();
-    // Consult the wheel before popping a tombstoned head: a dead calendar
-    // event is dropped only once it is the global (calendar ∪ wheel)
-    // minimum, exactly when the single-queue path would lazily pop it —
-    // otherwise it stays resident through earlier timer callbacks and the
-    // queue-depth telemetry diverges between the two timer backends.
-    timer_first = !wheel_.empty() &&
-                  wheel_.peek_due(head != nullptr ? head->when : kMaxTick,
-                                  head != nullptr ? head->id : kMaxId, ids_);
+    // Consult the timers before popping a tombstoned head: a dead calendar
+    // event is dropped only once it is the global (calendar ∪ timers)
+    // minimum, exactly when a single queue would lazily pop it — otherwise
+    // it stays resident through earlier timer callbacks and the queue-depth
+    // telemetry diverges from ReferenceScheduler's.
+    timer_first =
+        timers_.peek_due(head != nullptr ? head->when : kMaxTick,
+                         head != nullptr ? head->id : kMaxId, ids_);
     if (timer_first) {
-      next_when = wheel_.due_when();
+      next_when = timers_.due_when();
       return true;
     }
     if (head == nullptr) return false;
@@ -90,12 +87,12 @@ bool Simulator::locate_next(bool& timer_first, Tick& next_when) {
 }
 
 void Simulator::fire_due_timer() {
-  fired_id_ = wheel_.due_id();
+  fired_id_ = timers_.due_id();
   ids_.kill(fired_id_);  // fired: cancel() becomes the no-op
   --alive_;
-  now_ = fired_when_ = wheel_.due_when();
+  now_ = fired_when_ = timers_.due_when();
   ++processed_;
-  InlineCallback cb = wheel_.pop_due();
+  InlineCallback cb = timers_.pop_due();
   cb();
 }
 

@@ -13,10 +13,10 @@
 //   - cancel() flips a liveness bit in a chunked id table
 //     (sim/event_id_table.h) — O(1), no hash set;
 //   - high-churn timers (RNIC retransmission timeouts) live in a
-//     hierarchical timing wheel (sim/timing_wheel.h) via
-//     schedule_timer_at/after; the run loop merges the wheel's due stream
-//     with the calendar queue in strict (when, id) order, so the two
-//     stores are observationally one queue;
+//     (when, id) min-heap (sim/timer_heap.h) via schedule_timer_at/after;
+//     the run loop merges the heap's due stream with the calendar queue in
+//     strict (when, id) order, so the two stores are observationally one
+//     queue;
 //   - an event that may turn out to have nothing to do can hold its slot
 //     without being queued: reserve_id() takes the id it would get,
 //     schedule_reserved() files it later under that id, and passed()
@@ -24,8 +24,9 @@
 //     "Deferred completions"). A Port files its serialization-complete
 //     event this way only once a frame waits behind it.
 // The retired binary-heap implementation survives as ReferenceScheduler
-// (sim/reference_scheduler.h); the differential test drives both through
-// randomized workloads asserting identical observable behavior.
+// (sim/reference_scheduler.h), which files timers as plain events; the
+// differential test drives both through randomized workloads asserting
+// identical observable behavior.
 //
 // One Simulator serves one run on one thread. Instances share no mutable
 // state, so a campaign (campaign/parallel.h) may run many of them on
@@ -37,7 +38,7 @@
 #include "sim/calendar_queue.h"
 #include "sim/event_id_table.h"
 #include "sim/inline_callback.h"
-#include "sim/timing_wheel.h"
+#include "sim/timer_heap.h"
 #include "util/time.h"
 
 namespace lumina {
@@ -64,22 +65,15 @@ class Simulator {
 
   /// Timer-flavored scheduling: identical observable semantics to
   /// schedule_at/schedule_after (same id space, same (when, id) firing
-  /// order, same cancel()), but the event is stored in the hierarchical
-  /// timing wheel — O(1) arm/cancel regardless of how many timers are
-  /// armed. Meant for high-churn deadlines that are usually cancelled
-  /// before they fire (retransmission timeouts). With the kCalendar
-  /// backend selected these forward to schedule_at (the differential
-  /// test's reference path).
+  /// order, same cancel()), but the event is stored in the timer heap, so
+  /// its tombstone never sits in a calendar bucket. Meant for high-churn
+  /// deadlines that are usually cancelled before they fire (retransmission
+  /// timeouts).
   std::uint64_t schedule_timer_at(Tick when, Callback cb);
   std::uint64_t schedule_timer_after(Tick delay, Callback cb);
 
-  /// Which store backs schedule_timer_*. Switch only while no timers are
-  /// pending (typically right after construction).
-  enum class TimerBackend { kWheel, kCalendar };
-  void set_timer_backend(TimerBackend backend) { timer_backend_ = backend; }
-
-  /// Structure telemetry for the wheel store (bench/qp_scaling).
-  const TimingWheel& timer_wheel() const { return wheel_; }
+  /// Telemetry of the timer store (bench/qp_scaling).
+  const TimerHeap& timers() const { return timers_; }
 
   /// Takes the id the next schedule call would take and registers it, so
   /// later schedule calls get later ids. Nothing is queued: the id counts
@@ -149,7 +143,7 @@ class Simulator {
   void mark_fired_through(Tick when);
 
   /// Pops tombstoned calendar heads, then reports the next event to fire:
-  /// the wheel's due timer when it precedes the live calendar head in
+  /// the heap's due timer when it precedes the live calendar head in
   /// (when, id) order, else the head. Returns false when drained.
   bool locate_next(bool& timer_first, Tick& next_when);
 
@@ -169,9 +163,8 @@ class Simulator {
   std::uint64_t cancel_requests_ = 0;
   std::size_t alive_ = 0;
   std::size_t max_queue_depth_ = 0;
-  TimerBackend timer_backend_ = TimerBackend::kWheel;
   CalendarQueue queue_;
-  TimingWheel wheel_;
+  TimerHeap timers_;
   EventIdTable ids_;
 };
 

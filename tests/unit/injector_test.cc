@@ -186,7 +186,7 @@ Packet sample_packet() {
 
 TEST(MirrorEngine, EmbedsAndExtractsMetadata) {
   MirrorEngine engine(1);
-  engine.set_targets({{2, 1}});
+  engine.set_targets({2});
   const auto mirrored = engine.mirror(sample_packet(), EventType::kDrop,
                                       123'456'789);
   const MirrorMeta meta = extract_mirror_meta(mirrored.clone);
@@ -201,7 +201,7 @@ TEST(MirrorEngine, EmbedsAndExtractsMetadata) {
 
 TEST(MirrorEngine, CloneStillParsesAndOriginalUntouched) {
   MirrorEngine engine(1);
-  engine.set_targets({{2, 1}});
+  engine.set_targets({2});
   const Packet original = sample_packet();
   const auto mirrored = engine.mirror(original, EventType::kEcn, 5);
   const auto view = parse_roce(mirrored.clone);
@@ -219,26 +219,26 @@ TEST(MirrorEngine, CloneStillParsesAndOriginalUntouched) {
 
 TEST(MirrorEngine, RandomizationCanBeDisabled) {
   MirrorEngine engine(1);
-  engine.set_targets({{2, 1}});
+  engine.set_targets({2});
   engine.set_randomize_udp_port(false);
   const auto mirrored = engine.mirror(sample_packet(), EventType::kNone, 0);
   EXPECT_EQ(parse_roce(mirrored.clone)->udp_dst_port, kRoceUdpPort);
 }
 
-TEST(MirrorEngine, WrrHonorsWeights) {
+TEST(MirrorEngine, RoundRobinPicksTargetsInOrder) {
   MirrorEngine engine(1);
-  engine.set_targets({{2, 1}, {3, 3}});
-  std::map<int, int> counts;
-  for (int i = 0; i < 4000; ++i) {
-    ++counts[engine.mirror(sample_packet(), EventType::kNone, 0).port_index];
+  engine.set_targets({4, 2, 3});
+  std::vector<int> picked;
+  for (int i = 0; i < 7; ++i) {
+    picked.push_back(
+        engine.mirror(sample_packet(), EventType::kNone, 0).port_index);
   }
-  EXPECT_EQ(counts[2], 1000);
-  EXPECT_EQ(counts[3], 3000);
+  EXPECT_EQ(picked, (std::vector<int>{4, 2, 3, 4, 2, 3, 4}));
 }
 
 TEST(MirrorEngine, EqualWeightsAlternate) {
   MirrorEngine engine(1);
-  engine.set_targets({{2, 1}, {3, 1}});
+  engine.set_targets({2, 3});
   std::map<int, int> counts;
   for (int i = 0; i < 100; ++i) {
     ++counts[engine.mirror(sample_packet(), EventType::kNone, 0).port_index];
@@ -281,7 +281,7 @@ class SwitchTest : public ::testing::Test {
     connect(dumper.port(), sw->port(2), LinkParams{100.0, 10});
     sw->add_route(kFlow.src_ip, 0);
     sw->add_route(kFlow.dst_ip, 1);
-    sw->set_mirror_targets({{2, 1}});
+    sw->set_mirror_targets({2});
   }
 
   Simulator sim;

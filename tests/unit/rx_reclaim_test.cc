@@ -58,7 +58,7 @@ TEST(RxReclaim, SwitchRecyclesDroppedFramesOnly) {
   Simulator sim;
   EventInjectorSwitch sw(&sim, 3, EventInjectorSwitch::Options{});
   sw.add_route(kFlow.dst_ip, 1);
-  sw.set_mirror_targets({{2, 1}});
+  sw.set_mirror_targets({2});
   sw.register_flow(kFlow, 42);
   sw.install_rule(EventRule{kFlow, 43, 1, EventType::kDrop, 0, {}});
   sw.install_rule(EventRule{kFlow, 44, 1, EventType::kReorder, 0, {}});

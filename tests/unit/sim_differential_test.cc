@@ -10,12 +10,21 @@
 // stop(), run_until() — as pure data scripts, executes each script against
 // both implementations, and asserts the observable behavior is identical.
 //
+// The TimerDifferential scripts add schedule_timer_at/after and the RTO
+// cancel-and-re-arm idiom. The Simulator files those in its timer heap;
+// ReferenceScheduler has no timer store and files them as plain events,
+// so equal counters, max_queue_depth included, show that a cancelled
+// timer stays stored exactly as long as its calendar tombstone would.
+//
 // Scripts are data (not closures) precisely so the same workload can drive
 // two different scheduler types through the same template executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,6 +41,9 @@ namespace {
 enum class OpKind {
   kScheduleAt,     // schedule slot `slot` at absolute time `tick`
   kScheduleAfter,  // schedule slot `slot` at now + `tick` (may be negative)
+  kTimerAt,        // timer for slot `slot` at absolute time `tick`
+  kTimerAfter,     // timer for slot `slot` at now + `tick`
+  kRearm,          // cancel slot `target` (if any), then kTimerAfter
   kCancelSlot,     // cancel the id recorded for slot `target` (0 if unset)
   kCancelRaw,      // cancel a raw id never returned by schedule_*
   kStop,           // stop() — callback-only
@@ -43,7 +55,7 @@ struct Op {
   OpKind kind;
   Tick tick = 0;
   int slot = -1;    // slot defined by a schedule op
-  int target = -1;  // slot referenced by kCancelSlot
+  int target = -1;  // slot referenced by kCancelSlot and kRearm
 };
 
 /// One workload: a top-level op sequence plus, per slot, the op sequence its
@@ -56,7 +68,9 @@ struct Script {
 
 class ScriptGen {
  public:
-  explicit ScriptGen(std::uint64_t seed) : rng_(seed) {}
+  /// With `timers`, generate() also arms timers and re-arms them.
+  explicit ScriptGen(std::uint64_t seed, bool timers = false)
+      : rng_(seed), timers_(timers) {}
 
   Script generate() {
     Script s;
@@ -70,9 +84,71 @@ class ScriptGen {
     return s;
   }
 
+  /// The retransmission-timer shape: a few QPs each keep an RTO armed
+  /// while a chain of plain events tens of ns apart carries "ACK"s that
+  /// cancel and re-arm them, so nearly every step consults the timer store
+  /// with a limit below every armed deadline. Occasional long gaps in the
+  /// chain let timers fire (and retry), and run_until deadlines inside
+  /// those gaps let the store reclaim tombstones ahead of the clock before
+  /// the re-arms that follow.
+  Script generate_rto_churn() {
+    Script s;
+    const int qps = 2 + static_cast<int>(rng_() % 10);
+    std::vector<int> latest(static_cast<std::size_t>(qps), -1);
+    const auto new_slot = [&s] {
+      s.body.emplace_back();
+      return static_cast<int>(s.body.size() - 1);
+    };
+    // An RTO (re-)arm for `qp`; when it fires it may retry once.
+    const auto rto_op = [&](int qp, OpKind kind) {
+      Op op{kind, rto_delay(), new_slot(),
+            latest[static_cast<std::size_t>(qp)]};
+      latest[static_cast<std::size_t>(qp)] = op.slot;
+      if (rng_() % 2 == 0) {
+        const Op retry{OpKind::kTimerAfter, rto_delay(), new_slot()};
+        s.body[static_cast<std::size_t>(op.slot)].push_back(retry);
+      }
+      return op;
+    };
+    for (int qp = 0; qp < qps; ++qp) {
+      s.top.push_back(rto_op(qp, OpKind::kTimerAfter));
+    }
+    Tick end = 0;
+    int prev = -1;
+    const int ticks = 64 + static_cast<int>(rng_() % 256);
+    for (int i = 0; i < ticks; ++i) {
+      const Tick gap = rng_() % 16 == 0
+                           ? static_cast<Tick>(20'000 + rng_() % 300'000)
+                           : static_cast<Tick>(20 + rng_() % 60);
+      end += gap;
+      const Op tick{OpKind::kScheduleAfter, gap, new_slot()};
+      if (prev < 0) {
+        s.top.push_back(tick);
+      } else {
+        s.body[static_cast<std::size_t>(prev)].push_back(tick);
+      }
+      if (rng_() % 4 == 0) {
+        const int qp = static_cast<int>(rng_() % static_cast<unsigned>(qps));
+        const Op ack = rto_op(qp, OpKind::kRearm);
+        s.body[static_cast<std::size_t>(tick.slot)].push_back(ack);
+      }
+      prev = tick.slot;
+    }
+    std::vector<Tick> cuts(rng_() % 5);
+    for (Tick& cut : cuts) cut = static_cast<Tick>(rng_() % (end + 1));
+    std::sort(cuts.begin(), cuts.end());
+    for (const Tick cut : cuts) {
+      s.top.push_back({OpKind::kRunUntil, cut});
+      const int qp = static_cast<int>(rng_() % static_cast<unsigned>(qps));
+      s.top.push_back(rto_op(qp, OpKind::kRearm));
+    }
+    s.top.push_back({OpKind::kRun});
+    return s;
+  }
+
  private:
   Op top_op(Script& s) {
-    switch (rng_() % 10) {
+    switch (rng_() % (timers_ ? 12 : 10)) {
       case 0:
         return {OpKind::kRunUntil, random_time()};
       case 1:
@@ -111,6 +187,13 @@ class ScriptGen {
         s.body[static_cast<std::size_t>(slot)].push_back(op);
       }
     }
+    Op op = timers_ ? timer_or_event_op() : event_op();
+    op.slot = slot;
+    slots_seen_.push_back(slot);
+    return op;
+  }
+
+  Op event_op() {
     Op op;
     if (rng_() % 2 == 0) {
       op.kind = OpKind::kScheduleAt;
@@ -123,8 +206,37 @@ class ScriptGen {
       op.tick = r == 0 ? -static_cast<Tick>(rng_() % 100)
                        : static_cast<Tick>(rng_() % 5000);
     }
-    op.slot = slot;
-    slots_seen_.push_back(slot);
+    return op;
+  }
+
+  Op timer_or_event_op() {
+    Op op;
+    switch (rng_() % 6) {
+      case 0:
+        op.kind = OpKind::kScheduleAt;
+        op.tick = random_time();
+        break;
+      case 1:
+        op.kind = OpKind::kScheduleAfter;
+        op.tick = static_cast<Tick>(rng_() % 5000);
+        break;
+      case 2:
+        op.kind = OpKind::kTimerAt;
+        op.tick = random_time();
+        break;
+      case 3:
+        // The RTO idiom: disarm whatever a previous slot armed, arm anew.
+        op.kind = OpKind::kRearm;
+        op.tick = rto_delay();
+        if (!slots_seen_.empty()) {
+          op.target = slots_seen_[rng_() % slots_seen_.size()];
+        }
+        break;
+      default:
+        op.kind = OpKind::kTimerAfter;
+        op.tick = rto_delay();
+        break;
+    }
     return op;
   }
 
@@ -149,13 +261,48 @@ class ScriptGen {
     }
   }
 
+  Tick rto_delay() {
+    switch (rng_() % 8) {
+      case 0:  // same-tick ties
+        return static_cast<Tick>(rng_() % 4);
+      case 1:  // a few ns around 64, 4096 or 262144
+        return (Tick{1} << (6 * (1 + static_cast<int>(rng_() % 3)))) -
+               2 + static_cast<Tick>(rng_() % 4);
+      case 2:  // up to 40 ms out
+        return static_cast<Tick>(rng_() % 40'000'000);
+      default:  // realistic RTO range: tens to hundreds of microseconds
+        return static_cast<Tick>(20'000 + rng_() % 500'000);
+    }
+  }
+
   std::mt19937_64 rng_;
+  bool timers_;
   std::vector<int> slots_seen_;
 };
 
 // ---------------------------------------------------------------------------
 // Script executor (works for both scheduler types)
 // ---------------------------------------------------------------------------
+
+/// Arms a timer: in the Simulator's timer heap, or as a plain event on
+/// ReferenceScheduler, which has no timer store.
+template <typename Scheduler, typename F>
+std::uint64_t arm_timer_at(Scheduler& sched, Tick when, F cb) {
+  if constexpr (std::is_same_v<Scheduler, Simulator>) {
+    return sched.schedule_timer_at(when, std::move(cb));
+  } else {
+    return sched.schedule_at(when, std::move(cb));
+  }
+}
+
+template <typename Scheduler, typename F>
+std::uint64_t arm_timer_after(Scheduler& sched, Tick delay, F cb) {
+  if constexpr (std::is_same_v<Scheduler, Simulator>) {
+    return sched.schedule_timer_after(delay, std::move(cb));
+  } else {
+    return sched.schedule_after(delay, std::move(cb));
+  }
+}
 
 struct Observation {
   std::vector<std::pair<int, Tick>> firings;  // (slot, fire time) in order
@@ -187,6 +334,19 @@ Observation execute(const Script& script) {
         case OpKind::kScheduleAfter:
           obs.ids[static_cast<std::size_t>(op.slot)] =
               sched.schedule_after(op.tick, callback(op.slot));
+          break;
+        case OpKind::kTimerAt:
+          obs.ids[static_cast<std::size_t>(op.slot)] =
+              arm_timer_at(sched, op.tick, callback(op.slot));
+          break;
+        case OpKind::kRearm:
+          if (op.target >= 0) {
+            sched.cancel(obs.ids[static_cast<std::size_t>(op.target)]);
+          }
+          [[fallthrough]];
+        case OpKind::kTimerAfter:
+          obs.ids[static_cast<std::size_t>(op.slot)] =
+              arm_timer_after(sched, op.tick, callback(op.slot));
           break;
         case OpKind::kCancelSlot:
           sched.cancel(obs.ids[static_cast<std::size_t>(op.target)]);
@@ -310,6 +470,122 @@ TEST(SimDifferential, SparseWideSpanWorkloads) {
     ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
     ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Timers: the Simulator's timer heap against per-event timers
+// ---------------------------------------------------------------------------
+
+TEST(TimerDifferential, WheelMatchesPerEventTimers) {
+  int total_firings = 0;
+  int total_cancels = 0;
+  for (int seed = 1; seed <= kWorkloads; ++seed) {
+    ScriptGen gen(static_cast<std::uint64_t>(seed) * 0xbf58476d1ce4e5b9ULL,
+                  /*timers=*/true);
+    const Script script = gen.generate();
+
+    const Observation got = execute<Simulator>(script);
+    const Observation want = execute<ReferenceScheduler>(script);
+
+    ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
+    ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
+    ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
+    ASSERT_EQ(got.events_processed, want.events_processed) << "seed " << seed;
+    ASSERT_EQ(got.pending_events, want.pending_events) << "seed " << seed;
+    ASSERT_EQ(got.max_queue_depth, want.max_queue_depth) << "seed " << seed;
+    ASSERT_EQ(got.cancel_requests, want.cancel_requests) << "seed " << seed;
+
+    total_firings += static_cast<int>(want.firings.size());
+    total_cancels += static_cast<int>(want.cancel_requests);
+  }
+  // Guard against the generator degenerating into trivial scripts.
+  EXPECT_GT(total_firings, 10'000);
+  EXPECT_GT(total_cancels, 2'000);
+}
+
+TEST(TimerDifferential, RtoChurnMatchesPerEventTimers) {
+  int total_firings = 0;
+  int total_cancels = 0;
+  for (int seed = 1; seed <= 400; ++seed) {
+    ScriptGen gen(static_cast<std::uint64_t>(seed) * 0x94d049bb133111ebULL);
+    const Script script = gen.generate_rto_churn();
+
+    const Observation got = execute<Simulator>(script);
+    const Observation want = execute<ReferenceScheduler>(script);
+
+    ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
+    ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
+    ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
+    ASSERT_EQ(got.events_processed, want.events_processed) << "seed " << seed;
+    ASSERT_EQ(got.pending_events, want.pending_events) << "seed " << seed;
+    ASSERT_EQ(got.max_queue_depth, want.max_queue_depth) << "seed " << seed;
+    ASSERT_EQ(got.cancel_requests, want.cancel_requests) << "seed " << seed;
+
+    total_firings += static_cast<int>(want.firings.size());
+    total_cancels += static_cast<int>(want.cancel_requests);
+  }
+  EXPECT_GT(total_firings, 40'000);
+  EXPECT_GT(total_cancels, 10'000);
+}
+
+// A long-lived churn soak on one scheduler instance: a fixed population of
+// "QPs" each keeps exactly one timer armed, re-arming with fresh deadlines
+// from its callback and getting disarmed/re-armed by a periodic "ACK"
+// event — the steady state of RTOs on a healthy fabric.
+constexpr int kSoakQps = 257;
+constexpr Tick kSoakHorizon = 40'000'000;
+
+template <typename Scheduler>
+auto steady_state_churn() {
+  Scheduler sim;
+  std::vector<std::uint64_t> timer_ids(kSoakQps, 0);
+  std::vector<std::pair<int, Tick>> fires;
+  std::mt19937_64 rng(0x5eed);
+
+  struct Driver {
+    Scheduler& sim;
+    std::vector<std::uint64_t>& timer_ids;
+    std::vector<std::pair<int, Tick>>& fires;
+    std::mt19937_64& rng;
+
+    void arm(int qp) {
+      const Tick rto = 20'000 + static_cast<Tick>(rng() % 300'000);
+      timer_ids[static_cast<std::size_t>(qp)] =
+          arm_timer_after(sim, rto, [this, qp] {
+            fires.emplace_back(qp, sim.now());
+            arm(qp);  // back-to-back re-arm, like an RTO retry
+          });
+    }
+
+    void ack_tick(Tick period) {
+      sim.schedule_after(period, [this, period] {
+        // "ACK": disarm + re-arm a pseudo-random third of the QPs.
+        for (int qp = 0; qp < kSoakQps; ++qp) {
+          if (rng() % 3 != 0) continue;
+          sim.cancel(timer_ids[static_cast<std::size_t>(qp)]);
+          arm(qp);
+        }
+        ack_tick(period);
+      });
+    }
+  };
+  Driver driver{sim, timer_ids, fires, rng};
+  for (int qp = 0; qp < kSoakQps; ++qp) driver.arm(qp);
+  driver.ack_tick(/*period=*/70'001);
+  sim.run_until(kSoakHorizon);
+
+  return std::tuple(fires, sim.events_processed(), sim.pending_events(),
+                    sim.max_queue_depth(), sim.now());
+}
+
+TEST(TimerDifferential, SteadyStateChurnMatches) {
+  const auto got = steady_state_churn<Simulator>();
+  const auto want = steady_state_churn<ReferenceScheduler>();
+  EXPECT_EQ(std::get<0>(got), std::get<0>(want));
+  EXPECT_EQ(std::get<1>(got), std::get<1>(want));
+  EXPECT_EQ(std::get<2>(got), std::get<2>(want));
+  EXPECT_EQ(std::get<3>(got), std::get<3>(want));
+  EXPECT_EQ(std::get<4>(got), std::get<4>(want));
 }
 
 }  // namespace
