@@ -5,14 +5,16 @@
 //   $ ./build/examples/yaml_driven_test examples/configs/double_drop.yaml
 //   $ ./build/examples/yaml_driven_test          # uses the built-in config
 //
-// The example also dumps the reconstructed trace to a pcap file next to
-// the binary, so you can open it in wireshark/tcpdump.
+// The example also dumps the reconstructed trace to lumina_trace.pcap in
+// the working directory, so you can open it in wireshark/tcpdump.
 #include <cstdio>
+#include <string>
 
 #include "analyzers/retrans_perf.h"
 #include "config/yaml_lite.h"
 #include "orchestrator/orchestrator.h"
 #include "packet/pcap_writer.h"
+#include "util/file_io.h"
 
 using namespace lumina;
 
@@ -88,13 +90,14 @@ int main(int argc, char** argv) {
   }
 
   // Persist the reconstructed trace as pcap (ns resolution, trimmed).
-  PcapWriter writer;
-  if (writer.open("lumina_trace.pcap")) {
-    for (const auto& p : result.trace) {
-      writer.write(p.pkt.bytes, p.time(), p.orig_len);
-    }
-    std::printf("wrote %zu packets to lumina_trace.pcap\n",
-                writer.packets_written());
+  std::string pcap = pcap_file_header();
+  for (const auto& p : result.trace) {
+    append_pcap_record(pcap, p.pkt.bytes, p.time(), p.orig_len);
   }
+  if (!write_file("lumina_trace.pcap", pcap)) {
+    std::fprintf(stderr, "error: failed to write lumina_trace.pcap\n");
+    return 1;
+  }
+  std::printf("wrote %zu packets to lumina_trace.pcap\n", result.trace.size());
   return result.integrity.ok() ? 0 : 1;
 }

@@ -5,12 +5,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "fuzz/targets.h"
 #include "orchestrator/results_io.h"
+#include "util/file_io.h"
 
 namespace lumina {
 namespace {
@@ -189,13 +189,9 @@ bool write_campaign_artifacts(const CampaignReport& report,
   }
 
   const std::string summary_path = dir + "/summary.csv";
-  {
-    std::ofstream out(summary_path, std::ios::binary);
-    out << campaign_summary_csv(report);
-    if (!out) {
-      if (failed_path != nullptr) *failed_path = summary_path;
-      return false;
-    }
+  if (!write_file(summary_path, campaign_summary_csv(report))) {
+    if (failed_path != nullptr) *failed_path = summary_path;
+    return false;
   }
 
   for (std::size_t i = 0; i < report.runs.size(); ++i) {

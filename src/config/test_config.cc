@@ -210,7 +210,6 @@ HostConfig load_host_config(const YamlNode& node) {
           roce["min-time-between-cnps"].as_int() * kMicrosecond;
     }
     cfg.roce.adaptive_retrans = roce["adaptive-retrans"].as_bool_or(false);
-    cfg.roce.slow_restart = roce["slow-restart"].as_bool_or(true);
   }
   return cfg;
 }
@@ -399,8 +398,7 @@ void append_host(std::string& out, const HostConfig& host) {
   if (roce.dcqcn_rp_enable != defaults.dcqcn_rp_enable ||
       roce.dcqcn_np_enable != defaults.dcqcn_np_enable ||
       roce.min_time_between_cnps != defaults.min_time_between_cnps ||
-      roce.adaptive_retrans != defaults.adaptive_retrans ||
-      roce.slow_restart != defaults.slow_restart) {
+      roce.adaptive_retrans != defaults.adaptive_retrans) {
     out += "  roce-parameters:\n";
     if (roce.dcqcn_rp_enable != defaults.dcqcn_rp_enable) {
       append_kv(out, 4, "dcqcn-rp-enable", "false");
@@ -414,9 +412,6 @@ void append_host(std::string& out, const HostConfig& host) {
     }
     if (roce.adaptive_retrans != defaults.adaptive_retrans) {
       append_kv(out, 4, "adaptive-retrans", "true");
-    }
-    if (roce.slow_restart != defaults.slow_restart) {
-      append_kv(out, 4, "slow-restart", "false");
     }
   }
 }

@@ -42,7 +42,6 @@ struct RoceParameters {
   /// on NICs that honor the parameter (Listing 1 does exactly that).
   Tick min_time_between_cnps = -1;
   bool adaptive_retrans = false;
-  bool slow_restart = true;
 };
 
 /// One traffic-generation host (Listing 1).

@@ -1,8 +1,10 @@
 #include "config/yaml_lite.h"
 
 #include <cctype>
-#include <fstream>
+#include <optional>
 #include <sstream>
+
+#include "util/file_io.h"
 
 namespace lumina {
 namespace {
@@ -467,11 +469,9 @@ YamlNode parse_yaml(const std::string& text) {
 }
 
 YamlNode parse_yaml_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw YamlError("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_yaml(buf.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw YamlError("cannot open file: " + path);
+  return parse_yaml(*text);
 }
 
 }  // namespace lumina

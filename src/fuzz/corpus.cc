@@ -3,10 +3,10 @@
 #include <charconv>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "config/test_config.h"
+#include "util/file_io.h"
 
 namespace lumina {
 namespace {
@@ -132,23 +132,17 @@ FuzzCorpusState parse_corpus(const std::string& text) {
 
 bool write_corpus_file(const FuzzCorpusState& state, const std::string& path,
                        std::string* failed_path) {
-  std::ofstream out(path, std::ios::binary);
-  if (out) out << serialize_corpus(state);
-  if (!out) {
-    if (failed_path) *failed_path = path;
-    return false;
-  }
-  return true;
+  if (write_file(path, serialize_corpus(state))) return true;
+  if (failed_path) *failed_path = path;
+  return false;
 }
 
 std::optional<FuzzCorpusState> load_corpus_file(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return std::nullopt;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw YamlError("cannot read corpus file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_corpus(text.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw YamlError("cannot read corpus file " + path);
+  return parse_corpus(*text);
 }
 
 std::uint64_t corpus_digest(const std::string& serialized) {

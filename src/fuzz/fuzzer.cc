@@ -45,7 +45,7 @@ void GeneticFuzzer::step(FuzzOutcome& outcome) {
     target_.mutate(entry.config, rng_);
   }
 
-  Orchestrator orch(entry.config, options_.orchestrator);
+  Orchestrator orch(entry.config);
   const TestResult& result = orch.run();
   entry.score = target_.score(entry.config, result);
   entry.anomaly = target_.is_anomaly(entry.config, result);

@@ -66,7 +66,6 @@ class GeneticFuzzer {
     int max_iterations = 40;
     double low_quality_keep_probability = 0.25;
     std::uint64_t seed = 0xF0CCAC1Au;
-    Orchestrator::Options orchestrator;
   };
 
   GeneticFuzzer(FuzzTarget target, Options options);

@@ -23,23 +23,16 @@ TestConfig base_config(NicType nic) {
   return cfg;
 }
 
-/// Mean MCT (us) over connections WITHOUT injected events.
-double innocent_mct_us(const TestConfig& cfg, const TestResult& result) {
-  std::vector<bool> injected(static_cast<std::size_t>(
-                                 cfg.traffic.num_connections),
-                             false);
-  for (const auto& ev : cfg.traffic.data_pkt_events) {
-    const auto idx = static_cast<std::size_t>(ev.qpn - 1);
-    if (idx < injected.size()) injected[idx] = true;
-  }
-  double sum = 0;
-  int n = 0;
-  for (std::size_t i = 0; i < result.flows.size(); ++i) {
-    if (injected[i]) continue;
-    sum += result.flows[i].avg_mct_us();
-    ++n;
-  }
-  return n == 0 ? 0 : sum / n;
+/// Counter-consistency check of the requester/responder pair, keyed by
+/// connection 1's addresses (unset when the run set up no connection).
+CounterReport check_pair_counters(const TestConfig& cfg,
+                                  const TestResult& result) {
+  const bool none = result.connections.empty();
+  return check_counters(
+      result.trace, cfg.traffic.verb, result.requester_counters(),
+      result.responder_counters(),
+      {none ? Ipv4Address{} : result.connections[0].requester.ip},
+      {none ? Ipv4Address{} : result.connections[0].responder.ip});
 }
 
 }  // namespace
@@ -88,19 +81,16 @@ FuzzTarget make_noisy_neighbor_target(NicType nic) {
     }
   };
 
-  target.score = [](const TestConfig& cfg, const TestResult& result) {
-    // Multi-objective (§4): innocent-flow MCT inflation dominates; victim
-    // rx discards contribute (the counter that exposed the bug).
-    const double mct = innocent_mct_us(cfg, result);
-    const double discards =
-        static_cast<double>(result.requester_counters().rx_discards_phy);
-    return mct + 0.1 * discards;
-  };
+  // Multi-objective (§4): innocent-flow MCT inflation dominates; victim
+  // rx discards contribute (the counter that exposed the bug).
+  target.score = make_fitness(
+      {{"innocent-mct", 1.0}, {"rnic.requester.rx_discards_phy", 0.1}});
 
   target.is_anomaly = [](const TestConfig& cfg, const TestResult& result) {
     if (cfg.traffic.data_pkt_events.empty()) return false;
     const double baseline_us = 2000.0;  // generous bound for clean Read MCT
-    return innocent_mct_us(cfg, result) > 50.0 * baseline_us;
+    return eval_fitness_metric("innocent-mct", cfg, result) >
+           50.0 * baseline_us;
   };
 
   return target;
@@ -148,26 +138,13 @@ FuzzTarget make_lossy_network_target(NicType nic) {
         worst_us = std::max(worst_us, to_us(*total));
       }
     }
-    const auto counters = check_counters(
-        result.trace, cfg.traffic.verb, result.requester_counters(),
-        result.responder_counters(), {result.connections.empty()
-                                        ? Ipv4Address{}
-                                        : result.connections[0].requester.ip},
-        {result.connections.empty() ? Ipv4Address{}
-                                    : result.connections[0].responder.ip});
+    const auto counters = check_pair_counters(cfg, result);
     return worst_us +
            1000.0 * static_cast<double>(counters.inconsistencies.size());
   };
 
   target.is_anomaly = [](const TestConfig& cfg, const TestResult& result) {
-    const auto counters = check_counters(
-        result.trace, cfg.traffic.verb, result.requester_counters(),
-        result.responder_counters(), {result.connections.empty()
-                                        ? Ipv4Address{}
-                                        : result.connections[0].requester.ip},
-        {result.connections.empty() ? Ipv4Address{}
-                                    : result.connections[0].responder.ip});
-    return !counters.consistent();
+    return !check_pair_counters(cfg, result).consistent();
   };
 
   return target;

@@ -13,68 +13,23 @@
 //
 // Everything written here is a pure function of the TestResult, which is a
 // pure function of (config, seed) — so artifact directories can be diffed
-// byte-for-byte across runs, thread counts, and golden baselines.
+// byte-for-byte across runs, thread counts, and golden baselines. Each
+// artifact is built as bytes and written through util/file_io, so a write
+// that fails anywhere, the final flush included, fails the whole call.
+// Nothing in the program reads a results directory back.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "orchestrator/orchestrator.h"
-#include "telemetry/report.h"
 
 namespace lumina {
 
 /// Writes every artifact into `dir` (created if missing). Returns false on
-/// the first I/O failure; when `failed_path` is non-null it receives the
+/// the first write that fails; when `failed_path` is non-null it receives the
 /// path of the artifact that could not be written, so callers can report
 /// *what* failed before propagating the error to their exit code.
 bool write_results(const TestResult& result, const std::string& dir,
                    std::string* failed_path = nullptr);
-
-/// One packet record read back from trace.pcap.
-struct ReadTracePacket {
-  Tick timestamp = 0;            ///< Nanosecond capture timestamp.
-  std::uint32_t orig_len = 0;    ///< On-wire length before trimming.
-  std::vector<std::uint8_t> bytes;  ///< Captured bytes.
-};
-
-/// One flows.csv row.
-struct ReadFlowRow {
-  std::size_t connection = 0;
-  int msg_index = 0;
-  std::int64_t posted_at = 0;
-  std::int64_t completed_at = 0;
-  double completion_time_us = 0;
-  std::string status;
-};
-
-/// Everything `write_results` persisted, parsed back into memory. Used by
-/// the round-trip tests and by tooling that post-processes results
-/// directories without re-running the experiment.
-struct ReadResults {
-  ReadResults() = default;
-
-  std::vector<ReadTracePacket> trace;
-  std::string integrity;  ///< integrity.txt verdict line (no newline).
-  /// NIC counters by host index (host_counters[0]/[1] duplicate the
-  /// requester/responder alias maps below).
-  std::vector<std::map<std::string, std::uint64_t>> host_counters;
-  std::map<std::string, std::uint64_t> requester_counters;
-  std::map<std::string, std::uint64_t> responder_counters;
-  std::map<std::string, std::uint64_t> switch_counters;
-  std::vector<ReadFlowRow> flows;
-  std::vector<std::string> connections;  ///< connections.txt lines.
-  /// report.json, when present (absent only in pre-telemetry directories).
-  std::optional<telemetry::RunReport> report;
-};
-
-/// Reads every artifact of `dir` back. Returns false on the first file
-/// that is missing or malformed (named in `failed_path` when non-null);
-/// `out` then holds the artifacts parsed so far.
-bool read_results(const std::string& dir, ReadResults* out,
-                  std::string* failed_path = nullptr);
 
 }  // namespace lumina

@@ -1,11 +1,12 @@
-// Classic pcap (nanosecond-resolution) trace file writer.
+// Classic pcap (nanosecond-resolution) trace bytes.
 //
-// The traffic dumper persists reconstructed traces as standard pcap so they
-// can be inspected with tcpdump/wireshark, matching the real Lumina flow.
+// The traffic dumper's reconstructed trace is persisted as standard pcap so
+// it can be inspected with tcpdump/wireshark, matching the real Lumina flow.
+// These builders only produce bytes; a caller appends the records to the
+// header and writes the whole file with util/file_io's write_file.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 
@@ -13,30 +14,14 @@
 
 namespace lumina {
 
-class PcapWriter {
- public:
-  PcapWriter() = default;
-  ~PcapWriter();
+/// The 24-byte global header: nanosecond magic, version 2.4, snaplen
+/// 65535, LINKTYPE_ETHERNET.
+std::string pcap_file_header();
 
-  PcapWriter(const PcapWriter&) = delete;
-  PcapWriter& operator=(const PcapWriter&) = delete;
-
-  /// Opens `path` and writes the global header. Returns false on I/O error.
-  bool open(const std::string& path, std::uint32_t snaplen = 65535);
-
-  /// Appends one frame's bytes with the given capture timestamp.
-  /// `orig_len` lets trimmed frames record their true on-wire length (0:
-  /// the frame is whole).
-  bool write(std::span<const std::uint8_t> frame, Tick timestamp,
-             std::size_t orig_len = 0);
-
-  void close();
-  bool is_open() const { return file_ != nullptr; }
-  std::size_t packets_written() const { return packets_; }
-
- private:
-  std::FILE* file_ = nullptr;
-  std::size_t packets_ = 0;
-};
+/// Appends one record to `out`: the 16-byte record header, then the
+/// frame's bytes. `orig_len` lets a trimmed frame record its true on-wire
+/// length (0: the frame is whole).
+void append_pcap_record(std::string& out, std::span<const std::uint8_t> frame,
+                        Tick timestamp, std::size_t orig_len = 0);
 
 }  // namespace lumina

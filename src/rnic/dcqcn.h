@@ -80,8 +80,6 @@ class CnpRateLimiter {
   bool allow(Ipv4Address remote_ip, std::uint32_t qpn, Tick now,
              Tick min_interval);
 
-  CnpRateLimitMode mode() const { return mode_; }
-
  private:
   std::uint64_t key_for(Ipv4Address remote_ip, std::uint32_t qpn) const;
 

@@ -102,9 +102,7 @@ DeviceProfile make_soft_roce() {
   // Everything runs on host CPUs: pipeline stages cost softirq-scale
   // microseconds instead of the hardware profiles' hundreds of ns.
   p.rx_pipeline_delay = 4 * kMicrosecond;
-  p.tx_pipeline_delay = 3 * kMicrosecond;
   p.ack_generation_delay = 6 * kMicrosecond;
-  p.read_response_start_delay = 8 * kMicrosecond;
   p.nack_gen_delay_write = 10 * kMicrosecond;
   p.nack_gen_delay_read = 10 * kMicrosecond;
   p.nack_react_delay_write = 15 * kMicrosecond;

@@ -41,9 +41,7 @@ struct DeviceProfile {
 
   // -- generic pipeline latencies -----------------------------------------
   Tick rx_pipeline_delay = 300;   ///< Arrival to transport-logic handoff.
-  Tick tx_pipeline_delay = 250;   ///< Doorbell/WQE fetch to first byte.
   Tick ack_generation_delay = 900;  ///< In-order data to ACK on the wire.
-  Tick read_response_start_delay = 1000;  ///< Read request to first response.
 
   // -- retransmission micro-behaviors (Fig. 8 / Fig. 9) --------------------
   Tick nack_gen_delay_write = 2 * kMicrosecond;

@@ -29,7 +29,6 @@ class EtsScheduler {
                  bool work_conserving);
 
   bool configured() const { return !tc_.empty(); }
-  bool work_conserving() const { return work_conserving_; }
 
   /// Picks the next traffic class to serve among classes that currently
   /// have a packet ready. `active[tc]` marks readiness, `pkt_bytes[tc]` is

@@ -271,14 +271,4 @@ std::vector<DetectionResult> run_bug_suite(NicType nic,
       [&](std::size_t i) { return detect_issue(issues[i], nic); });
 }
 
-std::vector<DetectionResult> run_bug_matrix(const std::vector<NicType>& nics,
-                                            const CampaignOptions& options) {
-  const auto& issues = all_known_issues();
-  return parallel_map<DetectionResult>(
-      nics.size() * issues.size(), options.jobs, [&](std::size_t i) {
-        return detect_issue(issues[i % issues.size()],
-                            nics[i / issues.size()]);
-      });
-}
-
 }  // namespace lumina

@@ -49,12 +49,6 @@ DetectionResult detect_issue(KnownIssue issue, NicType nic);
 std::vector<DetectionResult> run_bug_suite(
     NicType nic, const CampaignOptions& options = CampaignOptions{});
 
-/// The full Table 2 matrix: every (NIC, issue) pair as one independent
-/// campaign run. Results are ordered NIC-major, issue-minor.
-std::vector<DetectionResult> run_bug_matrix(
-    const std::vector<NicType>& nics,
-    const CampaignOptions& options = CampaignOptions{});
-
 /// All issues, in Table 2 order.
 const std::vector<KnownIssue>& all_known_issues();
 

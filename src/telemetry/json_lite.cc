@@ -1,6 +1,7 @@
 #include "telemetry/json_lite.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -12,13 +13,26 @@ bool JsonValue::as_bool() const {
 }
 
 std::int64_t JsonValue::as_int() const {
-  if (kind_ == Kind::kInt) return int_;
+  if (kind_ == Kind::kInt) {
+    const auto v = static_cast<std::int64_t>(int_);
+    if (!negative_ && v < 0) throw JsonError("integer out of int64 range");
+    return v;
+  }
   if (kind_ == Kind::kDouble) return static_cast<std::int64_t>(double_);
   throw JsonError("not a number");
 }
 
+std::uint64_t JsonValue::as_uint() const {
+  if (kind_ != Kind::kInt) throw JsonError("not an integer");
+  if (negative_) throw JsonError("negative value where unsigned expected");
+  return int_;
+}
+
 double JsonValue::as_double() const {
-  if (kind_ == Kind::kInt) return static_cast<double>(int_);
+  if (kind_ == Kind::kInt) {
+    return negative_ ? static_cast<double>(static_cast<std::int64_t>(int_))
+                     : static_cast<double>(int_);
+  }
   if (kind_ == Kind::kDouble) return double_;
   throw JsonError("not a number");
 }
@@ -58,6 +72,14 @@ JsonValue JsonValue::make_bool(bool v) {
 }
 
 JsonValue JsonValue::make_int(std::int64_t v) {
+  JsonValue out;
+  out.kind_ = Kind::kInt;
+  out.int_ = static_cast<std::uint64_t>(v);
+  out.negative_ = v < 0;
+  return out;
+}
+
+JsonValue JsonValue::make_uint(std::uint64_t v) {
   JsonValue out;
   out.kind_ = Kind::kInt;
   out.int_ = v;
@@ -268,12 +290,17 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     errno = 0;
     if (!is_double) {
+      // Negative integers parse as int64 and the rest as uint64, so u64
+      // counters (FNV digests among them) keep their full range.
       char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
+      const JsonValue v =
+          token[0] == '-'
+              ? JsonValue::make_int(std::strtoll(token.c_str(), &end, 10))
+              : JsonValue::make_uint(std::strtoull(token.c_str(), &end, 10));
       if (end != token.c_str() + token.size() || errno == ERANGE) {
         fail("malformed integer '" + token + "'");
       }
-      return JsonValue::make_int(v);
+      return v;
     }
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);

@@ -2,9 +2,10 @@
 // config/yaml_lite.h: just enough of the grammar for the documents this
 // repository writes itself, with no external dependency.
 //
-// Supported: objects, arrays, strings (with the common escapes), integers,
-// doubles, booleans, null. Object keys keep insertion order irrelevant:
-// storage is a sorted std::map, matching how reports are serialized.
+// Supported: objects, arrays, strings (with the common escapes), integers
+// from INT64_MIN to UINT64_MAX, doubles, booleans, null. Object keys keep
+// insertion order irrelevant: storage is a sorted std::map, matching how
+// reports are serialized.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,10 @@ class JsonValue {
   }
 
   bool as_bool() const;
-  std::int64_t as_int() const;        ///< Doubles truncate.
+  /// Doubles truncate; throws JsonError above INT64_MAX.
+  std::int64_t as_int() const;
+  /// Integers only; throws JsonError on a negative value.
+  std::uint64_t as_uint() const;
   double as_double() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
@@ -48,6 +52,7 @@ class JsonValue {
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool v);
   static JsonValue make_int(std::int64_t v);
+  static JsonValue make_uint(std::uint64_t v);
   static JsonValue make_double(double v);
   static JsonValue make_string(std::string v);
   static JsonValue make_array(std::vector<JsonValue> v);
@@ -56,7 +61,10 @@ class JsonValue {
  private:
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
-  std::int64_t int_ = 0;
+  /// kInt: the value's 64 bits, read as int64 when `negative_` is set and
+  /// as uint64 otherwise.
+  std::uint64_t int_ = 0;
+  bool negative_ = false;
   double double_ = 0;
   std::string string_;
   std::vector<JsonValue> array_;

@@ -1,8 +1,10 @@
 #include "telemetry/report.h"
 
 #include <cstdio>
+#include <optional>
 
 #include "telemetry/json_lite.h"
+#include "util/file_io.h"
 
 namespace lumina::telemetry {
 namespace {
@@ -137,52 +139,11 @@ std::string serialize_report(const RunReport& report) {
   return out;
 }
 
-std::string extract_deterministic_section(const std::string& report_text) {
-  const std::string key = "\"deterministic\":";
-  const std::size_t key_pos = report_text.find(key);
-  if (key_pos == std::string::npos) return "";
-  std::size_t pos = report_text.find('{', key_pos + key.size());
-  if (pos == std::string::npos) return "";
-  // Brace-match; our serializer never puts braces inside metric names, but
-  // track strings anyway so hand-edited reports behave.
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < report_text.size(); ++i) {
-    const char c = report_text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0) return report_text.substr(pos, i - pos + 1);
-    }
-  }
-  return "";
-}
-
 bool write_report(const RunReport& report, const std::string& path,
                   std::string* failed_path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (failed_path != nullptr) *failed_path = path;
-    return false;
-  }
-  const std::string text = serialize_report(report);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  if (std::fclose(f) != 0 || !ok) {
-    if (failed_path != nullptr) *failed_path = path;
-    return false;
-  }
-  return true;
+  if (write_file(path, serialize_report(report))) return true;
+  if (failed_path != nullptr) *failed_path = path;
+  return false;
 }
 
 namespace {
@@ -193,9 +154,9 @@ HistogramSnapshot parse_histogram(const JsonValue& v) {
     hist.bounds.push_back(bound.as_int());
   }
   for (const auto& count : v.at("counts").as_array()) {
-    hist.counts.push_back(static_cast<std::uint64_t>(count.as_int()));
+    hist.counts.push_back(count.as_uint());
   }
-  hist.count = static_cast<std::uint64_t>(v.at("count").as_int());
+  hist.count = v.at("count").as_uint();
   hist.sum = v.at("sum").as_int();
   hist.min = v.at("min").as_int();
   hist.max = v.at("max").as_int();
@@ -214,8 +175,7 @@ RunReport read_report_text(const std::string& text) {
   report.name = doc.at("name").as_string();
   const JsonValue& det = doc.at("deterministic");
   for (const auto& [name, value] : det.at("counters").as_object()) {
-    report.deterministic.counters[name] =
-        static_cast<std::uint64_t>(value.as_int());
+    report.deterministic.counters[name] = value.as_uint();
   }
   for (const auto& [name, value] : det.at("gauges").as_object()) {
     report.deterministic.gauges[name] = value.as_int();
@@ -232,14 +192,9 @@ RunReport read_report_text(const std::string& text) {
 }
 
 RunReport read_report_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw JsonError("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return read_report_text(text);
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw JsonError("cannot open " + path);
+  return read_report_text(*text);
 }
 
 }  // namespace lumina::telemetry

@@ -42,11 +42,6 @@ std::string serialize_report(const RunReport& report);
 /// tests compare.
 std::string serialize_deterministic(const MetricsSnapshot& snapshot);
 
-/// Extracts the deterministic object's text span from a serialized report
-/// (brace matching from the "deterministic" key). Empty string when the
-/// report has none.
-std::string extract_deterministic_section(const std::string& report_text);
-
 /// Writes serialize_report() to `path`; false on I/O failure (path recorded
 /// in `failed_path` when non-null).
 bool write_report(const RunReport& report, const std::string& path,

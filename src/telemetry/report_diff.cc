@@ -14,19 +14,25 @@ std::string fmt(const char* format, double a, double b, double rel) {
   return buf;
 }
 
-/// Emits a diff entry for one scalar unless it is within tolerance.
-void compare_scalar(const std::string& metric, double a, double b,
+/// Emits a diff entry for one scalar unless it is within tolerance. The
+/// integers compare exactly first: u64 counters past 2^53 (corpus digests)
+/// can round to one double, and tolerance 0 means exact equality.
+template <typename Int>
+void compare_scalar(const std::string& metric, Int a_value, Int b_value,
                     const DiffOptions& options, DiffResult* out) {
   ++out->compared;
-  if (a == b) return;
+  if (a_value == b_value) return;
+  const auto a = static_cast<double>(a_value);
+  const auto b = static_cast<double>(b_value);
   const double scale = std::max(std::fabs(a), std::fabs(b));
   const double rel = scale == 0 ? 0 : std::fabs(b - a) / scale;
+  const double tolerance = tolerance_for(options, metric);
   MetricDiff diff;
   diff.metric = metric;
   diff.a = a;
   diff.b = b;
   diff.relative = rel;
-  diff.failed = rel > tolerance_for(options, metric);
+  diff.failed = tolerance == 0 || rel > tolerance;
   diff.detail = fmt("%.6g -> %.6g (rel %.4f)", a, b, rel);
   out->diffs.push_back(std::move(diff));
 }
@@ -61,8 +67,7 @@ void compare_scalar_maps(const char* section, const Map& a, const Map& b,
       report_missing(metric, true, static_cast<double>(ia->second), options,
                      out);
     } else {
-      compare_scalar(metric, static_cast<double>(ia->second),
-                     static_cast<double>(ib->second), options, out);
+      compare_scalar(metric, ia->second, ib->second, options, out);
     }
   }
 }
@@ -99,18 +104,13 @@ void compare_histograms(
     // Summary stats under tolerance; the bucket vector is summarized by
     // its largest single-bucket deviation so one migrated latency mode
     // cannot hide inside an unchanged total.
-    compare_scalar(metric + "/count", static_cast<double>(ha.count),
-                   static_cast<double>(hb.count), options, out);
-    compare_scalar(metric + "/sum", static_cast<double>(ha.sum),
-                   static_cast<double>(hb.sum), options, out);
-    compare_scalar(metric + "/min", static_cast<double>(ha.min),
-                   static_cast<double>(hb.min), options, out);
-    compare_scalar(metric + "/max", static_cast<double>(ha.max),
-                   static_cast<double>(hb.max), options, out);
+    compare_scalar(metric + "/count", ha.count, hb.count, options, out);
+    compare_scalar(metric + "/sum", ha.sum, hb.sum, options, out);
+    compare_scalar(metric + "/min", ha.min, hb.min, options, out);
+    compare_scalar(metric + "/max", ha.max, hb.max, options, out);
     for (std::size_t i = 0; i < ha.counts.size(); ++i) {
-      compare_scalar(metric + "/bucket" + std::to_string(i),
-                     static_cast<double>(ha.counts[i]),
-                     static_cast<double>(hb.counts[i]), options, out);
+      compare_scalar(metric + "/bucket" + std::to_string(i), ha.counts[i],
+                     hb.counts[i], options, out);
     }
   }
 }

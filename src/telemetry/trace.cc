@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/file_io.h"
+
 namespace lumina::telemetry {
 namespace {
 
@@ -118,11 +120,7 @@ std::string TraceSink::chrome_json() const {
 }
 
 bool TraceSink::write_chrome_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string json = chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, chrome_json());
 }
 
 }  // namespace lumina::telemetry

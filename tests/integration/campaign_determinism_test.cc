@@ -6,14 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
 #include "campaign/campaign_config.h"
-#include "telemetry/report.h"
+#include "util/file_io.h"
 
 namespace lumina {
 namespace {
@@ -58,20 +57,15 @@ std::string scratch_dir(const std::string& tag) {
   return dir.string();
 }
 
+/// Every file of the tree, whole. Each report.json in a campaign tree has an
+/// empty wall section, so reports compare byte for byte like the rest.
 std::map<std::string, std::string> snapshot_tree(const std::string& root) {
   std::map<std::string, std::string> files;
   for (const auto& entry : fs::recursive_directory_iterator(root)) {
     if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    // report.json wall sections legitimately vary with wall clock and
-    // --jobs; the determinism contract covers the deterministic section.
-    if (entry.path().filename() == "report.json") {
-      bytes = telemetry::extract_deterministic_section(bytes);
-      EXPECT_FALSE(bytes.empty()) << entry.path();
-    }
-    files[fs::relative(entry.path(), root).string()] = std::move(bytes);
+    const auto bytes = read_file(entry.path().string());
+    EXPECT_TRUE(bytes.has_value()) << entry.path();
+    files[fs::relative(entry.path(), root).string()] = bytes.value_or("");
   }
   return files;
 }

@@ -133,5 +133,20 @@ TEST(FuzzCampaign, InterruptedAndResumedHuntMatchesUninterrupted) {
   fs::remove_all(dir);
 }
 
+TEST(FuzzCampaign, CorpusWriteToAFullDeviceNamesTheShard) {
+  // A corpus file is smaller than a stdio buffer, so its only write happens
+  // at close: the flush that fails there must fail the call.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FuzzCampaignRunReport report;
+  report.shards.resize(2);
+  const std::string dir = scratch_dir("devfull");
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/full", dir + "/shard_001.yaml");
+  std::string failed;
+  EXPECT_FALSE(write_fuzz_corpora(report, dir, &failed));
+  EXPECT_EQ(failed, dir + "/shard_001.yaml");
+  fs::remove_all(dir);  // removes the link, not the device
+}
+
 }  // namespace
 }  // namespace lumina

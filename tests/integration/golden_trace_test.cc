@@ -1,9 +1,10 @@
 // Golden-trace regression tests: two canonical experiments — a Go-Back-N
 // retransmission triggered by a data-packet drop, and CNP generation
 // triggered by ECN marking — are replayed and their full artifact set
-// (trace.pcap, counters, flows, integrity) compared byte-for-byte against
-// goldens checked in under tests/golden/. Any behavioral drift in the
-// simulated NICs, the injector, or the pcap writer shows up as a diff here.
+// (trace.pcap, counters, flows, integrity, report.json) compared
+// byte-for-byte against goldens checked in under tests/golden/. Any
+// behavioral drift in the simulated NICs, the injector, or the pcap bytes
+// shows up as a diff here.
 //
 // To regenerate after an intentional behavior change:
 //   LUMINA_REGEN_GOLDEN=1 ./build/tests/golden_trace_test
@@ -13,7 +14,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +22,7 @@
 #include "orchestrator/results_io.h"
 #include "telemetry/report.h"
 #include "telemetry/report_diff.h"
+#include "util/file_io.h"
 
 namespace lumina {
 namespace {
@@ -36,11 +37,10 @@ bool regen_requested() {
   return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+std::string file_bytes(const fs::path& path) {
+  const auto bytes = read_file(path.string());
+  EXPECT_TRUE(bytes.has_value()) << "cannot read " << path;
+  return bytes.value_or("");
 }
 
 TestConfig gbn_drop_config() {
@@ -158,9 +158,12 @@ void check_against_golden(const std::string& scenario, const TestConfig& cfg,
       << "missing goldens for " << scenario
       << "; run with LUMINA_REGEN_GOLDEN=1 to create them";
 
-  const fs::path actual_dir =
+  // The report's "name" is its directory's name, so the actual run goes
+  // into a directory named after the scenario, as its golden does.
+  const fs::path actual_root =
       fs::temp_directory_path() /
-      ("lumina_golden_" + scenario + "_" + std::to_string(::getpid()));
+      ("lumina_golden_" + std::to_string(::getpid()));
+  const fs::path actual_dir = actual_root / scenario;
   fs::remove_all(actual_dir);
   std::string failed;
   ASSERT_TRUE(write_results(result, actual_dir.string(), &failed)) << failed;
@@ -172,15 +175,7 @@ void check_against_golden(const std::string& scenario, const TestConfig& cfg,
     const fs::path actual = actual_dir / name;
     ASSERT_TRUE(fs::is_regular_file(actual))
         << scenario << ": artifact " << name << " not produced";
-    std::string actual_bytes = read_file(actual);
-    std::string golden_bytes = read_file(entry.path());
     if (name == "report.json") {
-      // The report's "name" field carries the (temp) directory it was
-      // written to; the byte-identity contract covers the deterministic
-      // section (docs/telemetry.md).
-      actual_bytes = telemetry::extract_deterministic_section(actual_bytes);
-      golden_bytes = telemetry::extract_deterministic_section(golden_bytes);
-      ASSERT_FALSE(golden_bytes.empty()) << scenario;
       // Structured diff at tolerance 0 on top of the byte compare: when
       // bytes ever drift, this names the exact metrics that moved.
       const auto diff = telemetry::diff_reports(
@@ -192,14 +187,14 @@ void check_against_golden(const std::string& scenario, const TestConfig& cfg,
           << telemetry::format_diff(diff);
       EXPECT_GT(diff.compared, 0u) << scenario;
     }
-    EXPECT_EQ(actual_bytes, golden_bytes)
+    EXPECT_EQ(file_bytes(actual), file_bytes(entry.path()))
         << scenario << ": " << name
         << " drifted from golden; if intentional, regenerate with "
            "LUMINA_REGEN_GOLDEN=1 and review the diff";
     ++compared;
   }
   EXPECT_GE(compared, 8u) << scenario << ": golden set incomplete";
-  fs::remove_all(actual_dir);
+  fs::remove_all(actual_root);
 }
 
 TEST(GoldenTrace, GoBackNDropMatchesGolden) {

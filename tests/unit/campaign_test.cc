@@ -99,17 +99,6 @@ TEST(SuiteCampaign, ParallelSuiteMatchesSequential) {
   }
 }
 
-TEST(SuiteCampaign, MatrixIsNicMajorIssueMinor) {
-  const std::vector<NicType> nics{NicType::kCx5, NicType::kE810};
-  const auto matrix = run_bug_matrix(nics, CampaignOptions{8, 1});
-  const auto& issues = all_known_issues();
-  ASSERT_EQ(matrix.size(), nics.size() * issues.size());
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    EXPECT_EQ(matrix[i].nic, nics[i / issues.size()]);
-    EXPECT_EQ(matrix[i].issue, issues[i % issues.size()]);
-  }
-}
-
 TEST(IssueSlugs, RoundTrip) {
   for (const KnownIssue issue : all_known_issues()) {
     const auto parsed = parse_known_issue(issue_slug(issue));

@@ -1,10 +1,10 @@
 // Unit and property tests for the RoCEv2 packet layer: addresses, byte
 // codecs, build/parse round trips, iCRC masking invariants and the CLMUL
-// CRC engine, mutators, PSN arithmetic, and the pcap writer.
+// CRC engine, mutators, PSN arithmetic, and the pcap byte builders.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "packet/icrc.h"
 #include "packet/pcap_writer.h"
 #include "packet/roce_packet.h"
+#include "util/file_io.h"
 #include "util/random.h"
 
 namespace lumina {
@@ -545,44 +546,34 @@ TEST(ClmulCrc, SupportedEngineIsExercisedWhenCpuHasIt) {
 }
 
 // ---------------------------------------------------------------------------
-// pcap writer
+// pcap bytes
 // ---------------------------------------------------------------------------
 
+std::string le32(std::uint32_t v) {
+  return {static_cast<char>(v), static_cast<char>(v >> 8),
+          static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+}
+
 TEST(PcapWriter, WritesValidHeaderAndRecords) {
-  const std::string path = ::testing::TempDir() + "/lumina_test.pcap";
-  {
-    PcapWriter writer;
-    ASSERT_TRUE(writer.open(path));
-    writer.write(data_packet().span(), 1'500'000'123);
-    writer.write(data_packet().span(), 2'000'000'456, /*orig_len=*/4096);
-    EXPECT_EQ(writer.packets_written(), 2u);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::uint8_t header[24];
-  ASSERT_EQ(std::fread(header, 1, sizeof(header), f), sizeof(header));
-  // Nanosecond-resolution magic, little endian.
-  EXPECT_EQ(header[0], 0x4d);
-  EXPECT_EQ(header[1], 0x3c);
-  EXPECT_EQ(header[2], 0xb2);
-  EXPECT_EQ(header[3], 0xa1);
-  EXPECT_EQ(header[20], 1);  // LINKTYPE_ETHERNET
-  std::uint8_t record[16];
-  ASSERT_EQ(std::fread(record, 1, sizeof(record), f), sizeof(record));
-  const std::uint32_t ts_sec = record[0] | record[1] << 8;
-  const std::uint32_t ts_nsec = static_cast<std::uint32_t>(
-      record[4] | record[5] << 8 | record[6] << 16 |
-      static_cast<std::uint32_t>(record[7]) << 24);
-  EXPECT_EQ(ts_sec, 1u);
-  EXPECT_EQ(ts_nsec, 500'000'123u);
-  std::fclose(f);
-  std::remove(path.c_str());
+  // Nanosecond-resolution magic (little endian), version 2.4, zone and
+  // sigfigs 0, snaplen 65535, LINKTYPE_ETHERNET.
+  EXPECT_EQ(pcap_file_header(),
+            le32(0xa1b23c4d) + le32(0x00040002) + le32(0) + le32(0) +
+                le32(65535) + le32(1));
+
+  const Packet pkt = data_packet();
+  const std::string frame(pkt.bytes.begin(), pkt.bytes.end());
+  const auto len = static_cast<std::uint32_t>(pkt.size());
+  std::string records;
+  append_pcap_record(records, pkt.span(), 1'500'000'123);
+  append_pcap_record(records, pkt.span(), 2'000'000'456, /*orig_len=*/4096);
+  EXPECT_EQ(records, le32(1) + le32(500'000'123) + le32(len) + le32(len) +
+                         frame + le32(2) + le32(456) + le32(len) +
+                         le32(4096) + frame);
 }
 
 TEST(PcapWriter, OpenFailureReturnsFalse) {
-  PcapWriter writer;
-  EXPECT_FALSE(writer.open("/nonexistent-dir/foo.pcap"));
-  EXPECT_FALSE(writer.write(data_packet().span(), 0));
+  EXPECT_FALSE(write_file("/nonexistent-dir/foo.pcap", pcap_file_header()));
 }
 
 }  // namespace

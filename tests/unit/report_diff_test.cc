@@ -34,6 +34,10 @@ TEST(ReportDiff, ZeroToleranceFailsAnyChange) {
   EXPECT_FALSE(result.passed());
   ASSERT_EQ(result.diffs.size(), 1u);
   EXPECT_EQ(result.diffs[0].metric, "counters/m");
+  // u64 digests one apart round to the same double; they still differ.
+  const RunReport c = report_with_counter("m", 18446744073709551615ull);
+  const RunReport d = report_with_counter("m", 18446744073709551614ull);
+  EXPECT_FALSE(diff_reports(c, d, DiffOptions{}).passed());
 }
 
 TEST(ReportDiff, ToleranceBoundaryIsInclusive) {

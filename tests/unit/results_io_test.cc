@@ -1,100 +1,125 @@
-// Round-trip tests for orchestrator/results_io: write_results followed by
-// read_results must reproduce every artifact field-by-field from the
-// in-memory TestResult, including the empty-flows and unfinished-run edge
-// cases, and failures must name the artifact that could not be written.
+// Tests for orchestrator/results_io: write_results must put the exact bytes
+// of every artifact on disk, derived field by field from the in-memory
+// TestResult, including the empty-flows and unfinished-run edge cases, and
+// a write that fails (the final flush included) must name the artifact.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 
 #include "config/test_config.h"
 #include "orchestrator/orchestrator.h"
 #include "orchestrator/results_io.h"
+#include "util/file_io.h"
 
 namespace lumina {
 namespace {
 
+namespace fs = std::filesystem;
+
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
+  const auto dir = fs::temp_directory_path() /
                    ("lumina_results_io_" + tag + "_" +
                     std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+  fs::remove_all(dir);
   return dir.string();
 }
 
-const char* status_label(const MessageRecord& msg) {
-  return msg.completed_at < 0 ? "in-flight"
-         : msg.status == WcStatus::kSuccess ? "success"
-         : msg.status == WcStatus::kRetryExceeded ? "retry-exceeded"
-         : msg.status == WcStatus::kRnrRetryExceeded ? "rnr-retry-exceeded"
-                                                     : "flushed";
+std::string artifact(const std::string& dir, const std::string& name) {
+  const auto bytes = read_file(dir + "/" + name);
+  EXPECT_TRUE(bytes.has_value()) << name;
+  return bytes.value_or("");
 }
 
-/// Field-by-field comparison of a parsed results directory against the
-/// in-memory TestResult it was written from.
-void expect_round_trip(const TestResult& result, const ReadResults& read) {
-  // trace.pcap: packet count, nanosecond timestamps, exact bytes.
-  ASSERT_EQ(read.trace.size(), result.trace.size());
-  for (std::size_t i = 0; i < read.trace.size(); ++i) {
+std::uint32_t u32le(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+  }
+  return v;
+}
+
+std::string counters_text(const RnicCounters& counters) {
+  std::string out;
+  for (const auto& [name, value] : counters.entries()) {
+    out += name + " " + std::to_string(value) + "\n";
+  }
+  return out;
+}
+
+constexpr const char* kFlowsHeader =
+    "connection,msg_index,posted_at_ns,completed_at_ns,completion_time_us,"
+    "status\n";
+
+/// Checks every artifact's bytes against the TestResult it was written
+/// from: the pcap record by record, the counter files and integrity line
+/// exactly, and one flows.csv row per message.
+void expect_artifacts_match(const TestResult& result, const std::string& dir) {
+  // trace.pcap: nanosecond magic, then per packet its timestamp, captured
+  // and on-wire lengths, and exact bytes.
+  const std::string pcap = artifact(dir, "trace.pcap");
+  ASSERT_GE(pcap.size(), 24u);
+  EXPECT_EQ(u32le(pcap, 0), 0xa1b23c4du);
+  std::size_t at = 24;
+  for (std::size_t i = 0; i < result.trace.size(); ++i) {
     const TracePacket& expect = result.trace[i];
-    EXPECT_EQ(read.trace[i].timestamp, expect.time()) << "packet " << i;
-    const std::size_t orig =
-        expect.orig_len == 0 ? expect.pkt.size() : expect.orig_len;
-    EXPECT_EQ(read.trace[i].orig_len, orig) << "packet " << i;
-    EXPECT_TRUE(std::ranges::equal(read.trace[i].bytes, expect.pkt.bytes))
+    ASSERT_LE(at + 16 + expect.pkt.size(), pcap.size()) << "packet " << i;
+    EXPECT_EQ(u32le(pcap, at), expect.time() / kSecond) << "packet " << i;
+    EXPECT_EQ(u32le(pcap, at + 4), expect.time() % kSecond) << "packet " << i;
+    EXPECT_EQ(u32le(pcap, at + 8), expect.pkt.size()) << "packet " << i;
+    EXPECT_EQ(u32le(pcap, at + 12),
+              expect.orig_len == 0 ? expect.pkt.size() : expect.orig_len)
         << "packet " << i;
+    EXPECT_EQ(pcap.substr(at + 16, expect.pkt.size()),
+              std::string(expect.pkt.bytes.begin(), expect.pkt.bytes.end()))
+        << "packet " << i;
+    at += 16 + expect.pkt.size();
   }
+  EXPECT_EQ(at, pcap.size());
 
-  EXPECT_EQ(read.integrity, result.integrity.to_string());
+  EXPECT_EQ(artifact(dir, "integrity.txt"),
+            result.integrity.to_string() + "\n");
+  EXPECT_EQ(artifact(dir, "requester_counters.txt"),
+            counters_text(result.requester_counters()));
+  EXPECT_EQ(artifact(dir, "responder_counters.txt"),
+            counters_text(result.responder_counters()));
+  const SwitchRoceCounters& sw = result.switch_counters;
+  EXPECT_EQ(artifact(dir, "switch_counters.txt"),
+            "roce_rx " + std::to_string(sw.roce_rx) + "\nroce_tx " +
+                std::to_string(sw.roce_tx) + "\nmirrored " +
+                std::to_string(sw.mirrored) + "\nevents_applied " +
+                std::to_string(sw.events_applied) + "\ndropped_by_event " +
+                std::to_string(sw.dropped_by_event) + "\n");
 
-  // NIC counters: every entry present with the exact value.
-  for (const auto& [name, value] : result.requester_counters().entries()) {
-    ASSERT_TRUE(read.requester_counters.count(name)) << name;
-    EXPECT_EQ(read.requester_counters.at(name), value) << name;
-  }
-  for (const auto& [name, value] : result.responder_counters().entries()) {
-    ASSERT_TRUE(read.responder_counters.count(name)) << name;
-    EXPECT_EQ(read.responder_counters.at(name), value) << name;
-  }
-  EXPECT_EQ(read.switch_counters.at("roce_rx"),
-            result.switch_counters.roce_rx);
-  EXPECT_EQ(read.switch_counters.at("roce_tx"),
-            result.switch_counters.roce_tx);
-  EXPECT_EQ(read.switch_counters.at("mirrored"),
-            result.switch_counters.mirrored);
-  EXPECT_EQ(read.switch_counters.at("events_applied"),
-            result.switch_counters.events_applied);
-  EXPECT_EQ(read.switch_counters.at("dropped_by_event"),
-            result.switch_counters.dropped_by_event);
-
-  // flows.csv: one row per message, in (connection, message) order.
-  std::size_t rows = 0;
-  for (const auto& flow : result.flows) rows += flow.messages.size();
-  ASSERT_EQ(read.flows.size(), rows);
-  std::size_t row = 0;
+  // flows.csv: the header, then one row per message in (connection,
+  // message) order, each starting with its identity and times.
+  const std::string flows = artifact(dir, "flows.csv");
+  ASSERT_EQ(flows.rfind(kFlowsHeader, 0), 0u);
+  std::size_t row_start = std::string(kFlowsHeader).size();
   for (std::size_t c = 0; c < result.flows.size(); ++c) {
     for (const auto& msg : result.flows[c].messages) {
-      const ReadFlowRow& parsed = read.flows[row++];
-      EXPECT_EQ(parsed.connection, c);
-      EXPECT_EQ(parsed.msg_index, msg.msg_index);
-      EXPECT_EQ(parsed.posted_at, msg.posted_at);
-      EXPECT_EQ(parsed.completed_at, msg.completed_at);
-      EXPECT_EQ(parsed.status, status_label(msg));
-      if (msg.completed_at < 0) {
-        EXPECT_DOUBLE_EQ(parsed.completion_time_us, -1.0);
-      } else {
-        EXPECT_NEAR(parsed.completion_time_us, to_us(msg.completion_time()),
-                    1e-3);
-      }
+      const std::size_t row_end = flows.find('\n', row_start);
+      ASSERT_NE(row_end, std::string::npos);
+      const std::string row = flows.substr(row_start, row_end - row_start);
+      const std::string prefix =
+          std::to_string(c) + "," + std::to_string(msg.msg_index) + "," +
+          std::to_string(msg.posted_at) + "," +
+          std::to_string(msg.completed_at) + ",";
+      EXPECT_EQ(row.rfind(prefix, 0), 0u) << row;
+      row_start = row_end + 1;
     }
   }
+  EXPECT_EQ(row_start, flows.size());
 
-  ASSERT_EQ(read.connections.size(), result.connections.size());
+  std::size_t connection_lines = 0;
+  for (const char ch : artifact(dir, "connections.txt")) {
+    connection_lines += ch == '\n' ? 1 : 0;
+  }
+  EXPECT_EQ(connection_lines, result.connections.size());
 }
 
-TestResult run_small_experiment() {
+TEST(ResultsIo, RoundTripsFullExperiment) {
   TestConfig cfg;
   cfg.requester().nic_type = NicType::kCx6Dx;
   cfg.responder().nic_type = NicType::kCx6Dx;
@@ -104,40 +129,34 @@ TestResult run_small_experiment() {
   cfg.traffic.data_pkt_events.push_back(
       DataPacketEvent{1, 2, EventType::kDrop, 1});
   Orchestrator orch(cfg);
-  return orch.run();
-}
-
-TEST(ResultsIo, RoundTripsFullExperiment) {
-  const TestResult result = run_small_experiment();
+  const TestResult result = orch.run();
   ASSERT_GT(result.trace.size(), 0u);
 
   const std::string dir = temp_dir("full");
   std::string failed;
   ASSERT_TRUE(write_results(result, dir, &failed)) << failed;
-
-  ReadResults read;
-  ASSERT_TRUE(read_results(dir, &read, &failed)) << failed;
-  expect_round_trip(result, read);
-  std::filesystem::remove_all(dir);
+  expect_artifacts_match(result, dir);
+  fs::remove_all(dir);
 }
 
 TEST(ResultsIo, RoundTripsEmptyFlows) {
   // A synthetic result with no flows, no connections, and no packets —
-  // the files must still be written and read back as empty tables.
+  // the files must still be written: a header-only pcap and flows.csv,
+  // zeroed counter files and an empty connections.txt.
   TestResult result;
   result.integrity.trace_packets = 0;
 
   const std::string dir = temp_dir("empty");
   std::string failed;
   ASSERT_TRUE(write_results(result, dir, &failed)) << failed;
-
-  ReadResults read;
-  ASSERT_TRUE(read_results(dir, &read, &failed)) << failed;
-  EXPECT_TRUE(read.trace.empty());
-  EXPECT_TRUE(read.flows.empty());
-  EXPECT_TRUE(read.connections.empty());
-  EXPECT_EQ(read.integrity, result.integrity.to_string());
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(artifact(dir, "trace.pcap").size(), 24u);
+  EXPECT_EQ(artifact(dir, "flows.csv"), kFlowsHeader);
+  EXPECT_EQ(artifact(dir, "connections.txt"), "");
+  EXPECT_EQ(artifact(dir, "integrity.txt"),
+            result.integrity.to_string() + "\n");
+  EXPECT_EQ(artifact(dir, "requester_counters.txt"),
+            counters_text(RnicCounters{}));
+  fs::remove_all(dir);
 }
 
 TEST(ResultsIo, RoundTripsUnfinishedRun) {
@@ -160,15 +179,12 @@ TEST(ResultsIo, RoundTripsUnfinishedRun) {
   const std::string dir = temp_dir("unfinished");
   std::string failed;
   ASSERT_TRUE(write_results(result, dir, &failed)) << failed;
-
-  ReadResults read;
-  ASSERT_TRUE(read_results(dir, &read, &failed)) << failed;
-  expect_round_trip(result, read);
-  ASSERT_EQ(read.flows.size(), 2u);
-  EXPECT_EQ(read.flows[1].status, "in-flight");
-  EXPECT_EQ(read.flows[1].completed_at, -1);
-  EXPECT_DOUBLE_EQ(read.flows[1].completion_time_us, -1.0);
-  std::filesystem::remove_all(dir);
+  expect_artifacts_match(result, dir);
+  EXPECT_EQ(artifact(dir, "flows.csv"),
+            std::string(kFlowsHeader) +
+                "0,0,100,2100,2.000,success\n"
+                "0,1,2200,-1,-1.000,in-flight\n");
+  fs::remove_all(dir);
 }
 
 TEST(ResultsIo, WriteFailureNamesThePath) {
@@ -180,30 +196,24 @@ TEST(ResultsIo, WriteFailureNamesThePath) {
   EXPECT_NE(failed.find("/proc/definitely/not/writable"), std::string::npos);
 }
 
-TEST(ResultsIo, ReadFailureNamesTheMissingArtifact) {
-  const std::string dir = temp_dir("missing");
-  std::filesystem::create_directories(dir);
-  ReadResults read;
-  std::string failed;
-  EXPECT_FALSE(read_results(dir, &read, &failed));
-  EXPECT_EQ(failed, dir + "/trace.pcap");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ResultsIo, ReadRejectsCorruptPcap) {
-  const TestResult result = run_small_experiment();
-  const std::string dir = temp_dir("corrupt");
-  ASSERT_TRUE(write_results(result, dir));
-
-  // Truncate the pcap mid-record: read_results must flag it.
-  const std::string pcap = dir + "/trace.pcap";
-  const auto full = std::filesystem::file_size(pcap);
-  std::filesystem::resize_file(pcap, full - 7);
-  ReadResults read;
-  std::string failed;
-  EXPECT_FALSE(read_results(dir, &read, &failed));
-  EXPECT_EQ(failed, pcap);
-  std::filesystem::remove_all(dir);
+TEST(ResultsIo, WriteToAFullDeviceNamesTheArtifact) {
+  // Each artifact here is smaller than a stdio buffer, so its only write
+  // happens at close: the flush that fails there must fail the call.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  TestConfig cfg;
+  cfg.traffic.num_msgs_per_qp = 1;
+  cfg.traffic.message_size = 1024;
+  const TestResult result = Orchestrator(cfg).run();
+  for (const std::string name :
+       {"trace.pcap", "requester_counters.txt", "flows.csv"}) {
+    const std::string dir = temp_dir("devfull");
+    fs::create_directories(dir);
+    fs::create_symlink("/dev/full", dir + "/" + name);
+    std::string failed;
+    EXPECT_FALSE(write_results(result, dir, &failed)) << name;
+    EXPECT_EQ(failed, dir + "/" + name);
+    fs::remove_all(dir);  // removes the link, not the device
+  }
 }
 
 }  // namespace

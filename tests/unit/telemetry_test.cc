@@ -262,6 +262,12 @@ TEST(JsonLite, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("{\"a\": }"), JsonError);
   EXPECT_THROW(parse_json("[1, 2,]"), JsonError);
   EXPECT_THROW(parse_json("{} trailing"), JsonError);
+  // Integers outside [INT64_MIN, UINT64_MAX], and reads of a value outside
+  // the asked type's range.
+  EXPECT_THROW(parse_json("18446744073709551616"), JsonError);
+  EXPECT_THROW(parse_json("-9223372036854775809"), JsonError);
+  EXPECT_THROW(parse_json("18446744073709551615").as_int(), JsonError);
+  EXPECT_THROW(parse_json("-1").as_uint(), JsonError);
 }
 
 // -- report round-trip ----------------------------------------------------
@@ -297,23 +303,17 @@ TEST(Report, SerializeReadRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed.wall.at("wall_ms"), 12.5);
 }
 
-TEST(Report, ExtractDeterministicSectionMatchesSerializer) {
-  const RunReport report = sample_report();
-  const std::string text = serialize_report(report);
-  const std::string section = extract_deterministic_section(text);
-  EXPECT_EQ(section, serialize_deterministic(report.deterministic));
-  EXPECT_NE(text.find(section), std::string::npos);
-  EXPECT_EQ(extract_deterministic_section("{}"), "");
-}
-
-TEST(Report, DeterministicSectionIgnoresWallChanges) {
-  RunReport a = sample_report();
-  RunReport b = sample_report();
-  b.wall["wall_ms"] = 9999.0;
-  b.name = "other";
-  EXPECT_NE(serialize_report(a), serialize_report(b));
-  EXPECT_EQ(extract_deterministic_section(serialize_report(a)),
-            extract_deterministic_section(serialize_report(b)));
+TEST(Report, RoundTripsFullRangeCounterAndNegativeGauge) {
+  // u64 counters use their whole range (a fuzz campaign stores each shard's
+  // FNV corpus digest as one); gauges are signed.
+  RunReport report = sample_report();
+  report.deterministic.counters["fuzz.shard_000.corpus_digest"] =
+      18446744073709551615ull;
+  report.deterministic.gauges["sim.queue_depth_max"] = -9223372036854775807;
+  const RunReport parsed = read_report_text(serialize_report(report));
+  EXPECT_EQ(parsed.deterministic.counters, report.deterministic.counters);
+  EXPECT_EQ(parsed.deterministic.gauges, report.deterministic.gauges);
+  EXPECT_EQ(serialize_report(parsed), serialize_report(report));
 }
 
 TEST(Report, RejectsUnknownSchema) {
