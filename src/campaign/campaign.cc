@@ -39,12 +39,17 @@ std::string format_summary(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
 
 std::string format_summary(const char* format, ...) {
-  char buf[240];
+  // A first pass sizes the string, so a row of any length stays whole.
   va_list args;
   va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_list again;
+  va_copy(again, args);
+  const int length = std::vsnprintf(nullptr, 0, format, args);
   va_end(args);
-  return buf;
+  std::string out(static_cast<std::size_t>(std::max(length, 0)), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, format, again);
+  va_end(again);
+  return out;
 }
 
 CampaignRunOutcome execute_run(const CampaignRunSpec& spec,

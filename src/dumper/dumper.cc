@@ -4,6 +4,7 @@
 
 #include "packet/bytes.h"
 #include "packet/packet_arena.h"
+#include "util/spare_vectors.h"
 
 namespace lumina {
 namespace {
@@ -32,7 +33,9 @@ TrafficDumper::TrafficDumper(Simulator* sim, Options options)
       options_(options),
       port_(std::make_unique<Port>(sim, this, 0)),
       core_busy_until_(static_cast<std::size_t>(std::max(1, options.cores)),
-                       0) {}
+                       0),
+      capture_{.bytes = SpareVectors<std::uint8_t>::take(),
+               .records = SpareVectors<CaptureRecord>::take()} {}
 
 void TrafficDumper::handle_packet(int, Packet pkt) {
   // Nothing moves the frame out (a capture copies into the slab), so the
@@ -61,7 +64,6 @@ void TrafficDumper::handle_packet(int, Packet pkt) {
       .offset = capture_.bytes.size(),
       .length = kept,
       .orig_len = pkt.size(),
-      .captured_at = now,
       .meta = extract_mirror_meta(pkt),
   });
   const std::span<const std::uint8_t> head = pkt.span().first(kept);

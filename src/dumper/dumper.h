@@ -14,7 +14,9 @@
 // and carries its mirror metadata; reconstruct_trace() decodes each
 // record's kept bytes (docs/packet.md, "Capture store and trace records").
 // A capture copies at most `trim_bytes` into the slab, so every delivered
-// wire buffer recycles.
+// wire buffer recycles. The slab and the record vector start as the
+// thread's spare capacity (util/spare_vectors.h), which the previous run's
+// trace gave back.
 //
 // On TERM the dumper restores the UDP destination port of every captured
 // packet to 4791. The orchestrator then takes the capture store
@@ -41,10 +43,9 @@ struct CaptureRecord {
   std::size_t offset = 0;    ///< First kept byte in CaptureStore::bytes.
   std::size_t length = 0;    ///< Bytes kept: min(orig_len, trim_bytes).
   std::size_t orig_len = 0;  ///< Length on the wire.
-  Tick captured_at = 0;      ///< Host capture time (not the switch timestamp).
   MirrorMeta meta;           ///< Metadata embedded by the mirror engine.
 };
-static_assert(sizeof(CaptureRecord) <= 56);
+static_assert(sizeof(CaptureRecord) <= 48);
 
 /// A dumper's captures in arrival order, which is mirror order: mirror
 /// copies leave the switch in sequence order through FIFO ports.

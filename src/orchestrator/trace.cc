@@ -5,12 +5,20 @@
 #include <sstream>
 
 #include "dumper/dumper.h"
+#include "util/spare_vectors.h"
 
 namespace lumina {
 namespace {
 
 bool by_mirror_seq(const CaptureRecord& a, const CaptureRecord& b) {
   return a.meta.mirror_seq < b.meta.mirror_seq;
+}
+
+/// The deleter of a reconstructed trace's slab: runs when the last copy of
+/// the trace drops it, on whichever thread that is.
+void give_back_slab(std::vector<std::uint8_t>* slab) {
+  SpareVectors<std::uint8_t>::give(std::move(*slab));
+  delete slab;
 }
 
 }  // namespace
@@ -22,6 +30,10 @@ std::string IntegrityReport::to_string() const {
       << ", consecutive=" << (seqnums_consecutive ? "yes" : "no")
       << ", missing=" << missing_seqnums << ")";
   return out.str();
+}
+
+PacketTrace::~PacketTrace() {
+  SpareVectors<TracePacket>::give(std::move(packets));
 }
 
 void PacketTrace::append(std::span<const std::uint8_t> bytes,
@@ -49,12 +61,14 @@ IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
       std::stable_sort(records.begin(), records.end(), by_mirror_seq);
     }
     total += records.size();
-    trace.slabs.push_back(std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(store.bytes)));
+    trace.slabs.push_back(std::shared_ptr<const std::vector<std::uint8_t>>(
+        new std::vector<std::uint8_t>(std::move(store.bytes)),
+        give_back_slab));
   }
 
   std::vector<TracePacket>& packets = trace.packets;
   packets.clear();
+  if (packets.capacity() == 0) packets = SpareVectors<TracePacket>::take();
   packets.reserve(total);
   IntegrityReport integrity;
   integrity.seqnums_consecutive = true;
@@ -83,6 +97,9 @@ IntegrityReport reconstruct_trace(std::vector<CaptureStore> captures,
     }
     packets.push_back(
         TracePacket{FrameBytes{bytes}, *view, record.meta, record.orig_len});
+  }
+  for (CaptureStore& store : captures) {
+    SpareVectors<CaptureRecord>::give(std::move(store.records));
   }
 
   integrity.trace_packets = packets.size();

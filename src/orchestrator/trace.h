@@ -12,7 +12,10 @@
 // slabs, which reconstruct_trace() moves into a store the PacketTrace
 // shares with its copies. A record's bytes therefore live as long as any
 // copy of its trace, and no longer (docs/packet.md, "Capture store and
-// trace records").
+// trace records"). A slab's capacity goes to the thread's SpareVectors
+// when the last copy of its trace drops it, and a trace's record vector
+// when the trace is destroyed; the next run's dumpers and trace start
+// from them.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +89,14 @@ struct PacketTrace {
   /// share them; they are never written once a record points into them.
   std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> slabs;
 
+  PacketTrace() = default;
+  PacketTrace(const PacketTrace&) = default;
+  PacketTrace(PacketTrace&&) = default;
+  PacketTrace& operator=(const PacketTrace&) = default;
+  PacketTrace& operator=(PacketTrace&&) = default;
+  /// Gives `packets`' capacity to this thread's SpareVectors.
+  ~PacketTrace();
+
   std::size_t size() const { return packets.size(); }
   const TracePacket& operator[](std::size_t i) const { return packets[i]; }
   auto begin() const { return packets.begin(); }
@@ -100,7 +111,9 @@ struct CaptureStore;  // dumper/dumper.h
 
 /// Builds `trace` from the dumpers' capture stores, one store per dumper,
 /// and returns the §3.5 integrity report against the injector's mirrored
-/// and RoCE-received counts. The stores' byte slabs move into the trace.
+/// and RoCE-received counts. The stores' byte slabs move into the trace,
+/// and their record vectors go to the thread's SpareVectors; `packets`
+/// starts from the thread's spare capacity when it has none of its own.
 /// Each record's view is the trimmed parser's decode of its kept bytes,
 /// read in place in the slab; frames that parser rejects are left out. The
 /// order equals a stable sort of the concatenated stores by mirror_seq: a

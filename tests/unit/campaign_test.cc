@@ -6,6 +6,8 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "campaign/campaign.h"
 #include "campaign/campaign_config.h"
@@ -242,6 +244,34 @@ TEST(CampaignSummary, CsvIsDeterministicAndWallClockFree) {
     EXPECT_GT(run.metrics.sim_events, 0u);
     EXPECT_TRUE(run.result.has_value());
   }
+}
+
+TEST(CampaignSummary, LongRowStaysWholeAndNewlineTerminated) {
+  // A row longer than any fixed buffer must neither be cut nor lose its
+  // newline, or the next row joins it.
+  const std::string long_name(230, 'x');
+  Campaign campaign;
+  for (const std::string& name : {long_name, std::string("short")}) {
+    CampaignRunSpec spec;
+    spec.kind = CampaignRunKind::kExperiment;
+    spec.name = name;
+    spec.config.traffic.num_msgs_per_qp = 1;
+    campaign.runs.push_back(spec);
+  }
+  const std::string csv =
+      campaign_summary_csv(run_campaign(campaign, CampaignOptions{1, 5}));
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < csv.size();) {
+    const std::size_t end = csv.find('\n', start);
+    ASSERT_NE(end, std::string::npos) << "unterminated row: " << csv;
+    lines.push_back(csv.substr(start, end - start));
+    start = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 3u) << csv;
+  EXPECT_EQ(lines[0].rfind("index,name,", 0), 0u);
+  EXPECT_EQ(lines[1].rfind("0," + long_name + ",experiment,", 0), 0u);
+  EXPECT_NE(lines[1].find("integrity=ok"), std::string::npos) << lines[1];
+  EXPECT_EQ(lines[2].rfind("1,short,experiment,", 0), 0u);
 }
 
 TEST(CampaignOptions, RejectsRetiredShardCounts) {
